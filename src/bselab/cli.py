@@ -97,7 +97,8 @@ def parse_ensemble(entries) -> CoherentEnsemble:
         raise ConfigError(str(exc)) from exc
 
 
-def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
+def _read_config_json(path: Path) -> dict:
+    """The JSON object in a config file, or ConfigError."""
     try:
         raw = json.loads(path.read_text())
     except OSError as exc:
@@ -106,6 +107,11 @@ def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
+    raw = _read_config_json(path)
     unknown = set(raw) - _CAMPAIGN_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -275,7 +281,9 @@ def cmd_verify(args) -> int:
     write_manifest(out_dir, summary.config_echo, {"total": elapsed},
                    [str(report_path), str(trials_path)])
 
-    print(f"verify: {summary.n_completed}/{summary.n_trials} trials clean, "
+    flagged = {f["trial"] for f in summary.findings}
+    n_clean = sum(1 for r in summary.records if r.seed not in flagged)
+    print(f"verify: {n_clean}/{summary.n_trials} trials clean, "
           f"{len(summary.findings)} findings, "
           f"worst PT eigenvalue {summary.worst_ppt_min_eigenvalue}")
     if summary.n_overflow_failures:
@@ -313,15 +321,20 @@ def cmd_sweep(args) -> int:
     arena = FockArena(2, args.cutoff)
 
     if args.input == "fock":
-        occ = tuple(int(x) for x in args.occupations.split(","))
-        rho_in = fock(arena, occ).to_density()
+        try:
+            occ = tuple(int(tok) for tok in args.occupations.split(","))
+            psi = fock(arena, occ)
+        except ValueError as exc:
+            raise ConfigError(f"bad --occupations value: {exc}") from exc
+        rho_in = psi.to_density()
         input_echo = {"kind": "fock", "occupations": list(occ)}
     else:
         cfg_path = args.config
         if cfg_path is None:
             raise ConfigError("--input ensemble requires --config with an ensemble")
-        raw = json.loads(Path(cfg_path).read_text())
-        ens = parse_ensemble(raw.get("ensemble"))
+        ens = parse_ensemble(_read_config_json(Path(cfg_path)).get("ensemble"))
+        if ens.n_modes != arena.n_modes:
+            raise ConfigError("sweep needs a two-mode ensemble")
         rho_in = ensemble_to_density(ens, arena)
         input_echo = {"kind": "ensemble", "components": ens.n_components}
 

@@ -148,9 +148,9 @@ def tensor_product(
 class StateVector:
     """A pure state as a dense complex amplitude array over the arena basis.
 
-    Construction enforces the truncation-leakage budget: the norm must lie
-    in ``[1 - leak_tol, 1]`` (up to roundoff), otherwise a
-    :class:`TruncationError` is raised instead of silently renormalizing.
+    Construction enforces the truncation-leakage budget: when the lost
+    probability 1 - ||psi||^2 exceeds ``leak_tol`` a :class:`TruncationError`
+    is raised instead of silently renormalizing.
     """
 
     arena: FockArena
@@ -165,9 +165,10 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if norm > 1.0 + 1e-12:
             raise ValueError(f"state norm {norm} exceeds 1")
-        if norm < 1.0 - self.leak_tol:
+        leak = 1.0 - norm * norm
+        if leak > self.leak_tol:
             raise TruncationError(
-                f"truncation leakage {1.0 - norm:.3e} exceeds budget {self.leak_tol:.1e}"
+                f"truncation leakage {leak:.3e} exceeds budget {self.leak_tol:.1e}"
             )
 
     @property

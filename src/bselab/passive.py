@@ -7,6 +7,11 @@ with the principal matrix logarithm; it leaves the vacuum invariant and,
 because the generator conserves total photon number, is exactly unitary and
 block-diagonal over photon-number sectors even after truncation.
 
+One sector core, ``_sector_generator``, builds each sector block of that
+generator from ln M and the sector's occupation table: ``lift_unitary`` feeds
+it the arena's clipped sectors, ``transform_coherent_exact`` full sectors
+whose exponentials it applies to a batch of coherent states at once.
+
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
 which for real M reduces to plain right multiplication by M.  This closed
@@ -15,16 +20,14 @@ form is the truncation-free fast path for classical ensembles.
 
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .hilbert import DensityOperator, FockArena, annihilation_matrix
-from .states import CoherentEnsemble
+from .states import CoherentEnsemble, _coherent_column
 
 UNITARITY_TOL = 1e-12
 LOG_ROUNDTRIP_TOL = 1e-10
@@ -112,30 +115,44 @@ class LiftedUnitary:
         return self.matrix @ amplitudes
 
 
+def _sector_generator(log: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """The matrix of -sum_{jk} L_{jk} c_j^dag c_k on one photon-number sector.
+
+    ``occupations`` lists the sector's occupation tuples, one per row, in
+    lexicographic order (the order a FockArena lists them).  A hop
+    c_j^dag c_k whose target tuple is not in the table is dropped, which is
+    what the truncated ladder operators do at the cutoff.
+    """
+    eye = np.eye(log.shape[0], dtype=int)
+    # (q, j, k): c_j^dag c_k |t_q> = sqrt(t_k (t_j + 1 - delta_jk)) |t_q - e_k + e_j>
+    amp = np.sqrt(occupations[:, None, :] * (occupations[:, :, None] + 1 - eye))
+    q, j, k = np.nonzero(amp)
+    dims = (int(occupations.max(initial=0)) + 2,) * log.shape[0]
+    keys = np.ravel_multi_index(occupations.T, dims)
+    target_keys = np.ravel_multi_index((occupations[q] + eye[j] - eye[k]).T, dims)
+    pos = np.minimum(np.searchsorted(keys, target_keys), keys.size - 1)
+    hit = keys[pos] == target_keys
+    gen = np.zeros((keys.size, keys.size), dtype=complex)
+    np.add.at(gen, (pos[hit], q[hit]), -(log[j, k] * amp[q, j, k])[hit])
+    return gen
+
+
 def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
     """exp(-sum_{jk} (ln M)_{jk} c_j^dag c_k) as a dense matrix.
 
     The generator is block-diagonal over total-photon-number sectors, so the
     exponential is taken sector by sector; sectors whose occupation tuples
-    all fit under the cutoff are exact, truncation only touches the boundary
-    sectors.
+    all fit under the cutoff are exact, truncation only clips the boundary
+    sectors, whose blocks stay exactly unitary.
     """
     if m.n_modes != arena.n_modes:
         raise ValueError("mode count mismatch between unitary and arena")
     log = log_unitary(m)
+    table = arena.occupation_table()
     dim = arena.total_dim
-    gen = np.zeros((dim, dim), dtype=complex)
-    ladders = [annihilation_matrix(arena, k) for k in range(arena.n_modes)]
-    for j in range(arena.n_modes):
-        adag_j = ladders[j].conj().T
-        for k in range(arena.n_modes):
-            if log[j, k] != 0:
-                gen -= log[j, k] * (adag_j @ ladders[k])
-
     matrix = np.zeros((dim, dim), dtype=complex)
     for idx in arena.photon_sector_indices().values():
-        block = gen[np.ix_(idx, idx)]
-        matrix[np.ix_(idx, idx)] = scipy.linalg.expm(block)
+        matrix[np.ix_(idx, idx)] = scipy.linalg.expm(_sector_generator(log, table[idx]))
 
     lifted = LiftedUnitary(arena, matrix, m)
     vac_dev = float(np.abs(matrix[:, 0] - np.eye(dim)[:, 0]).max())
@@ -176,44 +193,12 @@ def apply_to_density(u: LiftedUnitary, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(rho.arena, out, leak_tol=rho.leak_tol, psd_tol=rho.psd_tol)
 
 
-def _compositions(total: int, parts: int):
-    """All occupation tuples of `parts` modes summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _sector_generator_block(log: np.ndarray, basis: list[tuple[int, ...]]) -> np.ndarray:
-    """The matrix of sum_{jk} L_{jk} c_j^dag c_k restricted to one
-    total-photon sector, in the given occupation-tuple basis."""
-    pos = {t: i for i, t in enumerate(basis)}
-    n_modes = log.shape[0]
-    block = np.zeros((len(basis), len(basis)), dtype=complex)
-    for q, t in enumerate(basis):
-        for k in range(n_modes):
-            if t[k] == 0:
-                continue
-            for j in range(n_modes):
-                if j == k:
-                    block[q, q] += log[j, j] * t[j]
-                else:
-                    shifted = list(t)
-                    shifted[k] -= 1
-                    shifted[j] += 1
-                    p = pos[tuple(shifted)]
-                    block[p, q] += log[j, k] * np.sqrt(t[k] * (t[j] + 1))
-    return block
-
-
 def _sector_tail_bound(mean: float, tail_eps: float) -> int:
     """Smallest n with Poisson(mean) tail P(N >= n) <= tail_eps."""
     if mean <= 0.0:
         return 0
     n = max(1, int(mean))
-    while scipy.stats.poisson.sf(n - 1, mean) > tail_eps:
+    while scipy.special.pdtrc(n - 1, mean) > tail_eps:
         n += 1
     return n
 
@@ -224,40 +209,39 @@ def transform_coherent_exact(
     """Amplitudes of the lifted unitary applied to |alphas>, projected to
     the arena truncation *after* the transform.
 
+    ``alphas`` has shape ``(..., n_modes)``, the result ``(..., total_dim)``.
+
     The lift generator conserves total photon number, so the operator is
-    exact on every sector; evaluating it sector by sector (up to a sector
-    bound where the Poissonian tail drops below ``tail_eps``) avoids the
-    boundary-clipping artifacts of the dense truncated lift, whose error
-    near the cutoff would otherwise swamp tight PPT diagnostics.
+    exact on every full sector; evaluating it sector by sector (each state
+    up to its own sector bound, where the Poissonian tail drops below
+    ``tail_eps``) avoids the boundary-clipping artifacts of the dense
+    truncated lift, whose error near the cutoff would otherwise swamp tight
+    PPT diagnostics.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    if alphas.shape != (arena.n_modes,):
+    if alphas.shape[-1] != arena.n_modes:
         raise ValueError("need one amplitude per mode")
+    rows = alphas.reshape(-1, arena.n_modes)
+    means = np.sum(np.abs(rows) ** 2, axis=1)
+    n_max = np.array([_sector_tail_bound(mean, tail_eps) for mean in means])
+    top = int(n_max.max())
+    columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
     log = log_unitary(m)
-    mean = float(np.sum(np.abs(alphas) ** 2))
-    n_max = _sector_tail_bound(mean, tail_eps)
-    prefactor = np.exp(-mean / 2.0)
+    full = FockArena(arena.n_modes, top + 1)
+    table = full.occupation_table()
 
-    out = np.zeros(arena.total_dim, dtype=complex)
-    for n in range(n_max + 1):
-        basis = list(_compositions(n, arena.n_modes))
-        amps = np.empty(len(basis), dtype=complex)
-        for i, t in enumerate(basis):
-            value = prefactor
-            for a, occ in zip(alphas, t):
-                value *= a**occ / math.sqrt(_factorial(occ))
-            amps[i] = value
-        block = scipy.linalg.expm(-_sector_generator_block(log, basis))
-        transformed = block @ amps
-        for i, t in enumerate(basis):
-            if max(t) < arena.cutoff:
-                out[arena.encode(t)] = transformed[i]
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return math.factorial(n)
+    out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
+    for n, idx in full.photon_sector_indices().items():
+        if n > top:
+            break
+        occ = table[idx]
+        amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
+        amps[n_max < n] = 0.0
+        transformed = amps @ scipy.linalg.expm(_sector_generator(log, occ)).T
+        kept = occ.max(axis=1) < arena.cutoff
+        index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
+        out[:, index] = transformed[:, kept]
+    return out.reshape(alphas.shape[:-1] + (arena.total_dim,))
 
 
 def transform_ensemble(ens: CoherentEnsemble, m: ModeUnitary) -> CoherentEnsemble:

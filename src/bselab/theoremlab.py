@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gaussian import apply_passive, gaussian_from_spec, is_classical, simon_separable
-from .hilbert import DensityOperator, FockArena, TruncationError
+from .hilbert import LEAK_TOL, DensityOperator, FockArena, TruncationError
 from .passive import (
     ModeUnitary,
     apply_to_density,
@@ -168,6 +168,7 @@ def run_theorem_trial(
     seed: int = 0,
     unitary_source: str = "explicit",
     ppt_tol: float = PPT_TOL,
+    leak_tol: float = LEAK_TOL,
 ) -> TrialRecord:
     """One full verification trial; raises TruncationError on overflow."""
     t0 = time.perf_counter()
@@ -184,12 +185,10 @@ def run_theorem_trial(
     # conjugation is evaluated sector-exactly per coherent component and
     # projected to the cutoff afterwards, so PPT diagnostics measure the
     # output state rather than lift boundary-clipping noise.
-    rho_in = ensemble_to_density(ens, arena)
-    out_matrix = np.zeros((arena.total_dim, arena.total_dim), dtype=complex)
-    for w, alpha in ens.components:
-        amps = transform_coherent_exact(m, alpha, arena)
-        out_matrix += w * np.outer(amps, amps.conj())
-    rho_out = DensityOperator(arena, out_matrix)
+    rho_in = ensemble_to_density(ens, arena, leak_tol=leak_tol)
+    amps = transform_coherent_exact(m, ens.alphas, arena)
+    out_matrix = (ens.weights * amps.T) @ amps.conj()
+    rho_out = DensityOperator(arena, out_matrix, leak_tol=leak_tol)
     reports = tuple(
         negativity_report(rho_out, bp, ppt_tol=ppt_tol)
         for bp in bipartitions(arena.n_modes)
@@ -197,7 +196,7 @@ def run_theorem_trial(
     ppt_min = min(r.min_pt_eigenvalue for r in reports)
 
     # agreement between the two routes
-    rho_closed = ensemble_to_density(out_ens, arena)
+    rho_closed = ensemble_to_density(out_ens, arena, leak_tol=leak_tol)
     cross_dev = float(np.abs(rho_out.matrix - rho_closed.matrix).max())
 
     # route 3: Gaussian oracle, when the input is a single coherent component
@@ -238,7 +237,7 @@ class CampaignConfig:
     unitary_source: str = "random_haar"  # or "beam_splitter_grid"
     threads: int = 1
     ppt_tol: float = PPT_TOL
-    leak_tol: float = 1e-6
+    leak_tol: float = LEAK_TOL
     manual_ensemble: Optional[CoherentEnsemble] = None
 
     def __post_init__(self) -> None:
@@ -340,6 +339,7 @@ def _run_one(cfg: CampaignConfig, index: int, child_seed) -> tuple[TrialRecord, 
             record = run_theorem_trial(
                 ens, m, arena, seed=index,
                 unitary_source=cfg.unitary_source, ppt_tol=cfg.ppt_tol,
+                leak_tol=cfg.leak_tol,
             )
             return record, attempt
         except TruncationError:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,61 @@ def test_sweep_ensemble_input_requires_config(tmp_path, capsys):
 def test_sweep_bad_thetas(tmp_path, capsys):
     assert cli.main(["sweep", "--thetas", "0.1,oops", "--out", str(tmp_path)]) == 2
     assert "bad --thetas" in capsys.readouterr().err
+
+
+THREE_MODE_ENSEMBLE = json.dumps({"version": 1, "ensemble": [
+    {"weight": 1.0, "alphas": [[0.3, 0.0], [0.1, 0.0], [0.2, 0.0]]}]})
+
+
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [
+        (["--input", "ensemble"], "{not json"),
+        (["--input", "ensemble"], None),  # the config file does not exist
+        (["--input", "ensemble"], THREE_MODE_ENSEMBLE),
+        (["--occupations", "1,x"], None),
+        (["--occupations", "1,0,0"], None),
+    ],
+    ids=["malformed-json", "unreadable-config", "three-mode-ensemble",
+         "non-integer-occupations", "wrong-length-occupations"],
+)
+def test_sweep_bad_input_is_config_error(tmp_path, capsys, argv, config_text):
+    cfg = tmp_path / "config.json"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    assert cli.main(["sweep", "--thetas", "0.5", *argv, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
+def test_verify_summary_counts_flagged_trials_as_unclean(tmp_path, capsys):
+    cfg = _write_config(tmp_path, n_trials=2, seed=0, n_modes=2, cutoff=10,
+                        amplitude_bound=0.5, ppt_tol=1e-16)
+    out = tmp_path / "strict"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    flagged = {f["trial"] for f in report["findings"]}
+    n_clean = report["n_completed"] - len(flagged)
+    assert f"verify: {n_clean}/2 trials clean, " in capsys.readouterr().out
+    assert n_clean < 2
+
+
+def test_verify_honours_leak_tol_in_trials(tmp_path):
+    cfg = _write_config(tmp_path, n_trials=3, leak_tol=1e-3, cutoff=8,
+                        amplitude_bound=1.0)
+    out = tmp_path / "loose"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["n_retried"] == 0
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, bselab.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

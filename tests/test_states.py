@@ -71,6 +71,16 @@ def test_coherent_rejects_leaky_truncation():
         coherent(FockArena(1, 4), [2.0])
 
 
+def test_coherent_leak_budget_is_a_probability():
+    # the lost probability 1 - ||psi||^2 lies between leak_tol and
+    # 2 * leak_tol; the amplitude-norm deficit 1 - ||psi|| is below leak_tol
+    leak = coherent_leakage(1.0, 8)
+    leak_tol = leak / 1.5
+    with pytest.raises(TruncationError, match=f"{leak:.3e}"):
+        coherent(FockArena(1, 8), [1.0], leak_tol=leak_tol)
+    assert coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak).norm < 1.0
+
+
 def test_recommended_cutoff_controls_leakage():
     for amp in (0.5, 1.0, 2.0):
         assert coherent_leakage(amp, recommended_cutoff(amp)) <= 1e-8
