@@ -24,7 +24,6 @@ from .hilbert import (
     annihilation_matrix,
     partial_trace,
     partial_transpose,
-    tensor_product,
 )
 from .passive import (
     LiftedUnitary,

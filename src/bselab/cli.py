@@ -228,9 +228,16 @@ def _demo_coherent_covariance(args, arena: FockArena) -> dict:
             "pass": worst >= 1.0 - 1e-6}
 
 
+def _two_mode_arena(cutoff: int) -> FockArena:
+    try:
+        return FockArena(2, cutoff)
+    except ValueError as exc:
+        raise ConfigError(f"bad --cutoff value: {exc}") from exc
+
+
 def cmd_demo(args) -> int:
     out_dir = resolve_out_dir(args)
-    arena = FockArena(2, args.cutoff)
+    arena = _two_mode_arena(args.cutoff)
     runners = {
         "vacuum": _demo_vacuum,
         "bell": _demo_bell,
@@ -306,19 +313,26 @@ SWEEP_COLUMNS = [
 ]
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _parse_thetas(raw: str) -> list[float]:
     if raw.strip() == "":
         return []
     try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError as exc:
+        return [_finite_float(tok) for tok in raw.split(",")]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad --thetas value: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
     out_dir = resolve_out_dir(args)
     thetas = _parse_thetas(args.thetas)
-    arena = FockArena(2, args.cutoff)
+    arena = _two_mode_arena(args.cutoff)
 
     if args.input == "fock":
         try:
@@ -380,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a named demonstration")
     demo.add_argument("name", choices=["bell", "inverse", "coherent-covariance", "vacuum"])
-    demo.add_argument("--theta", type=float, default=np.pi / 4)
-    demo.add_argument("--phi0", type=float, default=0.0)
-    demo.add_argument("--phi1", type=float, default=0.0)
+    demo.add_argument("--theta", type=_finite_float, default=np.pi / 4)
+    demo.add_argument("--phi0", type=_finite_float, default=0.0)
+    demo.add_argument("--phi1", type=_finite_float, default=0.0)
     demo.add_argument("--cutoff", type=int, default=12)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--out", help="output directory (or $BSE_OUT_DIR)")
@@ -401,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--input", choices=["fock", "ensemble"], default="fock")
     sweep.add_argument("--occupations", default="1,0")
     sweep.add_argument("--config", help="config JSON holding an ensemble")
-    sweep.add_argument("--phi0", type=float, default=0.0)
-    sweep.add_argument("--phi1", type=float, default=0.0)
+    sweep.add_argument("--phi0", type=_finite_float, default=0.0)
+    sweep.add_argument("--phi1", type=_finite_float, default=0.0)
     sweep.add_argument("--cutoff", type=int, default=12)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", help="output directory (or $BSE_OUT_DIR)")

@@ -119,31 +119,6 @@ def annihilation_matrix(arena: FockArena, mode: int) -> np.ndarray:
     return _annihilation_cached(arena.n_modes, arena.cutoff, mode)
 
 
-def creation_matrix(arena: FockArena, mode: int) -> np.ndarray:
-    return annihilation_matrix(arena, mode).conj().T
-
-
-def number_matrix(arena: FockArena, mode: int) -> np.ndarray:
-    a = annihilation_matrix(arena, mode)
-    return a.conj().T @ a
-
-
-def tensor_product(
-    arena_a: FockArena, op_a: np.ndarray, arena_b: FockArena, op_b: np.ndarray
-) -> tuple[FockArena, np.ndarray]:
-    """Kronecker product consistent with the mode-major index encoding.
-
-    Returns the joined arena (modes of ``arena_a`` first) and the product
-    matrix.  The cutoffs must match so the joined arena is well formed.
-    """
-    if arena_a.cutoff != arena_b.cutoff:
-        raise ValueError("cutoff mismatch between arenas")
-    if op_a.shape != (arena_a.total_dim,) * 2 or op_b.shape != (arena_b.total_dim,) * 2:
-        raise ValueError("operator shape does not match its arena")
-    joined = FockArena(arena_a.n_modes + arena_b.n_modes, arena_a.cutoff)
-    return joined, np.kron(op_a, op_b)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A pure state as a dense complex amplitude array over the arena basis.
@@ -174,9 +149,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_density(self, **kwargs) -> "DensityOperator":
         return DensityOperator(
@@ -225,9 +197,6 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def expectation(self, op: np.ndarray) -> complex:
         return complex(np.trace(self.matrix @ op))

@@ -46,7 +46,7 @@ class ModeUnitary:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("mode matrix must be square")
         dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:  # NaN-safe: a non-finite matrix fails
             raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
         m = m.copy()
         m.setflags(write=False)

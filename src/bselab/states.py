@@ -17,12 +17,6 @@ from .hilbert import (
 )
 
 
-def recommended_cutoff(max_abs_alpha: float) -> int:
-    """Conservative per-mode cutoff keeping the Poissonian tail below ~1e-8."""
-    a = abs(max_abs_alpha)
-    return int(math.ceil(a * a + 6.0 * a + 10.0))
-
-
 def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
     """Probability weight of a coherent state beyond photon number cutoff-1."""
     mean = abs_alpha * abs_alpha
@@ -105,20 +99,6 @@ def thermal(arena: FockArena, nbar: float) -> DensityOperator:
     return DensityOperator(arena, np.diag(probs).astype(complex))
 
 
-def kron_states(*states: StateVector) -> StateVector:
-    """Product state of single- or multi-mode factors (mode-major order)."""
-    if not states:
-        raise ValueError("need at least one factor")
-    cutoff = states[0].arena.cutoff
-    if any(s.arena.cutoff != cutoff for s in states):
-        raise ValueError("cutoff mismatch between factors")
-    amps = np.ones(1, dtype=complex)
-    for s in states:
-        amps = np.kron(amps, s.amplitudes)
-    arena = FockArena(sum(s.arena.n_modes for s in states), cutoff)
-    return StateVector(arena, amps)
-
-
 def kron_densities(*rhos: DensityOperator) -> DensityOperator:
     """Product density operator of independent factors (mode-major order)."""
     if not rhos:
@@ -152,6 +132,8 @@ class CoherentEnsemble:
         a = np.asarray(self.alphas, dtype=complex)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d array")
+        if not (np.isfinite(w).all() and np.isfinite(a).all()):
+            raise ValueError("ensemble weights and alphas must be finite")
         if np.any(w < 0):
             raise ValueError("ensemble weights must be non-negative")
         if a.shape != (w.size, self.n_modes):
@@ -180,10 +162,6 @@ class CoherentEnsemble:
     def max_abs_alpha(self) -> float:
         return float(np.abs(self.alphas).max())
 
-    def mean_total_photons(self) -> float:
-        """sum_i w_i ||alpha_i||^2, conserved by passive transformations."""
-        return float(np.sum(self.weights * np.sum(np.abs(self.alphas) ** 2, axis=1)))
-
 
 def ensemble_to_density(
     ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
@@ -196,6 +174,37 @@ def ensemble_to_density(
         psi = coherent(arena, alpha, leak_tol=leak_tol)
         mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
     return DensityOperator(arena, mat, leak_tol=leak_tol)
+
+
+def ensemble_marginals(
+    ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
+) -> tuple[DensityOperator, ...]:
+    """Single-mode reduced states of ``ensemble_to_density(ens, arena)``.
+
+    Mode m gets sum_i w_i prod_{m' != m} ||c(alpha_im')||^2 |c(alpha_im)><c(alpha_im)|,
+    with c the truncated coherent column, so the dim x dim matrix is never
+    built.  Raises :class:`TruncationError` on the condition ``coherent``
+    applies: a component whose multi-mode lost probability
+    1 - prod_m ||c(alpha_im)||^2 exceeds ``leak_tol``.
+    """
+    if arena.n_modes != ens.n_modes:
+        raise ValueError("arena mode count does not match ensemble")
+    # (component, mode, photon number)
+    columns = np.array(
+        [[_coherent_column(complex(a), arena.cutoff) for a in row] for row in ens.alphas]
+    )
+    norms = np.sum(np.abs(columns) ** 2, axis=-1)
+    for leak in 1.0 - norms.prod(axis=1):
+        if leak > leak_tol:
+            raise TruncationError(
+                f"truncation leakage {leak:.3e} exceeds budget {leak_tol:.1e}"
+            )
+    marginals = []
+    for m in range(ens.n_modes):
+        w = ens.weights * np.delete(norms, m, axis=1).prod(axis=1)
+        rho = (w * columns[:, m].T) @ columns[:, m].conj()
+        marginals.append(DensityOperator(FockArena(1, arena.cutoff), rho, leak_tol=leak_tol))
+    return tuple(marginals)
 
 
 @dataclass(frozen=True)
@@ -219,9 +228,6 @@ class GaussianSpec:
             raise ValueError("nbar must be >= 0")
         if self.r < 0:
             raise ValueError("r must be >= 0")
-
-    def is_classical_kind(self) -> bool:
-        return self.kind in ("coherent", "thermal")
 
 
 def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:

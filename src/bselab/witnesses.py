@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -103,10 +103,13 @@ def min_quadrature_variance(rho: DensityOperator, mode: int) -> float:
     return float(0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2))
 
 
-def classicality_report(rho: DensityOperator, tol: float = WITNESS_TOL) -> ClassicalityReport:
-    """Per-mode Mandel Q and minimum quadrature variance with verdict flags."""
-    qs = tuple(mandel_q(rho, m) for m in range(rho.arena.n_modes))
-    variances = tuple(min_quadrature_variance(rho, m) for m in range(rho.arena.n_modes))
+def classicality_report(
+    marginals: Sequence[DensityOperator], tol: float = WITNESS_TOL
+) -> ClassicalityReport:
+    """Mandel Q and minimum quadrature variance of each single-mode
+    marginal (one per mode, in mode order) with verdict flags."""
+    qs = tuple(mandel_q(rho, 0) for rho in marginals)
+    variances = tuple(min_quadrature_variance(rho, 0) for rho in marginals)
     return ClassicalityReport(
         mandel_q=qs,
         min_quadrature_variance=variances,

@@ -40,6 +40,15 @@ def test_demo_rejects_unknown_name(tmp_path):
     assert cli.main(["demo", "nosuch", "--out", str(tmp_path)]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv", [["--cutoff", "0"], ["--theta", "nan"], ["--phi1", "inf"]],
+    ids=["zero-cutoff", "nan-theta", "inf-phi1"],
+)
+def test_demo_bad_input_is_usage_error(tmp_path, capsys, argv):
+    assert cli.main(["demo", "bell", *argv, "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
 def test_verify_clean_run(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"
@@ -104,6 +113,27 @@ def test_verify_rejects_negative_weight(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "negative" in err and "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"ensemble": [{"weight": float("nan"), "alphas": [[0.3, 0.0], [0.0, 0.2]]},
+                      {"weight": 1.0, "alphas": [[0.3, 0.0], [0.0, 0.2]]}]},
+        {"ensemble": [{"weight": 1.0, "alphas": [[float("nan"), 0.0], [0.0, 0.2]]}]},
+        {"ppt_tol": float("nan")},
+        {"leak_tol": float("nan")},
+        {"amplitude_bound": float("inf")},
+    ],
+    ids=["nan-weight", "nan-alpha", "nan-ppt-tol", "nan-leak-tol", "inf-amplitude-bound"],
+)
+def test_verify_rejects_non_finite_config(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, n_trials=1, cutoff=8, amplitude_bound=0.5)
+    payload = json.loads(cfg.read_text())
+    payload.update(overrides)
+    cfg.write_text(json.dumps(payload))  # json writes the NaN/Infinity tokens
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_field(tmp_path, capsys):
@@ -178,9 +208,13 @@ THREE_MODE_ENSEMBLE = json.dumps({"version": 1, "ensemble": [
         (["--input", "ensemble"], THREE_MODE_ENSEMBLE),
         (["--occupations", "1,x"], None),
         (["--occupations", "1,0,0"], None),
+        (["--thetas", "nan"], None),
+        (["--thetas", "inf"], None),
+        (["--cutoff", "0"], None),
     ],
     ids=["malformed-json", "unreadable-config", "three-mode-ensemble",
-         "non-integer-occupations", "wrong-length-occupations"],
+         "non-integer-occupations", "wrong-length-occupations",
+         "nan-theta", "inf-theta", "zero-cutoff"],
 )
 def test_sweep_bad_input_is_config_error(tmp_path, capsys, argv, config_text):
     cfg = tmp_path / "config.json"

@@ -9,10 +9,8 @@ from bselab.hilbert import (
     StateVector,
     TruncationError,
     annihilation_matrix,
-    creation_matrix,
     partial_trace,
     partial_transpose,
-    tensor_product,
 )
 from bselab.states import fock, vacuum
 
@@ -34,6 +32,10 @@ def test_encoding_is_mode_major():
     # mode 0 is the slowest index
     assert arena.encode((1, 0)) == 3
     assert arena.encode((0, 1)) == 1
+    # so mode 0's ladder operator is the first np.kron factor
+    a1 = annihilation_matrix(FockArena(1, 3), 0)
+    assert np.array_equal(annihilation_matrix(arena, 0), np.kron(a1, np.eye(3)))
+    assert np.array_equal(annihilation_matrix(arena, 1), np.kron(np.eye(3), a1))
 
 
 def test_arena_rejects_bad_parameters():
@@ -78,20 +80,6 @@ def test_commutator_is_identity_below_boundary():
     assert np.abs(inner - np.eye(5)).max() <= 1e-12
 
 
-def test_tensor_product_identities_and_dims():
-    a1 = FockArena(1, 3)
-    joined, out = tensor_product(a1, np.eye(3), a1, np.eye(3))
-    assert joined == FockArena(2, 3)
-    assert np.array_equal(out, np.eye(9))
-
-    _, extended = tensor_product(a1, annihilation_matrix(a1, 0), a1, np.eye(3))
-    assert np.array_equal(extended, annihilation_matrix(FockArena(2, 3), 0))
-
-    a2 = FockArena(1, 4)
-    with pytest.raises(ValueError):
-        tensor_product(a1, np.eye(3), a2, np.eye(4))
-
-
 def test_state_vector_leak_budget():
     arena = FockArena(1, 4)
     amps = np.zeros(4, dtype=complex)
@@ -128,8 +116,7 @@ def test_partial_trace_product_state():
     a1 = FockArena(1, 3)
     rho_a = fock(a1, (1,)).to_density()
     rho_b = fock(a1, (2,)).to_density()
-    _, prod = tensor_product(a1, rho_a.matrix, a1, rho_b.matrix)
-    joint = DensityOperator(FockArena(2, 3), prod)
+    joint = DensityOperator(FockArena(2, 3), np.kron(rho_a.matrix, rho_b.matrix))
     reduced = partial_trace(joint, [0])
     assert np.abs(reduced.matrix - rho_a.matrix).max() <= 1e-14
     assert abs(reduced.trace - joint.trace) <= 1e-12
@@ -162,9 +149,7 @@ def test_partial_transpose_involution_and_product_psd():
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     local = z @ z.conj().T
     local /= np.trace(local).real
-    a1 = FockArena(1, 3)
-    _, prod = tensor_product(a1, local, a1, local)
-    rho = DensityOperator(FockArena(2, 3), prod)
+    rho = DensityOperator(FockArena(2, 3), np.kron(local, local))
     pt = partial_transpose(rho, [1])
     assert np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0] >= -1e-12
     # involution: transposing the same subset twice is the identity

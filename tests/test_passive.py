@@ -24,6 +24,14 @@ def test_mode_unitary_rejects_non_unitary():
         ModeUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mode_unitary_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        ModeUnitary(np.full((2, 2), value))
+    with pytest.raises(ValueError):
+        ModeUnitary(np.array([[value, 0.0], [0.0, 1.0]]))
+
+
 def test_beam_splitter_fifty_fifty():
     m = beam_splitter_matrix(np.pi / 4)
     expected = np.array([[RT2, RT2], [-RT2, RT2]])
@@ -163,7 +171,8 @@ def test_transform_ensemble_preserves_photon_expectation():
         ens = CoherentEnsemble(3, rng.dirichlet(np.ones(4)), alphas)
         out = transform_ensemble(ens, haar_unitary(3, rng))
         assert np.all(out.weights >= 0)
-        assert abs(out.mean_total_photons() - ens.mean_total_photons()) <= 1e-12
+        n_in, n_out = (e.weights @ np.sum(np.abs(e.alphas) ** 2, axis=1) for e in (ens, out))
+        assert abs(n_out - n_in) <= 1e-12
 
 
 def test_cross_pipeline_consistency_truncation_safe():

@@ -61,6 +61,24 @@ def test_trial_identity_unitary_keeps_diagnostics():
     assert not record.classicality.squeezing_detected
 
 
+def test_trial_eigensolves_one_full_dimension_density(monkeypatch):
+    # the PT spectrum of each bipartition, plus the validation of rho_out
+    arena = FockArena(3, 6)
+    ens = random_classical_ensemble(4, 3, 4, 0.3)
+    full_dim = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if a.shape[-1] == arena.total_dim:
+            full_dim.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    record = run_theorem_trial(ens, haar_unitary(3, np.random.default_rng(4)), arena)
+    assert len(record.entanglement_reports) == len(bipartitions(3)) == 3
+    assert len(full_dim) == len(bipartitions(3)) + 1
+
+
 def test_trial_single_component_runs_gaussian_oracle():
     arena = FockArena(2, 12)
     ens = CoherentEnsemble(2, np.array([1.0]), np.array([[0.5, 0.2j]], complex))
