@@ -1,0 +1,76 @@
+"""Pin the OpenBLAS builds that numpy and scipy load to one thread.
+
+bselab parallelises only through a campaign's `threads` workers. An OpenBLAS
+pool under them oversubscribes the cores, and its thread count changes the
+summation order inside LAPACK and so the last bits of the partial-transpose
+eigenvalues. The count is process-global, so one pin covers every worker.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import importlib
+from functools import cache
+from typing import Callable, NamedTuple
+
+#: extension modules that carry bselab's BLAS/LAPACK calls; dlsym on their
+#: handles resolves through their dependencies to the OpenBLAS they load
+_CARRIERS = ("numpy.linalg._umath_linalg", "scipy.linalg._flapack")
+
+
+class _OpenBLAS(NamedTuple):
+    library: str
+    get_config: Callable[[], bytes]
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+
+
+@cache
+def _openblas() -> tuple[_OpenBLAS, ...]:
+    """Each loaded OpenBLAS once. scipy-openblas wheels export
+    `scipy_openblas_*` (suffixed `64_` in numpy's 64-bit-integer build) from
+    `libscipy_openblas*`; a system build exports `openblas_*`."""
+    found = {}
+    for carrier in _CARRIERS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(carrier).__file__)
+        except (ImportError, OSError):
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                try:
+                    get_config, get_n, set_n = (
+                        getattr(lib, f"{prefix}openblas_{name}{suffix}")
+                        for name in ("get_config", "get_num_threads", "set_num_threads"))
+                except AttributeError:
+                    continue
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+                get_n.argtypes, get_n.restype = [], ctypes.c_int
+                set_n.argtypes, set_n.restype = [ctypes.c_int], None
+                found.setdefault(ctypes.cast(get_n, ctypes.c_void_p).value, _OpenBLAS(
+                    f"lib{prefix}openblas{suffix}", get_config, get_n, set_n))
+    return tuple(found.values())
+
+
+def openblas_threads() -> list[dict]:
+    """Each loaded OpenBLAS: library, build string and current thread count."""
+    return [{"library": lib.library,
+             "config": lib.get_config().decode(errors="replace"),
+             "num_threads": lib.get_num_threads()}
+            for lib in _openblas()]
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the body with every loaded OpenBLAS on one thread, then restore
+    the previous counts. Does nothing where no OpenBLAS exports the calls."""
+    libs = _openblas()
+    previous = [lib.get_num_threads() for lib in libs]
+    for lib in libs:
+        lib.set_num_threads(1)
+    try:
+        yield
+    finally:
+        for lib, n in zip(libs, previous):
+            lib.set_num_threads(n)

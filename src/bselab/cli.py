@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blas import openblas_threads, single_threaded_blas
 from .hilbert import FockArena, TruncationError
 from .passive import apply_to_density, beam_splitter_matrix, lift_unitary
 from .states import CoherentEnsemble, coherent, ensemble_to_density, fock, vacuum
@@ -148,7 +149,8 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir: Path, config_echo, timings: dict, files: list[str]) -> Path:
+def write_manifest(out_dir: Path, config_echo, timings: dict, files: list[str],
+                   workers: int = 1) -> Path:
     manifest = {
         "tool": "bselab",
         "version": __version__,
@@ -158,6 +160,9 @@ def write_manifest(out_dir: Path, config_echo, timings: dict, files: list[str]) 
             "system": platform.platform(),
             "numpy": np.__version__,
         },
+        # the campaign's worker count is the run's only parallelism; every
+        # loaded OpenBLAS is pinned to one thread while a command runs
+        "parallelism": {"workers": workers, "openblas": openblas_threads()},
         "timings_seconds": timings,
         "outputs": files,
     }
@@ -286,7 +291,7 @@ def cmd_verify(args) -> int:
     report_path = out_dir / "report.json"
     write_json(report_path, summary.to_json_dict())
     write_manifest(out_dir, summary.config_echo, {"total": elapsed},
-                   [str(report_path), str(trials_path)])
+                   [str(report_path), str(trials_path)], workers=cfg.threads)
 
     flagged = {f["trial"] for f in summary.findings}
     n_clean = sum(1 for r in summary.records if r.seed not in flagged)
@@ -431,7 +436,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with single_threaded_blas():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ channel and triggers a retry at a larger cutoff rather than a finding.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .gaussian import apply_passive, gaussian_from_spec, is_classical, simon_separable
 from .hilbert import LEAK_TOL, DensityOperator, FockArena, TruncationError
 from .passive import (
@@ -244,8 +246,17 @@ class CampaignConfig:
     manual_ensemble: Optional[CoherentEnsemble] = None
 
     def __post_init__(self) -> None:
+        for name in ("n_trials", "seed", "n_modes", "max_ensemble_components",
+                     "cutoff", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n_trials < 0:
             raise ValueError("n_trials must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.max_ensemble_components < 1:
+            raise ValueError("max_ensemble_components must be >= 1")
         if self.n_modes < 2:
             raise ValueError("need at least 2 modes for a bipartition")
         if self.unitary_source not in ("random_haar", "beam_splitter_grid"):
@@ -254,9 +265,11 @@ class CampaignConfig:
             raise ValueError("beam splitter grid requires exactly 2 modes")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        # a NaN would make every `x > tol` check below and in the trials false
-        if not np.isfinite([self.amplitude_bound, self.ppt_tol, self.leak_tol]).all():
-            raise ValueError("amplitude_bound, ppt_tol and leak_tol must be finite")
+        # the chained test also rejects NaN, which would make every
+        # `x > tol` check below and in the trials false
+        for name in ("amplitude_bound", "ppt_tol", "leak_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.manual_ensemble is not None and self.manual_ensemble.n_modes != self.n_modes:
             raise ValueError("manual ensemble mode count does not match config")
         # truncation safety: the coherent tail at the amplitude bound must
@@ -359,7 +372,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
     Trials are independent; with threads > 1 they run on a thread pool and
     are aggregated in trial order, so the summary does not depend on the
-    degree of parallelism.
+    degree of parallelism.  BLAS runs single-threaded for the whole loop:
+    the pool is the campaign's only parallelism, and the bytes of the PT
+    eigenvalues do not depend on the host's core count.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)
     results: list[Optional[TrialRecord]] = [None] * cfg.n_trials
@@ -372,11 +387,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         except TruncationError as exc:
             return exc
 
-    if cfg.threads == 1:
-        outcomes = [work(i) for i in range(cfg.n_trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(work, range(cfg.n_trials)))
+    with single_threaded_blas():
+        if cfg.threads == 1:
+            outcomes = [work(i) for i in range(cfg.n_trials)]
+        else:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                outcomes = list(pool.map(work, range(cfg.n_trials)))
 
     findings = []
     for i, outcome in enumerate(outcomes):

@@ -27,6 +27,9 @@ def test_demo_commands_pass(tmp_path, capsys):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool"] == "bselab"
         assert "timings_seconds" in manifest
+        assert manifest["parallelism"]["workers"] == 1
+        for lib in manifest["parallelism"]["openblas"]:
+            assert lib["num_threads"] == 1, lib
 
 
 def test_demo_bell_theta_zero_has_no_entanglement(tmp_path):
@@ -89,6 +92,10 @@ def test_verify_threads_do_not_change_results(tmp_path):
     s["config"].pop("threads")
     p["config"].pop("threads")
     assert s == p
+    manifests = [json.loads((out / "manifest.json").read_text())["parallelism"]
+                 for out in (serial, parallel)]
+    assert [m["workers"] for m in manifests] == [1, 4]
+    assert all(lib["num_threads"] == 1 for m in manifests for lib in m["openblas"])
 
 
 def test_verify_manual_ensemble(tmp_path):
@@ -134,6 +141,32 @@ def test_verify_rejects_non_finite_config(tmp_path, capsys, overrides):
     cfg.write_text(json.dumps(payload))  # json writes the NaN/Infinity tokens
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"amplitude_bound": 0},
+        {"max_ensemble_components": 0},
+        {"n_trials": 2.5},
+        {"n_trials": True},
+        {"seed": -1},
+        {"n_modes": 2.0},
+        {"threads": 1.5},
+        {"ppt_tol": -1},
+        {"leak_tol": 0, "amplitude_bound": 1e-3},
+    ],
+    ids=["zero-amplitude-bound", "zero-components", "fractional-n-trials",
+         "bool-n-trials", "negative-seed", "float-n-modes", "fractional-threads",
+         "negative-ppt-tol", "zero-leak-tol"],
+)
+def test_verify_rejects_out_of_range_config(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, n_trials=1, cutoff=8, amplitude_bound=0.5)
+    payload = json.loads(cfg.read_text())
+    payload.update(overrides)
+    cfg.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_field(tmp_path, capsys):
@@ -245,14 +278,37 @@ def test_verify_honours_leak_tol_in_trials(tmp_path):
     assert json.loads((out / "report.json").read_text())["n_retried"] == 0
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def _child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this bselab."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
+
+
+def test_cli_import_does_not_load_scipy_stats():
     probe = "import sys, bselab.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_verify_bytes_do_not_depend_on_blas_environment(tmp_path):
+    # one 3-mode trial at cutoff 8 runs three dim-512 PT eigensolves, whose
+    # last bits depend on the OpenBLAS thread count unless bselab pins it
+    cfg = _write_config(tmp_path, n_trials=1, seed=11, n_modes=3, cutoff=8,
+                        amplitude_bound=0.5, ensemble=[
+                            {"weight": 0.5, "alphas": [[0.3, 0.1], [-0.2, 0.25], [0.1, -0.3]]},
+                            {"weight": 0.3, "alphas": [[-0.1, 0.3], [0.3, 0.0], [-0.25, 0.1]]},
+                            {"weight": 0.2, "alphas": [[0.2, -0.2], [0.0, -0.3], [0.3, 0.2]]},
+                        ])
+    outputs = []
+    for n in ("1", "2"):
+        out = tmp_path / f"blas{n}"
+        subprocess.run([sys.executable, "-m", "bselab.cli", "verify", "--config", str(cfg),
+                        "--out", str(out)], env=_child_env(OPENBLAS_NUM_THREADS=n),
+                       capture_output=True, timeout=300, check=True)
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "trials.jsonl")])
+    assert outputs[0] == outputs[1]
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bselab import _blas, theoremlab
 from bselab.hilbert import FockArena
 from bselab.passive import ModeUnitary, beam_splitter_matrix
 from bselab.states import CoherentEnsemble
@@ -124,6 +125,31 @@ def test_campaign_parallel_matches_serial():
     assert r1 == r4
 
 
+def test_campaign_pins_blas_and_restores_it(monkeypatch):
+    libs = _blas._openblas()
+    if not libs:
+        pytest.skip("no loaded OpenBLAS exports a thread-count call")
+    original = [lib.get_num_threads() for lib in libs]
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append([lib.get_num_threads() for lib in libs])
+        return run_theorem_trial(*args, **kwargs)
+
+    monkeypatch.setattr(theoremlab, "run_theorem_trial", spy)
+    try:
+        for lib in libs:
+            lib.set_num_threads(3)
+        run_campaign(CampaignConfig(n_trials=2, seed=4, cutoff=10,
+                                    amplitude_bound=0.5, threads=2))
+        after = [lib.get_num_threads() for lib in libs]
+    finally:
+        for lib, n in zip(libs, original):
+            lib.set_num_threads(n)
+    assert seen == [[1] * len(libs)] * 2
+    assert after == [3] * len(libs)
+
+
 def test_beam_splitter_grid_source():
     cfg = CampaignConfig(
         n_trials=6, seed=2, n_modes=2, cutoff=14, unitary_source="beam_splitter_grid"
@@ -147,6 +173,8 @@ def test_config_validation():
     # truncation-unsafe combination is rejected up front
     with pytest.raises(ValueError):
         CampaignConfig(n_trials=1, seed=0, amplitude_bound=2.0, cutoff=6)
+    # numpy integers count as integers (the CLI rejects floats and bools)
+    assert CampaignConfig(n_trials=np.int64(1), seed=np.uint32(3)).seed == 3
 
 
 def test_non_sufficiency_demo_values():
