@@ -10,7 +10,7 @@ x = (a + a^dag)/sqrt(2) so a coherent amplitude alpha has mean
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 from .states import GaussianSpec
 
 SYM_TOL = 1e-12
+#: tolerance on the uncertainty relation cov + (i/2) Omega >= 0
+UNCERTAINTY_TOL = 1e-10
 #: shared tolerance band around 0 for verdicts, so boundary states
 #: (vacuum) classify deterministically as classical / separable
 VERDICT_TOL = 1e-10
@@ -37,7 +39,6 @@ class GaussianState:
     n_modes: int
     mean: np.ndarray
     cov: np.ndarray
-    psd_tol: float = field(default=1e-10, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -54,7 +55,7 @@ class GaussianState:
         omega = symplectic_form(self.n_modes)
         herm = cov.astype(complex) + 0.5j * omega
         min_eig = float(np.linalg.eigvalsh(herm)[0])
-        if min_eig < -self.psd_tol:
+        if min_eig < -UNCERTAINTY_TOL:
             raise ValueError(
                 f"covariance violates the uncertainty relation: min eig {min_eig:.3e}"
             )

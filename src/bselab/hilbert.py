@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: default truncation-leakage budget for state constructors
+#: default truncation-leakage budget for state constructors, a probability
 LEAK_TOL = 1e-6
-#: default positive-semidefiniteness tolerance (scaled by matrix norm)
+#: positive-semidefiniteness tolerance (scaled by matrix norm)
 PSD_TOL = 1e-10
 #: relative Hermiticity tolerance for density operators
 HERM_TOL = 1e-12
@@ -26,6 +26,15 @@ class TruncationError(ValueError):
     """Raised when a state loses more weight past the Fock cutoff than the
     leak budget allows.  Distinct from other validation errors so callers
     can retry with a larger cutoff instead of reporting a finding."""
+
+
+def _check_leak(leak: float, leak_tol: float) -> None:
+    """The one leak-budget check: raise :class:`TruncationError` when the
+    probability ``leak`` lost past the cutoff exceeds ``leak_tol``."""
+    if leak > leak_tol:
+        raise TruncationError(
+            f"truncation leakage {leak:.3e} exceeds budget {leak_tol:.1e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,9 +132,10 @@ def annihilation_matrix(arena: FockArena, mode: int) -> np.ndarray:
 class StateVector:
     """A pure state as a dense complex amplitude array over the arena basis.
 
-    Construction enforces the truncation-leakage budget: when the lost
-    probability 1 - ||psi||^2 exceeds ``leak_tol`` a :class:`TruncationError`
-    is raised instead of silently renormalizing.
+    ``amplitudes`` is a read-only copy of the input.  Construction enforces
+    the truncation-leakage budget: when the lost probability 1 - ||psi||^2
+    exceeds ``leak_tol`` a :class:`TruncationError` is raised instead of
+    silently renormalizing.
     """
 
     arena: FockArena
@@ -133,18 +143,15 @@ class StateVector:
     leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.arena.total_dim,):
             raise ValueError("amplitude vector has wrong length")
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         norm = float(np.linalg.norm(amps))
         if norm > 1.0 + 1e-12:
             raise ValueError(f"state norm {norm} exceeds 1")
-        leak = 1.0 - norm * norm
-        if leak > self.leak_tol:
-            raise TruncationError(
-                f"truncation leakage {leak:.3e} exceeds budget {self.leak_tol:.1e}"
-            )
+        _check_leak(1.0 - norm * norm, self.leak_tol)
 
     @property
     def norm(self) -> float:
@@ -160,38 +167,38 @@ class StateVector:
 class DensityOperator:
     """A mixed state as a dense Hermitian PSD matrix over the arena basis.
 
-    Validated at construction: Hermitian within ``HERM_TOL`` relative to
-    the largest entry, trace within ``[1 - leak_tol, 1]``, and minimum
-    eigenvalue >= ``-psd_tol`` scaled by the matrix norm (Hermitian
-    eigensolver on ``(rho + rho^dag)/2``).
+    Validated at construction: the input is Hermitian within ``HERM_TOL``
+    relative to its largest entry; ``matrix`` is then the read-only,
+    exactly Hermitian copy ``(rho + rho^dag)/2``, whose trace lies in
+    ``[1 - leak_tol, 1]`` and whose minimum eigenvalue is >= ``-PSD_TOL``
+    scaled by the matrix norm.  Code downstream trusts these properties and
+    does not re-impose them.
     """
 
     arena: FockArena
     matrix: np.ndarray
     leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
-    psd_tol: float = field(default=PSD_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        raw = np.asarray(self.matrix, dtype=complex)
         dim = self.arena.total_dim
-        if mat.shape != (dim, dim):
+        if raw.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
-        object.__setattr__(self, "matrix", mat)
-        scale = float(np.abs(mat).max())
+        scale = float(np.abs(raw).max())
         if scale == 0.0:
             raise ValueError("density matrix is identically zero")
-        herm_dev = float(np.abs(mat - mat.conj().T).max())
+        herm_dev = float(np.abs(raw - raw.conj().T).max())
         if herm_dev > HERM_TOL * scale:
             raise ValueError(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
+        mat = (raw + raw.conj().T) / 2.0
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
         tr = float(np.trace(mat).real)
         if tr > 1.0 + 1e-12:
             raise ValueError(f"trace {tr} exceeds 1")
-        if tr < 1.0 - self.leak_tol:
-            raise TruncationError(
-                f"trace leakage {1.0 - tr:.3e} exceeds budget {self.leak_tol:.1e}"
-            )
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
-        if min_eig < -self.psd_tol * max(scale, 1.0):
+        _check_leak(1.0 - tr, self.leak_tol)
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig < -PSD_TOL * max(scale, 1.0):
             raise ValueError(f"density matrix not PSD: min eigenvalue {min_eig:.3e}")
 
     @property
@@ -231,9 +238,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     k = len(keep_sorted)
     reduced_arena = FockArena(k, rho.arena.cutoff)
     matrix = tensor.reshape(reduced_arena.total_dim, reduced_arena.total_dim)
-    return DensityOperator(
-        reduced_arena, matrix, leak_tol=rho.leak_tol, psd_tol=rho.psd_tol
-    )
+    return DensityOperator(reduced_arena, matrix, leak_tol=rho.leak_tol)
 
 
 def partial_transpose(rho: DensityOperator, transposed_modes: Iterable[int]) -> np.ndarray:

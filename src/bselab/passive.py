@@ -33,6 +33,8 @@ UNITARITY_TOL = 1e-12
 LOG_ROUNDTRIP_TOL = 1e-10
 VACUUM_TOL = 1e-10
 SUBSPACE_UNITARITY_TOL = 1e-8
+#: Poisson tail probability past which the exact transform drops a sector
+SECTOR_TAIL_EPS = 1e-20
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,10 @@ class ModeUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("mode matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("mode matrix must be finite")
         dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-        if not dev <= UNITARITY_TOL:  # NaN-safe: a non-finite matrix fails
+        if dev > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
         m = m.copy()
         m.setflags(write=False)
@@ -104,7 +108,6 @@ class LiftedUnitary:
 
     arena: FockArena
     matrix: np.ndarray
-    source: ModeUnitary
 
     def protected_indices(self) -> np.ndarray:
         """Basis indices of the total-photon <= cutoff/2 subspace on which
@@ -154,7 +157,7 @@ def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
     for idx in arena.photon_sector_indices().values():
         matrix[np.ix_(idx, idx)] = scipy.linalg.expm(_sector_generator(log, table[idx]))
 
-    lifted = LiftedUnitary(arena, matrix, m)
+    lifted = LiftedUnitary(arena, matrix)
     vac_dev = float(np.abs(matrix[:, 0] - np.eye(dim)[:, 0]).max())
     if vac_dev > VACUUM_TOL:
         raise ValueError(f"lifted operator moves the vacuum: deviation {vac_dev:.3e}")
@@ -189,23 +192,20 @@ def apply_to_density(u: LiftedUnitary, rho: DensityOperator) -> DensityOperator:
     if u.arena != rho.arena:
         raise ValueError("arena mismatch between operator and state")
     out = u.matrix @ rho.matrix @ u.matrix.conj().T
-    out = (out + out.conj().T) / 2.0
-    return DensityOperator(rho.arena, out, leak_tol=rho.leak_tol, psd_tol=rho.psd_tol)
+    return DensityOperator(rho.arena, out, leak_tol=rho.leak_tol)
 
 
-def _sector_tail_bound(mean: float, tail_eps: float) -> int:
-    """Smallest n with Poisson(mean) tail P(N >= n) <= tail_eps."""
+def _sector_tail_bound(mean: float) -> int:
+    """Smallest n with Poisson(mean) tail P(N >= n) <= SECTOR_TAIL_EPS."""
     if mean <= 0.0:
         return 0
     n = max(1, int(mean))
-    while scipy.special.pdtrc(n - 1, mean) > tail_eps:
+    while scipy.special.pdtrc(n - 1, mean) > SECTOR_TAIL_EPS:
         n += 1
     return n
 
 
-def transform_coherent_exact(
-    m: ModeUnitary, alphas, arena: FockArena, tail_eps: float = 1e-20
-) -> np.ndarray:
+def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarray:
     """Amplitudes of the lifted unitary applied to |alphas>, projected to
     the arena truncation *after* the transform.
 
@@ -214,7 +214,7 @@ def transform_coherent_exact(
     The lift generator conserves total photon number, so the operator is
     exact on every full sector; evaluating it sector by sector (each state
     up to its own sector bound, where the Poissonian tail drops below
-    ``tail_eps``) avoids the boundary-clipping artifacts of the dense
+    ``SECTOR_TAIL_EPS``) avoids the boundary-clipping artifacts of the dense
     truncated lift, whose error near the cutoff would otherwise swamp tight
     PPT diagnostics.
     """
@@ -223,7 +223,7 @@ def transform_coherent_exact(
         raise ValueError("need one amplitude per mode")
     rows = alphas.reshape(-1, arena.n_modes)
     means = np.sum(np.abs(rows) ** 2, axis=1)
-    n_max = np.array([_sector_tail_bound(mean, tail_eps) for mean in means])
+    n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = int(n_max.max())
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
     log = log_unitary(m)

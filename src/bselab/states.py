@@ -7,23 +7,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special
 
-from .hilbert import (
-    LEAK_TOL,
-    DensityOperator,
-    FockArena,
-    StateVector,
-    TruncationError,
-)
+from .hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector, _check_leak
 
 
 def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
-    """Probability weight of a coherent state beyond photon number cutoff-1."""
-    mean = abs_alpha * abs_alpha
-    terms = np.exp(-mean) * np.cumprod(
-        np.concatenate(([1.0], mean / np.arange(1, cutoff)))
-    )
-    return float(max(0.0, 1.0 - terms.sum()))
+    """Probability weight of a coherent state beyond photon number cutoff-1:
+    the Poisson(|alpha|^2) tail P(N >= cutoff)."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be a positive integer")
+    return float(scipy.special.pdtrc(cutoff - 1, abs_alpha * abs_alpha))
 
 
 def vacuum(arena: FockArena) -> StateVector:
@@ -195,10 +189,7 @@ def ensemble_marginals(
     )
     norms = np.sum(np.abs(columns) ** 2, axis=-1)
     for leak in 1.0 - norms.prod(axis=1):
-        if leak > leak_tol:
-            raise TruncationError(
-                f"truncation leakage {leak:.3e} exceeds budget {leak_tol:.1e}"
-            )
+        _check_leak(leak, leak_tol)
     marginals = []
     for m in range(ens.n_modes):
         w = ens.weights * np.delete(norms, m, axis=1).prod(axis=1)
@@ -237,8 +228,5 @@ def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:
     if spec.kind == "coherent":
         return coherent(arena, [spec.alpha]).to_density()
     if spec.kind == "thermal":
-        rho = thermal(arena, spec.nbar)
-        if rho.trace < 1.0 - LEAK_TOL:
-            raise TruncationError("thermal tail exceeds the leak budget")
-        return rho
+        return thermal(arena, spec.nbar)
     return squeezed_vacuum(arena, spec.r, spec.theta_s).to_density()

