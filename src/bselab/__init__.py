@@ -19,16 +19,15 @@ from .gaussian import (
 from .hilbert import (
     DensityOperator,
     FockArena,
+    Mixture,
     StateVector,
     TruncationError,
     annihilation_matrix,
     partial_trace,
-    partial_transpose,
 )
 from .passive import (
     LiftedUnitary,
     ModeUnitary,
-    apply_to_density,
     beam_splitter_matrix,
     conjugation_residual,
     lift_unitary,

@@ -3,7 +3,8 @@
 bselab parallelises only through a campaign's `threads` workers. An OpenBLAS
 pool under them oversubscribes the cores, and its thread count changes the
 summation order inside LAPACK and so the last bits of the partial-transpose
-eigenvalues. The count is process-global, so one pin covers every worker.
+eigenvalues. The count is process-global, so one pin covers every worker, and
+overlapping pins share it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import importlib
+import threading
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -61,16 +63,27 @@ def openblas_threads() -> list[dict]:
             for lib in _openblas()]
 
 
+_pin_lock = threading.Lock()
+#: one entry per pin in force, each the thread counts the outermost pin saved
+_pins: list[list[int]] = []
+
+
 @contextlib.contextmanager
 def single_threaded_blas():
-    """Run the body with every loaded OpenBLAS on one thread, then restore
-    the previous counts. Does nothing where no OpenBLAS exports the calls."""
+    """Run the body with every loaded OpenBLAS on one thread. Pins may
+    overlap, on any threads: the first to enter saves the thread counts and
+    the last to exit restores them. Does nothing where no OpenBLAS exports
+    the calls."""
     libs = _openblas()
-    previous = [lib.get_num_threads() for lib in libs]
-    for lib in libs:
-        lib.set_num_threads(1)
+    with _pin_lock:
+        _pins.append(_pins[0] if _pins else [lib.get_num_threads() for lib in libs])
+        for lib in libs:
+            lib.set_num_threads(1)
     try:
         yield
     finally:
-        for lib, n in zip(libs, previous):
-            lib.set_num_threads(n)
+        with _pin_lock:
+            saved = _pins.pop()
+            if not _pins:
+                for lib, n in zip(libs, saved):
+                    lib.set_num_threads(n)

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from ._blas import openblas_threads, single_threaded_blas
-from .hilbert import FockArena, TruncationError
-from .passive import apply_to_density, beam_splitter_matrix, lift_unitary
-from .states import CoherentEnsemble, coherent, ensemble_to_density, fock, vacuum
+from .hilbert import FockArena, Mixture, TruncationError
+from .passive import beam_splitter_matrix, lift_unitary, transform_coherent_exact
+from .states import CoherentEnsemble, coherent, fock, vacuum
 from .theoremlab import (
     CampaignConfig,
     haar_unitary,
@@ -181,9 +181,8 @@ def _demo_vacuum(args, arena: FockArena) -> dict:
 
 def _demo_bell(args, arena: FockArena) -> dict:
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
-    u = lift_unitary(m, arena)
-    rho = apply_to_density(u, fock(arena, (1, 0)).to_density())
-    report = negativity_report(rho, ((0,), (1,)))
+    psi = lift_unitary(m, arena).matrix @ fock(arena, (1, 0)).amplitudes
+    report = negativity_report(Mixture(arena, [1.0], [psi]), ((0,), (1,)))
     # |1,0> maps to cos|10> + sin|01> up to phases: log-negativity
     # log2(1 + |sin 2 theta|) in closed form
     expected = float(np.log2(1.0 + abs(np.sin(2.0 * args.theta))))
@@ -217,9 +216,9 @@ def _demo_coherent_covariance(args, arena: FockArena) -> dict:
     worst = 1.0
     for _ in range(10):
         alpha = 0.8 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / np.sqrt(2)
-        rho = apply_to_density(u, coherent(arena, alpha).to_density())
+        psi = u.matrix @ coherent(arena, alpha).amplitudes
         target = coherent(arena, alpha @ np.conj(m.matrix))
-        worst = min(worst, rho.fidelity_with_pure(target))
+        worst = min(worst, float(abs(np.vdot(target.amplitudes, psi)) ** 2))
     return {"demo": "coherent-covariance", "theta": args.theta,
             "worst_fidelity": worst, "tolerance": 1e-6,
             "pass": worst >= 1.0 - 1e-6}
@@ -329,14 +328,16 @@ def cmd_sweep(args) -> int:
     thetas = _parse_thetas(args.thetas)
     arena = _two_mode_arena(args.cutoff)
 
+    # rows(m): the output amplitude rows after mode matrix m; an ensemble
+    # goes through the exact coherent transform a campaign trial uses
     if args.input == "fock":
         try:
             occ = tuple(int(tok) for tok in args.occupations.split(","))
-            psi = fock(arena, occ)
+            psi = fock(arena, occ).amplitudes
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
-        rho_in = psi.to_density()
         input_echo = {"kind": "fock", "occupations": list(occ)}
+        weights, rows = [1.0], lambda m: [lift_unitary(m, arena).matrix @ psi]
     else:
         cfg_path = args.config
         if cfg_path is None:
@@ -344,29 +345,31 @@ def cmd_sweep(args) -> int:
         ens = parse_ensemble(_read_config_json(Path(cfg_path)).get("ensemble"))
         if ens.n_modes != arena.n_modes:
             raise ConfigError("sweep needs a two-mode ensemble")
-        rho_in = ensemble_to_density(ens, arena)
+        for alpha in ens.alphas:  # a component that overflows alone is an error,
+            coherent(arena, alpha)  # even where a small weight hides it in the mixture
         input_echo = {"kind": "ensemble", "components": ens.n_components}
+        weights, rows = ens.weights, lambda m: transform_coherent_exact(m, ens.alphas, arena)
 
-    rows = []
+    table = []
     t0 = time.perf_counter()
     for theta in thetas:
-        u = lift_unitary(beam_splitter_matrix(theta, args.phi0, args.phi1), arena)
-        rho = apply_to_density(u, rho_in)
-        report = negativity_report(rho, ((0,), (1,)))
-        rows.append([theta, report.negativity, report.log_negativity,
-                     report.min_pt_eigenvalue,
-                     mandel_q(rho, 0), mandel_q(rho, 1)])
+        m = beam_splitter_matrix(theta, args.phi0, args.phi1)
+        state = Mixture(arena, weights, rows(m))
+        report = negativity_report(state, ((0,), (1,)))
+        rho_a, rho_b = state.marginals()
+        table.append([theta, report.negativity, report.log_negativity,
+                      report.min_pt_eigenvalue, mandel_q(rho_a, 0), mandel_q(rho_b, 0)])
     elapsed = time.perf_counter() - t0
 
     sweep_path = out_dir / "sweep.csv"
     with sweep_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+        writer.writerows(table)
     write_manifest(out_dir, {"sweep_input": input_echo, "thetas": thetas,
                              "cutoff": args.cutoff},
                    {"total": elapsed}, [str(sweep_path)])
-    print(f"sweep: wrote {len(rows)} rows to {sweep_path}")
+    print(f"sweep: wrote {len(table)} rows to {sweep_path}")
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
-"""Truncated multimode Fock space: basis indexing, ladder operators,
-tensor structure, partial trace and partial transpose on dense arrays.
+"""Truncated multimode Fock space: basis indexing, ladder operators, the
+validated state containers and the partial trace on dense arrays.
 
 Everything here is dense numpy. At the scales this package targets
 (<= 3 modes, cutoff <= ~20) dense linear algebra is simpler and fast
@@ -208,16 +208,48 @@ class DensityOperator:
     def expectation(self, op: np.ndarray) -> complex:
         return complex(np.trace(self.matrix @ op))
 
-    def fidelity_with_pure(self, psi: StateVector) -> float:
-        """<psi|rho|psi>, the fidelity against a pure reference state."""
-        return float(
-            np.real(psi.amplitudes.conj() @ (self.matrix @ psi.amplitudes))
-        )
 
+@dataclass(frozen=True)
+class Mixture:
+    """A full-space state sum_i w_i |psi_i><psi_i| held as read-only copies
+    of its finite, non-negative weights and its pure amplitude rows.
 
-def _as_tensor(arena: FockArena, matrix: np.ndarray) -> np.ndarray:
-    n, d = arena.n_modes, arena.cutoff
-    return matrix.reshape((d,) * (2 * n))
+    It is PSD by construction, so the one check is the truncation leak
+    1 - sum_i w_i ||psi_i||^2 (sum_i w_i (1 - ||psi_i||^2) for weights that
+    sum to 1).  Only ``witnesses.negativity_report`` forms the dense matrix.
+    """
+
+    arena: FockArena
+    weights: np.ndarray
+    rows: np.ndarray
+    leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        w = np.array(self.weights, dtype=float)
+        rows = np.array(self.rows, dtype=complex)
+        if w.ndim != 1 or rows.shape != (w.size, self.arena.total_dim):
+            raise ValueError("need one amplitude row of length total_dim per weight")
+        if not (np.isfinite(w).all() and np.isfinite(rows).all()) or np.any(w < 0):
+            raise ValueError("mixture needs finite rows and finite non-negative weights")
+        for name, value in (("weights", w), ("rows", rows)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        kept = float(w @ np.sum(np.abs(rows) ** 2, axis=1))
+        if kept > 1.0 + 1e-12:
+            raise ValueError(f"trace {kept} exceeds 1")
+        _check_leak(1.0 - kept, self.leak_tol)
+
+    def marginals(self) -> tuple[DensityOperator, ...]:
+        """Single-mode reduced states in mode order: sum_i w_i A_i A_i^dag,
+        with A_i row i reshaped to (cutoff, rest) for that mode."""
+        n, d = self.arena.n_modes, self.arena.cutoff
+        tensor = self.rows.reshape((-1,) + (d,) * n)
+        out = []
+        for m in range(n):
+            a = np.moveaxis(tensor, m + 1, 1).reshape(-1, d, d ** (n - 1))
+            rho = np.einsum("i,iak,ibk->ab", self.weights, a, a.conj())
+            out.append(DensityOperator(FockArena(1, d), rho, leak_tol=self.leak_tol))
+        return tuple(out)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -229,7 +261,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     if any(m < 0 or m >= n for m in keep_sorted):
         raise ValueError("keep set contains an invalid mode index")
 
-    tensor = _as_tensor(rho.arena, rho.matrix)
+    tensor = rho.matrix.reshape((rho.arena.cutoff,) * (2 * n))
     traced = [m for m in range(n) if m not in keep_sorted]
     for offset, m in enumerate(traced):
         axis = m - offset  # axes shift as earlier modes are traced out
@@ -239,23 +271,3 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     reduced_arena = FockArena(k, rho.arena.cutoff)
     matrix = tensor.reshape(reduced_arena.total_dim, reduced_arena.total_dim)
     return DensityOperator(reduced_arena, matrix, leak_tol=rho.leak_tol)
-
-
-def partial_transpose(rho: DensityOperator, transposed_modes: Iterable[int]) -> np.ndarray:
-    """Matrix with the chosen modes' indices transposed (PPT map).
-
-    The transposed set must be a proper non-empty subset of the modes;
-    transposing nothing or everything is a plain (no-op / full) transpose
-    and almost certainly a caller bug.
-    """
-    modes = sorted(set(transposed_modes))
-    n = rho.arena.n_modes
-    if not modes or len(modes) >= n:
-        raise ValueError("transposed_modes must be a proper non-empty subset")
-    if any(m < 0 or m >= n for m in modes):
-        raise ValueError("transposed_modes contains an invalid mode index")
-    tensor = _as_tensor(rho.arena, rho.matrix)
-    for m in modes:
-        tensor = np.swapaxes(tensor, m, n + m)
-    dim = rho.arena.total_dim
-    return tensor.reshape(dim, dim)

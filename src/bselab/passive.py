@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .hilbert import DensityOperator, FockArena, annihilation_matrix
+from .hilbert import FockArena, annihilation_matrix
 from .states import CoherentEnsemble, _coherent_column
 
 UNITARITY_TOL = 1e-12
@@ -184,15 +184,6 @@ def conjugation_residual(u: LiftedUnitary, m: ModeUnitary, mode: int) -> float:
     idx = u.protected_indices()
     diff = (conj - target)[np.ix_(idx, idx)]
     return float(np.abs(diff).max())
-
-
-def apply_to_density(u: LiftedUnitary, rho: DensityOperator) -> DensityOperator:
-    """U rho U^dag, re-validated (a validation failure signals truncation
-    overflow rather than a physics finding)."""
-    if u.arena != rho.arena:
-        raise ValueError("arena mismatch between operator and state")
-    out = u.matrix @ rho.matrix @ u.matrix.conj().T
-    return DensityOperator(rho.arena, out, leak_tol=rho.leak_tol)
 
 
 def _sector_tail_bound(mean: float) -> int:

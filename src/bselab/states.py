@@ -93,20 +93,6 @@ def thermal(arena: FockArena, nbar: float) -> DensityOperator:
     return DensityOperator(arena, np.diag(probs).astype(complex))
 
 
-def kron_densities(*rhos: DensityOperator) -> DensityOperator:
-    """Product density operator of independent factors (mode-major order)."""
-    if not rhos:
-        raise ValueError("need at least one factor")
-    cutoff = rhos[0].arena.cutoff
-    if any(r.arena.cutoff != cutoff for r in rhos):
-        raise ValueError("cutoff mismatch between factors")
-    mat = np.ones((1, 1), dtype=complex)
-    for r in rhos:
-        mat = np.kron(mat, r.matrix)
-    arena = FockArena(sum(r.arena.n_modes for r in rhos), cutoff)
-    return DensityOperator(arena, mat)
-
-
 @dataclass(frozen=True)
 class CoherentEnsemble:
     """Finite non-negative mixture of multimode coherent states.
@@ -149,10 +135,6 @@ class CoherentEnsemble:
     def n_components(self) -> int:
         return self.weights.size
 
-    @property
-    def components(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(w), a) for w, a in zip(self.weights, self.alphas)]
-
     def max_abs_alpha(self) -> float:
         return float(np.abs(self.alphas).max())
 
@@ -160,14 +142,12 @@ class CoherentEnsemble:
 def ensemble_to_density(
     ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
 ) -> DensityOperator:
-    """sum_i w_i |alpha_i><alpha_i| on the truncated arena."""
+    """sum_i w_i |alpha_i><alpha_i| on the truncated arena, as a dense
+    matrix: the reference that row-based states are checked against."""
     if arena.n_modes != ens.n_modes:
         raise ValueError("arena mode count does not match ensemble")
-    mat = np.zeros((arena.total_dim, arena.total_dim), dtype=complex)
-    for w, alpha in ens.components:
-        psi = coherent(arena, alpha, leak_tol=leak_tol)
-        mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityOperator(arena, mat, leak_tol=leak_tol)
+    rows = np.array([coherent(arena, a, leak_tol=leak_tol).amplitudes for a in ens.alphas])
+    return DensityOperator(arena, (ens.weights * rows.T) @ rows.conj(), leak_tol=leak_tol)
 
 
 def ensemble_marginals(

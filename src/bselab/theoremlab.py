@@ -4,7 +4,8 @@ Each trial runs three routes over the same input and mode unitary:
 
   1. the exact closed-form ensemble route (the constructive separability
      certificate: output weights stay the input weights, hence >= 0);
-  2. the truncated density-matrix route (lift, conjugate, PPT diagnostics);
+  2. the truncated Fock route (transform each coherent component sector by
+     sector, PPT diagnostics on the weighted output rows);
   3. for Gaussian-expressible inputs, the covariance-matrix oracle.
 
 Route 2 disagreeing with route 1 beyond tolerance is a finding; an exact
@@ -25,10 +26,9 @@ import numpy as np
 
 from ._blas import single_threaded_blas
 from .gaussian import apply_passive, gaussian_from_spec, is_classical, simon_separable
-from .hilbert import LEAK_TOL, DensityOperator, FockArena, TruncationError
+from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import (
     ModeUnitary,
-    apply_to_density,
     beam_splitter_matrix,
     lift_unitary,
     transform_coherent_exact,
@@ -179,14 +179,13 @@ def run_theorem_trial(
 
     classicality = classicality_report(ensemble_marginals(ens, arena, leak_tol=leak_tol))
 
-    # route 2: density pipeline through the lifted unitary.  The
-    # conjugation is evaluated sector-exactly per coherent component and
-    # projected to the cutoff afterwards, so PPT diagnostics measure the
-    # output state rather than lift boundary-clipping noise.  rho_out is the
-    # trial's one dim x dim density; its trace check drives the retry.
+    # route 2: each coherent component through the lifted unitary, evaluated
+    # sector-exactly and projected to the cutoff afterwards, so PPT
+    # diagnostics measure the output state rather than lift boundary-clipping
+    # noise.  rho_out holds the weighted output rows; its leak check drives
+    # the retry.
     amps = transform_coherent_exact(m, ens.alphas, arena)
-    out_matrix = (ens.weights * amps.T) @ amps.conj()
-    rho_out = DensityOperator(arena, out_matrix, leak_tol=leak_tol)
+    rho_out = Mixture(arena, ens.weights, amps, leak_tol=leak_tol)
     reports = tuple(
         negativity_report(rho_out, bp, ppt_tol=ppt_tol)
         for bp in bipartitions(arena.n_modes)
@@ -449,18 +448,15 @@ def non_sufficiency_demo(
     if arena.n_modes != 2:
         raise ValueError("the demo is a two-mode construction")
     m = beam_splitter_matrix(theta, phi0, phi1)
-    psi_in = fock(arena, (1, 0))
-    rho_in = psi_in.to_density()
-    q_in = mandel_q(rho_in, 0)
+    psi_in = fock(arena, (1, 0)).amplitudes
+    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).marginals()[0], 0)
 
-    lifted = lift_unitary(m, arena)
-    rho_fwd = apply_to_density(lifted, rho_in)
-    forward = negativity_report(rho_fwd, ((0,), (1,)))
+    psi_fwd = lift_unitary(m, arena).matrix @ psi_in
+    forward = negativity_report(Mixture(arena, [1.0], [psi_fwd]), ((0,), (1,)))
 
-    lifted_inv = lift_unitary(m.inverse(), arena)
-    rho_back = apply_to_density(lifted_inv, rho_fwd)
-    inverse = negativity_report(rho_back, ((0,), (1,)))
-    fidelity = rho_back.fidelity_with_pure(psi_in)
+    psi_back = lift_unitary(m.inverse(), arena).matrix @ psi_fwd
+    inverse = negativity_report(Mixture(arena, [1.0], [psi_back]), ((0,), (1,)))
+    fidelity = float(abs(np.vdot(psi_in, psi_back)) ** 2)
 
     return NonSufficiencyRecord(
         input_mandel_q=q_in,

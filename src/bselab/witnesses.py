@@ -1,5 +1,5 @@
-"""Numeric diagnostics on truncated density operators: PPT negativity,
-Mandel Q, and quadrature squeezing.
+"""Numeric diagnostics on truncated states: PPT negativity of a full-space
+mixture, Mandel Q and quadrature squeezing of single-mode densities.
 
 A negative partial-transpose eigenvalue certifies entanglement; the
 converse is not claimed, so the separable-side verdict is named
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import DensityOperator, annihilation_matrix, partial_trace, partial_transpose
+from .hilbert import DensityOperator, Mixture, annihilation_matrix, partial_trace
 
 #: PPT eigenvalue tolerance; looser than the PSD tolerance because
 #: partial-transpose spectra inherit truncation noise from the lift pipeline
@@ -43,20 +43,25 @@ class ClassicalityReport:
 
 
 def negativity_report(
-    rho: DensityOperator, bipartition, ppt_tol: float = PPT_TOL
+    state: Mixture, bipartition, ppt_tol: float = PPT_TOL
 ) -> EntanglementReport:
-    """PPT diagnostics across a bipartition of the modes."""
+    """PPT diagnostics across a bipartition of the modes (Peres criterion;
+    negativity as in Vidal and Werner, PRA 65, 032314, 2002)."""
     part_a = tuple(sorted(set(bipartition[0])))
     part_b = tuple(sorted(set(bipartition[1])))
-    n = rho.arena.n_modes
+    n, d = state.arena.n_modes, state.arena.cutoff
     if set(part_a) | set(part_b) != set(range(n)) or set(part_a) & set(part_b):
         raise ValueError("bipartition must partition the mode set")
     if not part_a or not part_b:
         raise ValueError("both sides of the bipartition must be non-empty")
 
-    # rho.matrix is exactly Hermitian and the partial transpose only
-    # permutes its entries, so pt is exactly Hermitian too
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, part_a))
+    # the partial transpose swaps the row and column index of each mode in
+    # part_a; it only permutes entries, so it keeps rho exactly Hermitian
+    rho = (state.weights * state.rows.T) @ state.rows.conj()
+    tensor = ((rho + rho.conj().T) / 2.0).reshape((d,) * (2 * n))
+    for m in part_a:
+        tensor = np.swapaxes(tensor, m, n + m)
+    eigs = np.linalg.eigvalsh(tensor.reshape(rho.shape))
     min_eig = float(eigs[0])
     negativity = float(max(0.0, -eigs[eigs < 0].sum()))
     log_negativity = math.log2(1.0 + 2.0 * negativity)

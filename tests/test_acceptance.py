@@ -17,14 +17,9 @@ from bselab.gaussian import (
     is_classical,
     simon_separable,
 )
-from bselab.hilbert import FockArena
-from bselab.passive import (
-    apply_to_density,
-    beam_splitter_matrix,
-    conjugation_residual,
-    lift_unitary,
-)
-from bselab.states import GaussianSpec, coherent, kron_densities, spec_to_density, vacuum
+from bselab.hilbert import FockArena, Mixture
+from bselab.passive import beam_splitter_matrix, conjugation_residual, lift_unitary
+from bselab.states import GaussianSpec, coherent, squeezed_vacuum, thermal, vacuum
 from bselab.theoremlab import (
     CampaignConfig,
     bipartitions,
@@ -81,9 +76,9 @@ def test_acceptance_3_coherent_covariance():
         radii = np.sqrt(rng.uniform(0.0, 1.0, 2))
         alpha = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2))
         m = haar_unitary(2, rng)
-        rho = apply_to_density(lift_unitary(m, arena), coherent(arena, alpha).to_density())
+        psi = lift_unitary(m, arena).matrix @ coherent(arena, alpha).amplitudes
         target = coherent(arena, alpha @ np.conj(m.matrix))
-        worst = min(worst, rho.fidelity_with_pure(target))
+        worst = min(worst, abs(np.vdot(target.amplitudes, psi)) ** 2)
     _verdict(3, "coherent covariance", worst >= 1.0 - 1e-6)
 
 
@@ -149,6 +144,14 @@ def test_acceptance_7_non_sufficiency():
     _verdict(7, "non-sufficiency demo", ok)
 
 
+def _factor_rows(spec: GaussianSpec, arena: FockArena):
+    """(weights, rows) of a single-mode factor: a thermal state is Fock rows
+    with its thermal weights, a coherent state one row of weight 1."""
+    if spec.kind == "thermal":
+        return np.diag(thermal(arena, spec.nbar).matrix).real, np.eye(arena.cutoff)
+    return np.ones(1), coherent(arena, [spec.alpha]).amplitudes[None]
+
+
 def test_acceptance_8_gaussian_oracle_agreement():
     rng = np.random.default_rng(808)
     arena = FockArena(2, 18)
@@ -168,9 +171,11 @@ def test_acceptance_8_gaussian_oracle_agreement():
         ok = ok and is_classical(g_out).label == "classical"
         ok = ok and simon_separable(g_out).label == "separable"
 
-        rho_in = kron_densities(*(spec_to_density(s, FockArena(1, 18)) for s in specs))
-        rho_out = apply_to_density(lift_unitary(m, arena), rho_in)
-        neg = negativity_report(rho_out, ((0,), (1,))).negativity
+        (w_a, rows_a), (w_b, rows_b) = (_factor_rows(s, FockArena(1, 18)) for s in specs)
+        rows_in = np.einsum("ia,jb->ijab", rows_a, rows_b).reshape(-1, arena.total_dim)
+        rows_out = rows_in @ lift_unitary(m, arena).matrix.T
+        state = Mixture(arena, np.kron(w_a, w_b), rows_out)
+        neg = negativity_report(state, ((0,), (1,))).negativity
         worst_negativity = max(worst_negativity, neg)
     ok = ok and worst_negativity <= 1e-7
 
@@ -187,15 +192,11 @@ def test_acceptance_8_gaussian_oracle_agreement():
     ok = ok and simon_separable(tmsv_cov).label == "entangled"
 
     arena20 = FockArena(2, 20)
-    sq_a = spec_to_density(GaussianSpec("squeezed_vacuum", r=0.5), FockArena(1, 20))
-    sq_b = spec_to_density(
-        GaussianSpec("squeezed_vacuum", r=0.5, theta_s=np.pi), FockArena(1, 20)
-    )
-    tmsv_fock = apply_to_density(
-        lift_unitary(beam_splitter_matrix(np.pi / 4), arena20),
-        kron_densities(sq_a, sq_b),
-    )
-    ok = ok and negativity_report(tmsv_fock, ((0,), (1,))).negativity > 0.1
+    sq_in = np.kron(squeezed_vacuum(FockArena(1, 20), 0.5).amplitudes,
+                    squeezed_vacuum(FockArena(1, 20), 0.5, np.pi).amplitudes)
+    tmsv_fock = lift_unitary(beam_splitter_matrix(np.pi / 4), arena20).matrix @ sq_in
+    tmsv_state = Mixture(arena20, [1.0], [tmsv_fock])
+    ok = ok and negativity_report(tmsv_state, ((0,), (1,))).negativity > 0.1
     _verdict(8, "gaussian oracle agreement", ok)
 
 

@@ -1,13 +1,16 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bselab import cli, theoremlab
 from bselab.states import CoherentEnsemble
+from bselab.witnesses import PPT_TOL
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -257,6 +260,39 @@ def test_sweep_ensemble_input_requires_config(tmp_path, capsys):
 def test_sweep_bad_thetas(tmp_path, capsys):
     assert cli.main(["sweep", "--thetas", "0.1,oops", "--out", str(tmp_path)]) == 2
     assert "bad --thetas" in capsys.readouterr().err
+
+
+def test_sweep_classical_ensemble_stays_ppt(tmp_path):
+    # a classical input near the cutoff: the boundary-clipped dense lift
+    # read min_pt_eigenvalue down to -1.8e-6 here, i.e. "entangled"
+    rng = np.random.default_rng(6)
+    weights = rng.dirichlet(np.ones(4))
+    radii = 1.5 * np.sqrt(rng.uniform(0.0, 1.0, size=(4, 2)))
+    alphas = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(4, 2)))
+    ensemble = [{"weight": float(w), "alphas": [[a.real, a.imag] for a in row]}
+                for w, row in zip(weights, alphas)]
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": ensemble}))
+    thetas = ",".join(repr(float(t)) for t in np.linspace(0.0, np.pi / 2.0, 5))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg),
+                     "--cutoff", "22", "--thetas", thetas, "--out", str(out)]) == 0
+    with (out / "sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert all(float(row["min_pt_eigenvalue"]) >= -PPT_TOL for row in rows)
+
+
+def test_sweep_ensemble_checks_each_input_component(tmp_path, capsys):
+    # the second component alone loses 0.57 past cutoff 12; its weight is
+    # too small for the mixture's leak to exceed the budget
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": [
+        {"weight": 1.0 - 1e-7, "alphas": [[0.1, 0.0], [0.1, 0.0]]},
+        {"weight": 1e-7, "alphas": [[3.5, 0.0], [0.0, 0.0]]}]}))
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg), "--cutoff", "12",
+                     "--thetas", "0.7", "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERIC
+    assert "truncation leakage 5.667e-01" in capsys.readouterr().err
 
 
 THREE_MODE_ENSEMBLE = json.dumps({"version": 1, "ensemble": [

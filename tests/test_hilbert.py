@@ -6,13 +6,13 @@ import pytest
 from bselab.hilbert import (
     DensityOperator,
     FockArena,
+    Mixture,
     StateVector,
     TruncationError,
     annihilation_matrix,
     partial_trace,
-    partial_transpose,
 )
-from bselab.states import fock, vacuum
+from bselab.states import CoherentEnsemble, coherent, ensemble_to_density, fock, vacuum
 
 
 @pytest.mark.parametrize("n_modes,cutoff", [(1, 6), (2, 4), (2, 6), (3, 3), (3, 6)])
@@ -157,33 +157,58 @@ def test_partial_trace_rejects_empty_keep():
         partial_trace(_bell_like(arena), [])
 
 
-def test_partial_transpose_bell_min_eigenvalue():
-    arena = FockArena(2, 2)
-    pt = partial_transpose(_bell_like(arena), [0])
-    eigs = np.linalg.eigvalsh(pt)
-    assert abs(eigs[0] + 0.5) <= 1e-12
-    # eigenvalue sum (trace) preserved
-    assert abs(np.trace(pt).real - 1.0) <= 1e-12
-
-
-def test_partial_transpose_involution_and_product_psd():
+def test_mixture_stores_read_only_copies():
     arena = FockArena(2, 3)
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    local = z @ z.conj().T
-    local /= np.trace(local).real
-    rho = DensityOperator(FockArena(2, 3), np.kron(local, local))
-    pt = partial_transpose(rho, [1])
-    assert np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0] >= -1e-12
-    # involution: transposing the same subset twice is the identity
-    back = partial_transpose(DensityOperator(arena, pt), [1])
-    assert np.abs(back - rho.matrix).max() <= 1e-14
+    weights = np.array([0.25, 0.75])
+    rows = np.eye(9, dtype=complex)[:2]
+    rho = Mixture(arena, weights, rows)
+    for stored, given in ((rho.weights, weights), (rho.rows, rows)):
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, given)
+    rows[0, 0] = 0.0
+    assert rho.rows[0, 0] == 1.0
 
 
-def test_partial_transpose_rejects_trivial_subsets():
-    arena = FockArena(2, 2)
-    rho = _bell_like(arena)
+def test_mixture_validation():
+    arena = FockArena(1, 3)
+    row = np.eye(3, dtype=complex)[1]
     with pytest.raises(ValueError):
-        partial_transpose(rho, [])
+        Mixture(arena, [1.0], [row[:2]])  # wrong row length
     with pytest.raises(ValueError):
-        partial_transpose(rho, [0, 1])
+        Mixture(arena, [0.5, 0.5], [row])  # one weight per row
+    with pytest.raises(ValueError):
+        Mixture(arena, [-0.1, 1.1], [row, row])
+    with pytest.raises(ValueError):
+        Mixture(arena, [np.nan], [row])
+    with pytest.raises(ValueError):
+        Mixture(arena, [1.0], [np.array([np.inf, 0.0, 0.0])])
+    with pytest.raises(ValueError):
+        Mixture(arena, [0.6, 0.6], [row, row])  # trace 1.2
+
+
+def test_mixture_leak_budget():
+    # the leak is 1 - sum_i w_i ||psi_i||^2, a probability
+    arena = FockArena(1, 2)
+    short = np.array([np.sqrt(1.0 - 2e-6), 0.0], dtype=complex)
+    full = np.array([1.0, 0.0], dtype=complex)
+    Mixture(arena, [0.5, 0.5], [short, full])  # leak 1e-6
+    with pytest.raises(TruncationError):
+        Mixture(arena, [0.5, 0.5], [short, full], leak_tol=0.9e-6)
+    with pytest.raises(TruncationError):
+        Mixture(arena, [0.999, 0.0], [full, full])
+
+
+def test_mixture_marginals_match_dense_partial_trace():
+    rng = np.random.default_rng(8)
+    for n_modes, cutoff in ((2, 12), (3, 6)):
+        arena = FockArena(n_modes, cutoff)
+        radii, phases = rng.uniform(size=(2, 3, n_modes))
+        alphas = 0.4 * np.sqrt(radii) * np.exp(2j * np.pi * phases)
+        ens = CoherentEnsemble(n_modes, rng.dirichlet(np.ones(3)), alphas)
+        rows = [coherent(arena, a).amplitudes for a in ens.alphas]
+        dense = ensemble_to_density(ens, arena)
+        marginals = Mixture(arena, ens.weights, rows).marginals()
+        assert len(marginals) == n_modes
+        for m, marginal in enumerate(marginals):
+            assert marginal.arena == FockArena(1, cutoff)
+            assert np.abs(marginal.matrix - partial_trace(dense, [m]).matrix).max() <= 1e-14

@@ -5,7 +5,6 @@ import scipy.linalg
 from bselab.hilbert import FockArena, annihilation_matrix
 from bselab.passive import (
     ModeUnitary,
-    apply_to_density,
     beam_splitter_matrix,
     conjugation_residual,
     lift_unitary,
@@ -122,27 +121,25 @@ def test_conjugation_residual_blows_up_at_boundary():
     assert np.abs(conj - target).max() > 1e-2
 
 
-def test_apply_to_density_preserves_vacuum_and_trace():
+def test_lifted_row_preserves_vacuum_and_norm():
     arena = FockArena(2, 8)
     u = lift_unitary(beam_splitter_matrix(0.7, 0.2, 0.9), arena)
-    rho = apply_to_density(u, vacuum(arena).to_density())
-    expected = np.zeros((arena.total_dim,) * 2, complex)
-    expected[0, 0] = 1.0
-    assert np.abs(rho.matrix - expected).max() <= 1e-10
+    vac = vacuum(arena).amplitudes
+    assert np.abs(u.matrix @ vac - vac).max() <= 1e-10
 
     psi = coherent(arena, [0.6, -0.2 + 0.4j])
-    out = apply_to_density(u, psi.to_density())
-    assert abs(out.trace - psi.to_density().trace) <= 1e-10
+    out = u.matrix @ psi.amplitudes
+    assert abs(np.linalg.norm(out) ** 2 - psi.norm**2) <= 1e-10
 
 
-def test_apply_to_density_single_photon_projector():
+def test_lifted_single_photon_row_is_bell_like():
     arena = FockArena(2, 4)
     u = lift_unitary(beam_splitter_matrix(np.pi / 4), arena)
-    rho = apply_to_density(u, fock(arena, (1, 0)).to_density())
+    out = u.matrix @ fock(arena, (1, 0)).amplitudes
     bell = np.zeros(arena.total_dim, complex)
     bell[arena.encode((1, 0))] = RT2
     bell[arena.encode((0, 1))] = RT2
-    assert np.abs(rho.matrix - np.outer(bell, bell.conj())).max() <= 1e-9
+    assert np.abs(np.outer(out, out.conj()) - np.outer(bell, bell.conj())).max() <= 1e-9
 
 
 def test_transform_ensemble_fifty_fifty_example():
@@ -185,9 +182,11 @@ def test_cross_pipeline_consistency_truncation_safe():
         alphas = 0.7 * (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
         ens = CoherentEnsemble(2, rng.dirichlet(np.ones(2)), alphas)
         m = haar_unitary(2, rng)
-        via_density = apply_to_density(lift_unitary(m, arena), ensemble_to_density(ens, arena))
+        rows = np.array([coherent(arena, a).amplitudes for a in ens.alphas])
+        lifted = rows @ lift_unitary(m, arena).matrix.T
+        via_rows = (ens.weights * lifted.T) @ lifted.conj()
         via_ensemble = ensemble_to_density(transform_ensemble(ens, m), arena)
-        assert np.abs(via_density.matrix - via_ensemble.matrix).max() <= 1e-7
+        assert np.abs(via_rows - via_ensemble.matrix).max() <= 1e-7
 
 
 def test_sector_exact_transform_matches_dense_lift():

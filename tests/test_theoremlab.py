@@ -63,7 +63,8 @@ def test_trial_identity_unitary_keeps_diagnostics():
 
 
 def test_trial_eigensolves_one_full_dimension_density(monkeypatch):
-    # the PT spectrum of each bipartition, plus the validation of rho_out
+    # the PT spectrum of each bipartition and nothing else: rho_out is a
+    # weighted set of rows, PSD by construction, with no validation eigensolve
     arena = FockArena(3, 6)
     ens = random_classical_ensemble(4, 3, 4, 0.3)
     full_dim = []
@@ -77,7 +78,7 @@ def test_trial_eigensolves_one_full_dimension_density(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     record = run_theorem_trial(ens, haar_unitary(3, np.random.default_rng(4)), arena)
     assert len(record.entanglement_reports) == len(bipartitions(3)) == 3
-    assert len(full_dim) == len(bipartitions(3)) + 1
+    assert len(full_dim) == len(bipartitions(3))
 
 
 def test_trial_single_component_runs_gaussian_oracle():

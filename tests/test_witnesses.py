@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bselab.hilbert import DensityOperator, FockArena, StateVector, partial_trace
-from bselab.passive import ModeUnitary, apply_to_density, beam_splitter_matrix, lift_unitary
+from bselab.hilbert import FockArena, Mixture, StateVector, partial_trace
+from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from bselab.states import (
     CoherentEnsemble,
     coherent,
-    ensemble_to_density,
     fock,
     squeezed_vacuum,
     thermal,
     vacuum,
 )
+from bselab.theoremlab import CampaignConfig, bipartitions, haar_unitary
 from bselab.witnesses import (
+    PPT_TOL,
+    WITNESS_TOL,
     classicality_report,
     mandel_q,
     min_quadrature_variance,
@@ -25,7 +29,7 @@ def _bell(arena):
     amps = np.zeros(arena.total_dim, complex)
     amps[arena.encode((1, 0))] = 1 / np.sqrt(2)
     amps[arena.encode((0, 1))] = 1 / np.sqrt(2)
-    return DensityOperator(arena, np.outer(amps, amps.conj()))
+    return Mixture(arena, [1.0], [amps])
 
 
 def test_negativity_of_bell_like_state():
@@ -42,7 +46,7 @@ def test_negativity_log_relation_and_product_states():
     for _ in range(10):
         a = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
         b = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
-        rho = coherent(arena, [a, b]).to_density()
+        rho = Mixture(arena, [1.0], [coherent(arena, [a, b]).amplitudes])
         report = negativity_report(rho, ((0,), (1,)))
         assert report.negativity <= 1e-12
         assert report.verdict == "separable_by_ppt_nonviolation"
@@ -57,7 +61,7 @@ def test_negativity_invariant_under_local_phase_rotations():
     base = negativity_report(rho, ((0,), (1,))).negativity
     for phi in (0.3, 1.2, 2.9):
         local = ModeUnitary(np.diag([np.exp(1j * phi), 1.0]))
-        rotated = apply_to_density(lift_unitary(local, arena), rho)
+        rotated = Mixture(arena, rho.weights, rho.rows @ lift_unitary(local, arena).matrix.T)
         rep = negativity_report(rotated, ((0,), (1,)))
         assert rep.negativity == pytest.approx(base, abs=1e-10)
 
@@ -76,8 +80,77 @@ def test_classical_ensemble_output_is_ppt_nonviolating():
     alphas = 0.7 * (rng.uniform(-1, 1, (3, 2)) + 1j * rng.uniform(-1, 1, (3, 2)))
     ens = CoherentEnsemble(2, rng.dirichlet(np.ones(3)), alphas)
     u = lift_unitary(beam_splitter_matrix(0.61, 0.2, 1.4), arena)
-    rho = apply_to_density(u, ensemble_to_density(ens, arena))
+    rows = np.array([coherent(arena, a).amplitudes for a in ens.alphas]) @ u.matrix.T
+    rho = Mixture(arena, ens.weights, rows)
     assert negativity_report(rho, ((0,), (1,))).min_pt_eigenvalue >= -1e-8
+
+
+def test_product_mixture_has_psd_partial_transpose():
+    # a product of two random local mixed states, each a weighted set of
+    # rows: every partial-transpose eigenvalue stays >= 0
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    local_w = np.sum(np.abs(z) ** 2, axis=0)
+    local_rows = (z / np.sqrt(local_w)).T  # row k: column k of z, normalised
+    local_w = local_w / local_w.sum()
+    rows = np.einsum("ia,jb->ijab", local_rows, local_rows).reshape(9, 9)
+    rho = Mixture(FockArena(2, 3), np.kron(local_w, local_w), rows)
+    for bp in (((0,), (1,)), ((1,), (0,))):
+        report = negativity_report(rho, bp)
+        assert report.min_pt_eigenvalue >= -1e-12
+        assert report.negativity == 0.0
+
+
+# per mode count, a campaign cutoff and (to 0.05) the largest amplitude bound
+# a campaign config accepts there: coherent leakage within the leak budget
+EDGE_SHAPES = {2: (10, 1.1), 3: (6, 0.55)}
+
+
+@st.composite
+def _classical_outputs(draw):
+    """A random classical ensemble through a random Haar unitary by the
+    exact transform, with every component amplitude vector of norm at most
+    the shape's bound, so that every output mode stays within it too."""
+    n_modes = draw(st.sampled_from(sorted(EDGE_SHAPES)))
+    cutoff, bound = EDGE_SHAPES[n_modes]
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((k, n_modes)) + 1j * rng.standard_normal((k, n_modes))
+    radii = bound * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    alphas = radii[:, None] * z / np.linalg.norm(z, axis=1, keepdims=True)
+    ens = CoherentEnsemble(n_modes, np.array(weights), alphas)
+    arena = FockArena(n_modes, cutoff)
+    rows = transform_coherent_exact(haar_unitary(n_modes, rng), ens.alphas, arena)
+    return Mixture(arena, ens.weights, rows), bound
+
+
+def test_edge_shapes_are_the_largest_safe_bounds():
+    for n_modes, (cutoff, bound) in EDGE_SHAPES.items():
+        CampaignConfig(n_trials=1, seed=0, n_modes=n_modes, cutoff=cutoff,
+                       amplitude_bound=bound)
+        with pytest.raises(ValueError, match="truncation-unsafe"):
+            CampaignConfig(n_trials=1, seed=0, n_modes=n_modes, cutoff=cutoff,
+                           amplitude_bound=bound + 0.05)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=_classical_outputs())
+def test_classical_output_is_ppt_and_poissonian(case):
+    state, bound = case
+    for bp in bipartitions(state.arena.n_modes):
+        assert negativity_report(state, bp).min_pt_eigenvalue >= -PPT_TOL
+    # Truncation alone pulls Mandel Q below 0: a truncated Poisson law has
+    # variance < mean. A mixture's Q is at least its components' smallest
+    # Q, and a truncated coherent state's Q falls with |alpha|, so the floor
+    # is the Q of one coherent state at the bound. At these edge bounds that
+    # floor lies far below -WITNESS_TOL (-3.5e-5 at cutoff 10, |alpha| 1.1).
+    cutoff = state.arena.cutoff
+    floor = min(0.0, mandel_q(coherent(FockArena(1, cutoff), [bound]).to_density(), 0))
+    for marginal in state.marginals():
+        assert mandel_q(marginal, 0) >= floor - WITNESS_TOL
 
 
 def test_mandel_q_reference_states():
