@@ -29,7 +29,6 @@ from .passive import (
     LiftedUnitary,
     ModeUnitary,
     beam_splitter_matrix,
-    conjugation_residual,
     lift_unitary,
     log_unitary,
     transform_coherent_exact,
@@ -39,7 +38,6 @@ from .states import (
     CoherentEnsemble,
     GaussianSpec,
     coherent,
-    ensemble_to_density,
     fock,
     squeezed_vacuum,
     thermal,
@@ -61,7 +59,6 @@ from .witnesses import (
     classicality_report,
     mandel_q,
     negativity_report,
-    quadrature_variance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

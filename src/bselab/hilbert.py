@@ -71,16 +71,6 @@ class FockArena:
             index = index * self.cutoff + int(n)
         return index
 
-    def decode(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a basis index; inverse of :meth:`encode`."""
-        if not 0 <= index < self.total_dim:
-            raise ValueError("basis index out of range")
-        occ = []
-        for _ in range(self.n_modes):
-            index, n = divmod(index, self.cutoff)
-            occ.append(n)
-        return tuple(reversed(occ))
-
     def occupation_table(self) -> np.ndarray:
         """(total_dim, n_modes) integer array of all occupation tuples."""
         return _occupation_table(self.n_modes, self.cutoff)
@@ -153,15 +143,6 @@ class StateVector:
             raise ValueError(f"state norm {norm} exceeds 1")
         _check_leak(1.0 - norm * norm, self.leak_tol)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def to_density(self, **kwargs) -> "DensityOperator":
-        return DensityOperator(
-            self.arena, np.outer(self.amplitudes, self.amplitudes.conj()), **kwargs
-        )
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -216,7 +197,9 @@ class Mixture:
 
     It is PSD by construction, so the one check is the truncation leak
     1 - sum_i w_i ||psi_i||^2 (sum_i w_i (1 - ||psi_i||^2) for weights that
-    sum to 1).  Only ``witnesses.negativity_report`` forms the dense matrix.
+    sum to 1).  No code forms its dim x dim matrix: ``marginals`` works on
+    the rows, and ``witnesses.negativity_report`` takes the partial-transpose
+    spectrum on the rows' local supports.
     """
 
     arena: FockArena

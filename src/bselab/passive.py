@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .hilbert import FockArena, annihilation_matrix
+from .hilbert import FockArena
 from .states import CoherentEnsemble, _coherent_column
 
 UNITARITY_TOL = 1e-12
@@ -169,21 +169,6 @@ def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
             f"lifted operator not unitary on protected subspace: {unit_dev:.3e}"
         )
     return lifted
-
-
-def conjugation_residual(u: LiftedUnitary, m: ModeUnitary, mode: int) -> float:
-    """Max-norm of U c_mode U^dag - sum_k M_{mode,k} c_k on the protected
-    (total photon <= cutoff/2) subspace; the module's self-test."""
-    if not 0 <= mode < m.n_modes:
-        raise ValueError("mode index out of range")
-    arena = u.arena
-    conj = u.matrix @ annihilation_matrix(arena, mode) @ u.matrix.conj().T
-    target = sum(
-        m.matrix[mode, k] * annihilation_matrix(arena, k) for k in range(m.n_modes)
-    )
-    idx = u.protected_indices()
-    diff = (conj - target)[np.ix_(idx, idx)]
-    return float(np.abs(diff).max())
 
 
 def _sector_tail_bound(mean: float) -> int:

@@ -139,21 +139,10 @@ class CoherentEnsemble:
         return float(np.abs(self.alphas).max())
 
 
-def ensemble_to_density(
-    ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
-) -> DensityOperator:
-    """sum_i w_i |alpha_i><alpha_i| on the truncated arena, as a dense
-    matrix: the reference that row-based states are checked against."""
-    if arena.n_modes != ens.n_modes:
-        raise ValueError("arena mode count does not match ensemble")
-    rows = np.array([coherent(arena, a, leak_tol=leak_tol).amplitudes for a in ens.alphas])
-    return DensityOperator(arena, (ens.weights * rows.T) @ rows.conj(), leak_tol=leak_tol)
-
-
 def ensemble_marginals(
     ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
 ) -> tuple[DensityOperator, ...]:
-    """Single-mode reduced states of ``ensemble_to_density(ens, arena)``.
+    """Single-mode reduced states of sum_i w_i |alpha_i><alpha_i| on the arena.
 
     Mode m gets sum_i w_i prod_{m' != m} ||c(alpha_im')||^2 |c(alpha_im)><c(alpha_im)|,
     with c the truncated coherent column, so the dim x dim matrix is never
@@ -199,14 +188,3 @@ class GaussianSpec:
             raise ValueError("nbar must be >= 0")
         if self.r < 0:
             raise ValueError("r must be >= 0")
-
-
-def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:
-    """Truncated Fock-space density operator of a single-mode Gaussian spec."""
-    if arena.n_modes != 1:
-        raise ValueError("spec_to_density builds single-mode states")
-    if spec.kind == "coherent":
-        return coherent(arena, [spec.alpha]).to_density()
-    if spec.kind == "thermal":
-        return thermal(arena, spec.nbar)
-    return squeezed_vacuum(arena, spec.r, spec.theta_s).to_density()

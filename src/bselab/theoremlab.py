@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,12 +106,16 @@ class TrialRecord:
     cross_pipeline_max_dev: float
     gaussian_verdict: Optional[dict]
     wall_time: float
+    cutoff: int
+    attempts: int = 0  # retries at a larger cutoff before this record
 
     def to_json_dict(self) -> dict:
         """Serializable form; excludes wall_time (timings live in the
         run manifest so reports stay byte-deterministic)."""
         return {
             "seed": self.seed,
+            "cutoff": self.cutoff,
+            "attempts": self.attempts,
             "input": self.input_description,
             "unitary": self.unitary_description,
             "ensemble_closure": self.ensemble_closure,
@@ -221,6 +225,7 @@ def run_theorem_trial(
         cross_pipeline_max_dev=cross_dev,
         gaussian_verdict=gaussian_verdict,
         wall_time=time.perf_counter() - t0,
+        cutoff=arena.cutoff,
     )
 
 
@@ -322,9 +327,9 @@ def _grid_splitter(i: int, n: int) -> ModeUnitary:
     return beam_splitter_matrix(theta, phi0, phi1)
 
 
-def _run_one(cfg: CampaignConfig, index: int, child_seed) -> tuple[TrialRecord, int]:
-    """Run trial `index`, retrying at larger cutoffs on truncation overflow.
-    Returns the record and the number of retries it took."""
+def _run_one(cfg: CampaignConfig, index: int, child_seed) -> TrialRecord:
+    """Run trial `index`, retrying at larger cutoffs on truncation overflow;
+    the record carries the cutoff it ran at and the retries it took."""
     for attempt in range(RETRY_BUDGET + 1):
         rng = np.random.default_rng(child_seed)
         ens = cfg.manual_ensemble
@@ -343,7 +348,7 @@ def _run_one(cfg: CampaignConfig, index: int, child_seed) -> tuple[TrialRecord, 
                 unitary_source=cfg.unitary_source, ppt_tol=cfg.ppt_tol,
                 leak_tol=cfg.leak_tol,
             )
-            return record, attempt
+            return replace(record, attempts=attempt)
         except TruncationError:
             if attempt == RETRY_BUDGET:
                 raise
@@ -378,13 +383,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 outcomes = list(pool.map(work, range(cfg.n_trials)))
 
     findings = []
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, TruncationError):
+    for i, record in enumerate(outcomes):
+        if isinstance(record, TruncationError):
             overflow_failures.append({"trial": i, "kind": "truncation_overflow",
-                                      "detail": str(outcome)})
+                                      "detail": str(record)})
             continue
-        record, attempts = outcome
-        retried += 1 if attempts else 0
+        retried += 1 if record.attempts else 0
         results[i] = record
         if record.ensemble_closure != "pass":
             findings.append({"trial": i, "kind": "closure_breach_critical",

@@ -344,6 +344,23 @@ def test_verify_honours_leak_tol_in_trials(tmp_path):
     assert json.loads((out / "report.json").read_text())["n_retried"] == 0
 
 
+def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
+    # a 3-mode config whose bound overflows cutoff 6 in some trials
+    cfg = _write_config(tmp_path, n_trials=8, seed=0, n_modes=3, cutoff=6,
+                        amplitude_bound=0.5)
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for out, threads in zip(outs, ("1", "2")):
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0
+    assert (outs[0] / "trials.jsonl").read_bytes() == (outs[1] / "trials.jsonl").read_bytes()
+    report = json.loads((outs[0] / "report.json").read_text())
+    records = [json.loads(line) for line in (outs[0] / "trials.jsonl").read_text().splitlines()]
+    assert report["n_retried"] > 0
+    assert sum(r["attempts"] > 0 for r in records) == report["n_retried"]
+    for r in records:
+        assert r["cutoff"] == 6 + theoremlab.CUTOFF_STEP * r["attempts"]
+
+
 def _child_env(**extra) -> dict:
     """Environment for a child interpreter that imports this bselab."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -17,13 +17,13 @@ from bselab.passive import (
     SUBSPACE_UNITARITY_TOL,
     VACUUM_TOL,
     ModeUnitary,
-    conjugation_residual,
     lift_unitary,
     log_unitary,
     transform_coherent_exact,
 )
 from bselab.states import coherent, vacuum
 from bselab.theoremlab import haar_unitary
+from reference import conjugation_residual
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 

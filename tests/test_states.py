@@ -13,13 +13,12 @@ from bselab.states import (
     coherent,
     coherent_leakage,
     ensemble_marginals,
-    ensemble_to_density,
     fock,
-    spec_to_density,
     squeezed_vacuum,
     thermal,
     vacuum,
 )
+from reference import ensemble_to_density, norm, spec_to_density
 
 
 def test_vacuum_is_unit_vector_at_index_zero():
@@ -27,7 +26,7 @@ def test_vacuum_is_unit_vector_at_index_zero():
     v = vacuum(arena)
     assert v.amplitudes[0] == 1.0
     assert np.abs(v.amplitudes[1:]).max() == 0.0
-    assert v.norm == 1.0
+    assert norm(v) == 1.0
     for mode in range(2):
         assert np.abs(annihilation_matrix(arena, mode) @ v.amplitudes).max() == 0.0
 
@@ -82,7 +81,7 @@ def test_coherent_leak_budget_is_a_probability():
     leak_tol = leak / 1.5
     with pytest.raises(TruncationError, match=f"{leak:.3e}"):
         coherent(FockArena(1, 8), [1.0], leak_tol=leak_tol)
-    assert coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak).norm < 1.0
+    assert norm(coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak)) < 1.0
 
 
 def test_coherent_leakage_has_no_cancellation_floor():

@@ -62,23 +62,29 @@ def test_trial_identity_unitary_keeps_diagnostics():
     assert not record.classicality.squeezing_detected
 
 
-def test_trial_eigensolves_one_full_dimension_density(monkeypatch):
-    # the PT spectrum of each bipartition and nothing else: rho_out is a
-    # weighted set of rows, PSD by construction, with no validation eigensolve
+def test_trial_eigensolves_only_on_local_supports(monkeypatch):
+    # the PT spectrum of each bipartition, on the local supports of the K
+    # output rows: a 1|2 cut at cutoff d keeps d x (d^2 or K d), so no
+    # eigensolve reaches total_dim or exceeds d^2 K
     arena = FockArena(3, 6)
-    ens = random_classical_ensemble(4, 3, 4, 0.3)
-    full_dim = []
+    sizes = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        if a.shape[-1] == arena.total_dim:
-            full_dim.append(a.shape)
+        sizes.append(a.shape[-1])
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    record = run_theorem_trial(ens, haar_unitary(3, np.random.default_rng(4)), arena)
-    assert len(record.entanglement_reports) == len(bipartitions(3)) == 3
-    assert len(full_dim) == len(bipartitions(3))
+    rng = np.random.default_rng(4)
+    for k in range(1, 5):
+        sizes.clear()
+        alphas = 0.3 * np.exp(2j * np.pi * rng.uniform(size=(k, 3)))
+        ens = CoherentEnsemble(3, rng.dirichlet(np.ones(k)), alphas)
+        record = run_theorem_trial(ens, haar_unitary(3, rng), arena)
+        assert len(record.entanglement_reports) == len(bipartitions(3)) == 3
+        assert arena.total_dim not in sizes
+        assert max(sizes) <= arena.cutoff**2 * k
+        assert sizes.count(arena.cutoff**2 * k) == 3
 
 
 def test_trial_single_component_runs_gaussian_oracle():

@@ -21,8 +21,8 @@ from bselab.witnesses import (
     mandel_q,
     min_quadrature_variance,
     negativity_report,
-    quadrature_variance,
 )
+from reference import dense_pt_eigenvalues, quadrature_variance, to_density
 
 
 def _bell(arena):
@@ -101,6 +101,60 @@ def test_product_mixture_has_psd_partial_transpose():
         assert report.negativity == 0.0
 
 
+@st.composite
+def _row_mixtures(draw):
+    """K weighted rows on 2 modes (never compressed) or 3 modes at a cutoff
+    where K < cutoff compresses a 1|2 cut and K >= cutoff does not. Rows are
+    random vectors, lifted Fock states (entangled) or exact coherent
+    outputs (separable); some rows repeat and some weights are 0."""
+    n_modes = draw(st.sampled_from((2, 3, 3)))
+    cutoff = draw(st.integers(3, 5) if n_modes == 2 else st.integers(3, 4))
+    k = draw(st.integers(1, cutoff + 2))
+    kind = draw(st.sampled_from(("random", "fock", "coherent")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arena = FockArena(n_modes, cutoff)
+    if kind == "random":
+        z = rng.standard_normal((k, arena.total_dim)) + 1j * rng.standard_normal(
+            (k, arena.total_dim))
+        rows = z / np.linalg.norm(z, axis=1, keepdims=True)
+    elif kind == "fock":
+        rows = np.array([
+            lift_unitary(haar_unitary(n_modes, rng), arena).matrix
+            @ fock(arena, rng.integers(0, cutoff, n_modes)).amplitudes
+            for _ in range(k)
+        ])
+    else:
+        alphas = 0.4 * np.exp(2j * np.pi * rng.uniform(size=(k, n_modes)))
+        rows = transform_coherent_exact(haar_unitary(n_modes, rng), alphas, arena)
+    repeats = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rows = rows[repeats]  # rank-deficient: repeated rows
+    weights = rng.dirichlet(np.ones(k))
+    if k > 1 and draw(st.booleans()):
+        weights[repeats[0]] = 0.0
+        weights /= weights.sum()
+    part_a = draw(st.sampled_from(bipartitions(n_modes)))[0]
+    return Mixture(arena, weights, rows, leak_tol=1.0), part_a
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=_row_mixtures())
+def test_compressed_pt_matches_dense_reference(case):
+    state, part_a = case
+    arena, k = state.arena, state.weights.size
+    part_b = tuple(m for m in range(arena.n_modes) if m not in part_a)
+    for a, b in ((part_a, part_b), (part_b, part_a)):
+        dense = dense_pt_eigenvalues(state.weights, state.rows, arena, a)
+        report = negativity_report(state, (a, b))
+        assert abs(report.min_pt_eigenvalue - dense[0]) <= 1e-13
+        assert abs(report.negativity - max(0.0, -dense[dense < 0].sum())) <= 1e-13
+        dense_verdict = "entangled" if dense[0] < -PPT_TOL else "separable_by_ppt_nonviolation"
+        assert report.verdict == dense_verdict
+        d_a, d_b = arena.cutoff ** len(a), arena.cutoff ** len(b)
+        if k * d_b < d_a or k * d_a < d_b:  # the compressed space is proper
+            assert report.min_pt_eigenvalue <= 0.0
+
+
 # per mode count, a campaign cutoff and (to 0.05) the largest amplitude bound
 # a campaign config accepts there: coherent leakage within the leak budget
 EDGE_SHAPES = {2: (10, 1.1), 3: (6, 0.55)}
@@ -148,44 +202,44 @@ def test_classical_output_is_ppt_and_poissonian(case):
     # is the Q of one coherent state at the bound. At these edge bounds that
     # floor lies far below -WITNESS_TOL (-3.5e-5 at cutoff 10, |alpha| 1.1).
     cutoff = state.arena.cutoff
-    floor = min(0.0, mandel_q(coherent(FockArena(1, cutoff), [bound]).to_density(), 0))
+    floor = min(0.0, mandel_q(to_density(coherent(FockArena(1, cutoff), [bound])), 0))
     for marginal in state.marginals():
         assert mandel_q(marginal, 0) >= floor - WITNESS_TOL
 
 
 def test_mandel_q_reference_states():
-    assert mandel_q(coherent(FockArena(1, 25), [1.0]).to_density(), 0) == pytest.approx(
+    assert mandel_q(to_density(coherent(FockArena(1, 25), [1.0])), 0) == pytest.approx(
         0.0, abs=1e-8
     )
-    assert mandel_q(fock(FockArena(1, 4), (1,)).to_density(), 0) == pytest.approx(-1.0)
+    assert mandel_q(to_density(fock(FockArena(1, 4), (1,))), 0) == pytest.approx(-1.0)
     assert mandel_q(thermal(FockArena(1, 30), 1.0), 0) == pytest.approx(1.0, abs=1e-6)
     # vacuum convention: 0/0 defined as 0
-    assert mandel_q(vacuum(FockArena(1, 4)).to_density(), 0) == 0.0
+    assert mandel_q(to_density(vacuum(FockArena(1, 4))), 0) == 0.0
 
 
 def test_mandel_q_on_multimode_reduction():
     arena = FockArena(2, 4)
-    rho = fock(arena, (1, 0)).to_density()
+    rho = to_density(fock(arena, (1, 0)))
     assert mandel_q(rho, 0) == pytest.approx(-1.0)
     assert mandel_q(rho, 1) == 0.0
 
 
 def test_quadrature_variance_reference_states():
-    vac = vacuum(FockArena(1, 6)).to_density()
+    vac = to_density(vacuum(FockArena(1, 6)))
     for theta in (0.0, 0.7, 2.1):
         assert quadrature_variance(vac, 0, theta) == pytest.approx(0.5, abs=1e-12)
 
-    coh = coherent(FockArena(1, 25), [0.8 - 0.5j]).to_density()
+    coh = to_density(coherent(FockArena(1, 25), [0.8 - 0.5j]))
     assert quadrature_variance(coh, 0, 1.3) == pytest.approx(0.5, abs=1e-8)
 
-    sq = squeezed_vacuum(FockArena(1, 30), 0.5, 0.0).to_density()
+    sq = to_density(squeezed_vacuum(FockArena(1, 30), 0.5, 0.0))
     assert quadrature_variance(sq, 0, 0.0) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
     assert min_quadrature_variance(sq, 0) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
 
 
 def test_min_variance_tracks_squeezing_phase():
     for theta_s in (0.0, 0.9, 2.5):
-        sq = squeezed_vacuum(FockArena(1, 30), 0.4, theta_s).to_density()
+        sq = to_density(squeezed_vacuum(FockArena(1, 30), 0.4, theta_s))
         assert quadrature_variance(sq, 0, theta_s / 2) == pytest.approx(
             np.exp(-0.8) / 2, abs=1e-6
         )
@@ -199,16 +253,16 @@ def test_classicality_report_flags():
     arena1 = FockArena(1, 30)
     sq = np.kron(squeezed_vacuum(arena1, 0.5).amplitudes,
                  squeezed_vacuum(arena1, 0.0).amplitudes)
-    report = classicality_report(_marginals(StateVector(FockArena(2, 30), sq).to_density()))
+    report = classicality_report(_marginals(to_density(StateVector(FockArena(2, 30), sq))))
     assert report.squeezing_detected
     assert not report.sub_poissonian_detected
 
-    single_photon = fock(FockArena(2, 4), (1, 0)).to_density()
+    single_photon = to_density(fock(FockArena(2, 4), (1, 0)))
     report = classicality_report(_marginals(single_photon))
     assert report.sub_poissonian_detected
     assert report.mandel_q[0] == pytest.approx(-1.0)
 
-    coh = coherent(FockArena(2, 20), [0.5, 0.2]).to_density()
+    coh = to_density(coherent(FockArena(2, 20), [0.5, 0.2]))
     report = classicality_report(_marginals(coh))
     assert not report.squeezing_detected
     assert not report.sub_poissonian_detected
