@@ -30,7 +30,6 @@ from .passive import (
     ModeUnitary,
     beam_splitter_matrix,
     lift_unitary,
-    log_unitary,
     transform_coherent_exact,
     transform_ensemble,
 )

@@ -279,7 +279,10 @@ def cmd_verify(args) -> int:
             fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
     report_path = out_dir / "report.json"
     write_json(report_path, summary.to_json_dict())
-    write_manifest(out_dir, summary.config_echo, {"total": elapsed},
+    times = [r.wall_time for r in summary.records]  # completed trials, last attempt
+    trials = {"count": len(times), "total": sum(times), "max": max(times, default=None),
+              "p50": float(np.median(times)) if times else None}
+    write_manifest(out_dir, summary.config_echo, {"total": elapsed, "trials": trials},
                    [str(report_path), str(trials_path)], workers=cfg.threads)
 
     flagged = {f["trial"] for f in summary.findings}

@@ -79,11 +79,6 @@ class FockArena:
         """Total photon number of every basis state, length total_dim."""
         return self.occupation_table().sum(axis=1)
 
-    def photon_sector_indices(self) -> dict[int, np.ndarray]:
-        """Basis indices grouped by total photon number."""
-        totals = self.total_photon_numbers()
-        return {int(n): np.flatnonzero(totals == n) for n in np.unique(totals)}
-
     def subspace_indices(self, max_total_photons: int) -> np.ndarray:
         """Indices of basis states with total photon number <= the bound."""
         return np.flatnonzero(self.total_photon_numbers() <= max_total_photons)
@@ -195,7 +190,7 @@ class Mixture:
     """A full-space state sum_i w_i |psi_i><psi_i| held as read-only copies
     of its finite, non-negative weights and its pure amplitude rows.
 
-    It is PSD by construction, so the one check is the truncation leak
+    It is PSD by construction, so the one check is the truncation ``leak``
     1 - sum_i w_i ||psi_i||^2 (sum_i w_i (1 - ||psi_i||^2) for weights that
     sum to 1).  No code forms its dim x dim matrix: ``marginals`` works on
     the rows, and ``witnesses.negativity_report`` takes the partial-transpose
@@ -206,6 +201,7 @@ class Mixture:
     weights: np.ndarray
     rows: np.ndarray
     leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
+    leak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -220,7 +216,8 @@ class Mixture:
         kept = float(w @ np.sum(np.abs(rows) ** 2, axis=1))
         if kept > 1.0 + 1e-12:
             raise ValueError(f"trace {kept} exceeds 1")
-        _check_leak(1.0 - kept, self.leak_tol)
+        object.__setattr__(self, "leak", 1.0 - kept)
+        _check_leak(self.leak, self.leak_tol)
 
     def marginals(self) -> tuple[DensityOperator, ...]:
         """Single-mode reduced states in mode order: sum_i w_i A_i A_i^dag,

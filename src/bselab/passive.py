@@ -2,15 +2,15 @@
 
 A passive transformation is fixed by an n x n unitary M acting on the mode
 annihilation operators, U c_j U^{-1} = sum_k M_{jk} c_k.  The Fock-space
-operator is the exponential lift U = exp(-sum_{jk} (ln M)_{jk} c_j^dag c_k)
-with the principal matrix logarithm; it leaves the vacuum invariant and,
-because the generator conserves total photon number, is exactly unitary and
-block-diagonal over photon-number sectors even after truncation.
+operator U conserves total photon number; its block on sector n is the
+symmetric power Sym^n of the mode map, <s|U|t> = Per(conj(M)[t, s]) /
+sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 
-One sector core, ``_sector_generator``, builds each sector block of that
-generator from ln M and the sector's occupation table: ``lift_unitary`` feeds
-it the arena's clipped sectors, ``transform_coherent_exact`` full sectors
-whose exponentials it applies to a batch of coherent states at once.
+One builder, ``_sector_blocks``, forms those blocks column by column from
+U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
+to choose at eigenphases +-pi), no exponential.  ``transform_coherent_exact``
+applies full sectors to coherent states and projects afterwards;
+``lift_unitary`` is P U P, the exact lift projected onto the arena.
 
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
@@ -20,17 +20,16 @@ form is the truncation-free fast path for classical ensembles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .hilbert import FockArena
 from .states import CoherentEnsemble, _coherent_column
 
 UNITARITY_TOL = 1e-12
-LOG_ROUNDTRIP_TOL = 1e-10
 VACUUM_TOL = 1e-10
 SUBSPACE_UNITARITY_TOL = 1e-8
 #: Poisson tail probability past which the exact transform drops a sector
@@ -85,26 +84,9 @@ def beam_splitter_matrix(theta: float, phi0: float = 0.0, phi1: float = 0.0) -> 
     return mu
 
 
-def log_unitary(m: ModeUnitary) -> np.ndarray:
-    """Anti-Hermitian principal logarithm L of a unitary, exp(L) = M.
-
-    Computed from the complex Schur form (diagonal for a normal matrix, and
-    stable under eigenvalue degeneracy) with eigenphases taken in (-pi, pi],
-    tie-broken to +pi.
-    """
-    t, z = scipy.linalg.schur(m.matrix, output="complex")
-    phases = np.angle(np.diagonal(t))  # np.angle lands in (-pi, pi]
-    log = (z * (1j * phases)) @ z.conj().T
-    roundtrip = (z * np.exp(1j * phases)) @ z.conj().T
-    dev = float(np.abs(roundtrip - m.matrix).max())
-    if dev > LOG_ROUNDTRIP_TOL:
-        raise ValueError(f"matrix logarithm round trip failed: deviation {dev:.3e}")
-    return (log - log.conj().T) / 2.0
-
-
 @dataclass(frozen=True)
 class LiftedUnitary:
-    """The Fock-space operator of a ModeUnitary on a truncated arena."""
+    """P U P: a ModeUnitary's Fock-space operator projected onto an arena."""
 
     arena: FockArena
     matrix: np.ndarray
@@ -118,44 +100,63 @@ class LiftedUnitary:
         return self.matrix @ amplitudes
 
 
-def _sector_generator(log: np.ndarray, occupations: np.ndarray) -> np.ndarray:
-    """The matrix of -sum_{jk} L_{jk} c_j^dag c_k on one photon-number sector.
-
-    ``occupations`` lists the sector's occupation tuples, one per row, in
-    lexicographic order (the order a FockArena lists them).  A hop
-    c_j^dag c_k whose target tuple is not in the table is dropped, which is
-    what the truncated ladder operators do at the cutoff.
+@functools.lru_cache(maxsize=None)
+def _sector_plan(n_modes: int, top: int) -> tuple:
+    """The vacuum tuple, and (occ, rows, sqrt_s, parent, mode, inv_sqrt_t)
+    per sector 1..top: ``rows[k]`` is the position of s - e_k in the sector
+    below (0 where s_k = 0); column t lowers its most occupied mode j (first
+    on ties), which keeps the blocks unitary to roundoff (1e-14 at 2-mode
+    sector 60, where lowering the first occupied mode drifts to 3e-9).
     """
-    eye = np.eye(log.shape[0], dtype=int)
-    # (q, j, k): c_j^dag c_k |t_q> = sqrt(t_k (t_j + 1 - delta_jk)) |t_q - e_k + e_j>
-    amp = np.sqrt(occupations[:, None, :] * (occupations[:, :, None] + 1 - eye))
-    q, j, k = np.nonzero(amp)
-    dims = (int(occupations.max(initial=0)) + 2,) * log.shape[0]
-    keys = np.ravel_multi_index(occupations.T, dims)
-    target_keys = np.ravel_multi_index((occupations[q] + eye[j] - eye[k]).T, dims)
-    pos = np.minimum(np.searchsorted(keys, target_keys), keys.size - 1)
-    hit = keys[pos] == target_keys
-    gen = np.zeros((keys.size, keys.size), dtype=complex)
-    np.add.at(gen, (pos[hit], q[hit]), -(log[j, k] * amp[q, j, k])[hit])
-    return gen
+    table = FockArena(n_modes, top + 1).occupation_table()
+    sectors = [table[table.sum(axis=1) == n] for n in range(top + 1)]
+    eye = np.eye(n_modes, dtype=int)
+    steps = []
+    for below, occ in zip(sectors, sectors[1:]):
+        where = {tuple(t): i for i, t in enumerate(below)}
+        mode = occ.argmax(axis=1)
+        rows = np.array([[where.get(tuple(s - e), 0) for s in occ] for e in eye])
+        parent = np.array([where[tuple(t - eye[j])] for t, j in zip(occ, mode)])
+        steps.append((occ, rows, np.sqrt(occ.T), parent, mode,
+                      1.0 / np.sqrt(occ[np.arange(len(occ)), mode])))
+    for array in (sectors[0], *(a for step in steps for a in step)):
+        array.setflags(write=False)
+    return sectors[0], tuple(steps)
+
+
+def _sector_blocks(matrix: np.ndarray, top: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sectors 0..top of the Fock-space lift of the mode matrix, each as its
+    occupation tuples (lexicographic, as a FockArena lists them) and its
+    full block <s|U|t>, built from U|0> = |0> by
+        U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
+    """
+    conj = np.conj(matrix)
+    vacuum, steps = _sector_plan(len(matrix), top)
+    block = np.ones((1, 1), dtype=complex)
+    out = [(vacuum, block)]
+    for occ, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
+        # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>
+        parents = block[:, parent]
+        coef = conj[mode].T * inv_sqrt_t
+        block = sum(s[:, None] * parents[r] * c for r, s, c in zip(rows, sqrt_s, coef))
+        out.append((occ, block))
+    return out
 
 
 def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
-    """exp(-sum_{jk} (ln M)_{jk} c_j^dag c_k) as a dense matrix.
-
-    The generator is block-diagonal over total-photon-number sectors, so the
-    exponential is taken sector by sector; sectors whose occupation tuples
-    all fit under the cutoff are exact, truncation only clips the boundary
-    sectors, whose blocks stay exactly unitary.
-    """
+    """P U P: the full-sector blocks up to n_modes*(cutoff-1), restricted to
+    the arena's occupation tuples.  Sectors below the cutoff fit whole and
+    stay unitary; the clipped ones above it are contractions, so a row loses
+    at most its own weight there."""
     if m.n_modes != arena.n_modes:
         raise ValueError("mode count mismatch between unitary and arena")
-    log = log_unitary(m)
-    table = arena.occupation_table()
     dim = arena.total_dim
+    shape = (arena.cutoff,) * arena.n_modes
     matrix = np.zeros((dim, dim), dtype=complex)
-    for idx in arena.photon_sector_indices().values():
-        matrix[np.ix_(idx, idx)] = scipy.linalg.expm(_sector_generator(log, table[idx]))
+    for occ, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1)):
+        kept = occ.max(axis=1) < arena.cutoff
+        index = np.ravel_multi_index(occ[kept].T, shape)
+        matrix[np.ix_(index, index)] = block[np.ix_(kept, kept)]
 
     lifted = LiftedUnitary(arena, matrix)
     vac_dev = float(np.abs(matrix[:, 0] - np.eye(dim)[:, 0]).max())
@@ -187,12 +188,12 @@ def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.nda
 
     ``alphas`` has shape ``(..., n_modes)``, the result ``(..., total_dim)``.
 
-    The lift generator conserves total photon number, so the operator is
-    exact on every full sector; evaluating it sector by sector (each state
-    up to its own sector bound, where the Poissonian tail drops below
-    ``SECTOR_TAIL_EPS``) avoids the boundary-clipping artifacts of the dense
-    truncated lift, whose error near the cutoff would otherwise swamp tight
-    PPT diagnostics.
+    The lift conserves total photon number, so it is exact on every full
+    sector.  Evaluating it sector by sector on the untruncated coherent
+    state (each state up to its own sector bound, where the Poissonian tail
+    drops below ``SECTOR_TAIL_EPS``) and projecting afterwards gives
+    P U|alpha>; the dense P U P on a truncated input would miss the
+    amplitude that U carries into the arena from outside it.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape[-1] != arena.n_modes:
@@ -202,18 +203,12 @@ def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.nda
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = int(n_max.max())
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
-    log = log_unitary(m)
-    full = FockArena(arena.n_modes, top + 1)
-    table = full.occupation_table()
 
     out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
-    for n, idx in full.photon_sector_indices().items():
-        if n > top:
-            break
-        occ = table[idx]
+    for n, (occ, block) in enumerate(_sector_blocks(m.matrix, top)):
         amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
         amps[n_max < n] = 0.0
-        transformed = amps @ scipy.linalg.expm(_sector_generator(log, occ)).T
+        transformed = amps @ block.T
         kept = occ.max(axis=1) < arena.cutoff
         index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
         out[:, index] = transformed[:, kept]

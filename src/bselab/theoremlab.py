@@ -107,6 +107,7 @@ class TrialRecord:
     gaussian_verdict: Optional[dict]
     wall_time: float
     cutoff: int
+    leak: float  # route 2's 1 - sum_i w_i ||psi_i||^2 at this cutoff
     attempts: int = 0  # retries at a larger cutoff before this record
 
     def to_json_dict(self) -> dict:
@@ -115,6 +116,7 @@ class TrialRecord:
         return {
             "seed": self.seed,
             "cutoff": self.cutoff,
+            "leak": self.leak,
             "attempts": self.attempts,
             "input": self.input_description,
             "unitary": self.unitary_description,
@@ -226,6 +228,7 @@ def run_theorem_trial(
         gaussian_verdict=gaussian_verdict,
         wall_time=time.perf_counter() - t0,
         cutoff=arena.cutoff,
+        leak=rho_out.leak,
     )
 
 

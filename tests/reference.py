@@ -8,6 +8,9 @@ that a test can compare the package's result with the textbook one.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from bselab.hilbert import (
@@ -100,3 +103,26 @@ def dense_pt_eigenvalues(weights, rows, arena: FockArena, part_a) -> np.ndarray:
     for m in part_a:
         tensor = np.swapaxes(tensor, m, n + m)
     return np.linalg.eigvalsh(tensor.reshape(rho.shape))
+
+
+def permanent_block(matrix: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """<s|U|t> = Per(conj(M)[t, s]) / sqrt(t! s!) over the occupation tuples
+    of one photon-number sector (Scheel, quant-ph/0406127), row j of conj(M)
+    repeated t_j times and column k repeated s_k times.
+
+    The permanent is summed over every permutation, so keep to sectors of at
+    most about 5 photons.
+    """
+    occupations = np.asarray(occupations)
+    n = int(occupations[0].sum())
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    modes = [np.repeat(np.arange(occupations.shape[1]), occ) for occ in occupations]
+    norms = [math.prod(math.factorial(int(k)) for k in occ) for occ in occupations]
+    conj = np.conj(np.asarray(matrix))
+    out = np.empty((len(occupations),) * 2, dtype=complex)
+    for a, (rows_s, norm_s) in enumerate(zip(modes, norms)):
+        for b, (rows_t, norm_t) in enumerate(zip(modes, norms)):
+            sub = conj[np.ix_(rows_t, rows_s)]
+            per = sub[np.arange(n), perms].prod(axis=1).sum()
+            out[a, b] = per / math.sqrt(norm_s * norm_t)
+    return out

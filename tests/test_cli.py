@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from bselab import cli, theoremlab
+from bselab.hilbert import LEAK_TOL, FockArena
+from bselab.passive import ModeUnitary, transform_coherent_exact
 from bselab.states import CoherentEnsemble
 from bselab.witnesses import PPT_TOL
 
@@ -359,6 +361,16 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
     assert sum(r["attempts"] > 0 for r in records) == report["n_retried"]
     for r in records:
         assert r["cutoff"] == 6 + theoremlab.CUTOFF_STEP * r["attempts"]
+        # the leak route 2 saw, recomputed from the record's own rows
+        weights = np.array(r["input"]["weights"])
+        alphas = np.array(r["input"]["alphas"]) @ [1.0, 1.0j]
+        m = ModeUnitary(np.array(r["unitary"]["matrix"]) @ [1.0, 1.0j])
+        rows = transform_coherent_exact(m, alphas, FockArena(3, r["cutoff"]))
+        assert r["leak"] == 1.0 - float(weights @ np.sum(np.abs(rows) ** 2, axis=1))
+        assert r["leak"] <= LEAK_TOL
+    trials = json.loads((outs[0] / "manifest.json").read_text())["timings_seconds"]["trials"]
+    assert trials["count"] == len(records) == 8
+    assert 0.0 < trials["p50"] <= trials["max"] <= trials["total"]
 
 
 def _child_env(**extra) -> dict:
@@ -370,6 +382,13 @@ def _child_env(**extra) -> dict:
 
 def test_cli_import_does_not_load_scipy_stats():
     probe = "import sys, bselab.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    probe = "import sys, bselab.cli; print('scipy.linalg' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"

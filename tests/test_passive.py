@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from bselab.hilbert import FockArena, annihilation_matrix
 from bselab.passive import (
     ModeUnitary,
     beam_splitter_matrix,
     lift_unitary,
-    log_unitary,
     transform_coherent_exact,
     transform_ensemble,
 )
@@ -49,28 +47,6 @@ def test_beam_splitter_det_one_random_triples():
         theta, phi0, phi1 = rng.uniform(-np.pi, np.pi, 3)
         det = np.linalg.det(beam_splitter_matrix(theta, phi0, phi1).matrix)
         assert abs(det - 1.0) <= 1e-12
-
-
-def test_log_unitary_identity_and_principal_branch():
-    assert np.abs(log_unitary(ModeUnitary(np.eye(3)))).max() <= 1e-14
-    m = ModeUnitary(np.diag([1j, -1j]))
-    log = log_unitary(m)
-    assert np.abs(log - np.diag([1j * np.pi / 2, -1j * np.pi / 2])).max() <= 1e-14
-
-
-def test_log_unitary_tie_break_at_pi():
-    log = log_unitary(ModeUnitary(-np.eye(2)))
-    phases = np.imag(np.diag(log))
-    assert np.allclose(phases, np.pi)
-
-
-def test_log_unitary_round_trip_random():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = haar_unitary(3, rng)
-        log = log_unitary(m)
-        assert np.abs(log + log.conj().T).max() <= 1e-12  # anti-Hermitian
-        assert np.abs(scipy.linalg.expm(log) - m.matrix).max() <= 1e-10
 
 
 def test_lift_identity_is_identity():
@@ -121,7 +97,9 @@ def test_conjugation_residual_blows_up_at_boundary():
     assert np.abs(conj - target).max() > 1e-2
 
 
-def test_lifted_row_preserves_vacuum_and_norm():
+def test_lifted_row_keeps_vacuum_and_loses_only_clipped_weight():
+    # P U P is unitary on the sectors below the cutoff and a contraction on
+    # the clipped ones, so a row loses at most its weight in those sectors
     arena = FockArena(2, 8)
     u = lift_unitary(beam_splitter_matrix(0.7, 0.2, 0.9), arena)
     vac = vacuum(arena).amplitudes
@@ -129,7 +107,10 @@ def test_lifted_row_preserves_vacuum_and_norm():
 
     psi = coherent(arena, [0.6, -0.2 + 0.4j])
     out = u.matrix @ psi.amplitudes
-    assert abs(np.linalg.norm(out) ** 2 - norm(psi) ** 2) <= 1e-10
+    loss = norm(psi) ** 2 - np.linalg.norm(out) ** 2
+    clipped = float(np.sum(np.abs(psi.amplitudes[arena.total_photon_numbers() >= 8]) ** 2))
+    assert clipped > 0.0
+    assert -1e-14 <= loss <= clipped + 1e-14
 
 
 def test_lifted_single_photon_row_is_bell_like():

@@ -1,29 +1,29 @@
-"""Property tests for the photon-number-sector core shared by the Fock lift
-(`lift_unitary`) and the exact coherent transform (`transform_coherent_exact`).
+"""Property tests for the photon-number-sector builder shared by the Fock
+lift (`lift_unitary`) and the exact coherent transform
+(`transform_coherent_exact`).
 
 Unitaries are Haar draws and degenerate cases: +-I, mode permutations and
-eigenphases at +-pi (both branches of the principal logarithm).
+eigenphases at +-pi, each also in a rotated eigenbasis.
 """
 
 import itertools
 
 import numpy as np
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bselab.hilbert import FockArena, annihilation_matrix
+from bselab.hilbert import FockArena
 from bselab.passive import (
     SUBSPACE_UNITARITY_TOL,
     VACUUM_TOL,
     ModeUnitary,
+    _sector_blocks,
     lift_unitary,
-    log_unitary,
     transform_coherent_exact,
 )
 from bselab.states import coherent, vacuum
 from bselab.theoremlab import haar_unitary
-from reference import conjugation_residual
+from reference import conjugation_residual, permanent_block
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -59,24 +59,32 @@ amplitudes = st.one_of(
 )
 
 
-def _dense_ladder_lift(m: ModeUnitary, arena: FockArena) -> np.ndarray:
-    """Reference lift: the generator from dense truncated ladder products,
-    exponentiated block by block over the arena's photon-number sectors."""
-    log = log_unitary(m)
-    ladders = [annihilation_matrix(arena, k) for k in range(arena.n_modes)]
-    gen = -sum(
-        log[j, k] * (ladders[j].conj().T @ ladders[k])
-        for j in range(arena.n_modes)
-        for k in range(arena.n_modes)
-    )
-    out = np.zeros_like(gen)
-    for idx in arena.photon_sector_indices().values():
-        out[np.ix_(idx, idx)] = scipy.linalg.expm(gen[np.ix_(idx, idx)])
-    return out
+def _unitarity_dev(block: np.ndarray) -> float:
+    return float(np.abs(block.conj().T @ block - np.eye(len(block))).max())
 
 
 @PROPERTY
-@given(st.sampled_from([(2, 7), (3, 5)]).flatmap(
+@given(st.sampled_from([2, 3]).flatmap(unitaries))
+def test_sector_blocks_match_permanent_reference(m):
+    table = FockArena(m.n_modes, 6).occupation_table()
+    for n, (occ, block) in enumerate(_sector_blocks(m.matrix, 5)):
+        assert np.array_equal(occ, table[table.sum(axis=1) == n])
+        assert np.abs(block - permanent_block(m.matrix, occ)).max() <= 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 42), (3, 24)]).flatmap(
+    lambda shape: st.tuples(st.just(shape[1]), unitaries(shape[0]))))
+def test_sector_blocks_stay_unitary_on_big_sectors(case):
+    # the column recursion lowers the most occupied mode; lowering the first
+    # occupied one instead drifts past 1e-12 on sectors this big
+    top, m = case
+    for _, block in _sector_blocks(m.matrix, top):
+        assert _unitarity_dev(block) <= 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 4), (2, 7), (3, 5)]).flatmap(
     lambda shape: st.tuples(st.just(shape), unitaries(shape[0]))))
 def test_lift_properties(case):
     (n_modes, cutoff), m = case
@@ -87,9 +95,19 @@ def test_lift_properties(case):
     assert np.abs(u.apply_to_vector(vac) - vac).max() <= VACUUM_TOL
     for mode in range(n_modes):
         assert conjugation_residual(u, m, mode) <= SUBSPACE_UNITARITY_TOL
-    # boundary sectors included: the clipped blocks stay exactly unitary
-    assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(arena.total_dim)).max() <= 1e-12
-    assert np.abs(u.matrix - _dense_ladder_lift(m, arena)).max() <= 1e-12
+    totals = arena.total_photon_numbers()
+    assert not np.any(u.matrix[totals[:, None] != totals[None, :]])
+    table = arena.occupation_table()
+    for n in range(n_modes * (cutoff - 1) + 1):
+        idx = np.flatnonzero(totals == n)
+        block = u.matrix[np.ix_(idx, idx)]
+        if n <= 5:
+            # P U P: the full-sector block restricted to the arena's tuples
+            assert np.abs(block - permanent_block(m.matrix, table[idx])).max() <= 1e-12
+        if n <= cutoff - 1:
+            assert _unitarity_dev(block) <= 1e-12
+        else:
+            assert np.linalg.norm(block, 2) <= 1.0 + 1e-12
 
 
 @PROPERTY
