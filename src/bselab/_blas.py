@@ -1,4 +1,4 @@
-"""Pin the OpenBLAS builds that numpy and scipy load to one thread.
+"""Pin the OpenBLAS that numpy loads to one thread.
 
 bselab parallelises only through a campaign's `threads` workers. An OpenBLAS
 pool under them oversubscribes the cores, and its thread count changes the
@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 #: extension modules that carry bselab's BLAS/LAPACK calls; dlsym on their
 #: handles resolves through their dependencies to the OpenBLAS they load
-_CARRIERS = ("numpy.linalg._umath_linalg", "scipy.linalg._flapack")
+_CARRIERS = ("numpy.linalg._umath_linalg",)
 
 
 class _OpenBLAS(NamedTuple):
@@ -30,9 +30,10 @@ class _OpenBLAS(NamedTuple):
 
 @cache
 def _openblas() -> tuple[_OpenBLAS, ...]:
-    """Each loaded OpenBLAS once. scipy-openblas wheels export
-    `scipy_openblas_*` (suffixed `64_` in numpy's 64-bit-integer build) from
-    `libscipy_openblas*`; a system build exports `openblas_*`."""
+    """Each loaded OpenBLAS once. numpy wheels bundle a scipy-openblas
+    build, which exports `scipy_openblas_*` (suffixed `64_` in the
+    64-bit-integer build) from `libscipy_openblas*`; a system build exports
+    `openblas_*`."""
     found = {}
     for carrier in _CARRIERS:
         try:

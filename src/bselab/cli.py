@@ -64,6 +64,8 @@ def parse_ensemble(entries) -> CoherentEnsemble:
         raise ConfigError("ensemble must be a non-empty list of components")
     weights, alphas = [], []
     for comp in entries:
+        if not isinstance(comp, dict):
+            raise ConfigError("each ensemble component must be an object")
         unknown = set(comp) - {"weight", "alphas"}
         if unknown:
             raise ConfigError(f"unknown ensemble component fields: {sorted(unknown)}")
@@ -77,9 +79,10 @@ def parse_ensemble(entries) -> CoherentEnsemble:
             )
         rows = comp.get("alphas")
         if not isinstance(rows, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in rows
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(x, (int, float)) for x in p) for p in rows
         ):
-            raise ConfigError("alphas must be a list of [re, im] pairs")
+            raise ConfigError("alphas must be a list of numeric [re, im] pairs")
         weights.append(float(w))
         alphas.append([complex(p[0], p[1]) for p in rows])
     if len({len(a) for a in alphas}) != 1:
@@ -310,6 +313,13 @@ SWEEP_COLUMNS = [
 ]
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is negative")
+    return value
+
+
 def _finite_float(raw: str) -> float:
     value = float(raw)
     if not np.isfinite(value):
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--phi0", type=_finite_float, default=0.0)
     demo.add_argument("--phi1", type=_finite_float, default=0.0)
     demo.add_argument("--cutoff", type=int, default=12)
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--out", help="output directory (or $BSE_OUT_DIR)")
     demo.set_defaults(func=cmd_demo)
 

@@ -24,10 +24,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .hilbert import FockArena
-from .states import CoherentEnsemble, _coherent_column
+from .states import CoherentEnsemble, _coherent_column, _poisson_tail
 
 UNITARITY_TOL = 1e-12
 VACUUM_TOL = 1e-10
@@ -101,14 +100,18 @@ class LiftedUnitary:
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_plan(n_modes: int, top: int) -> tuple:
+def _sector_plan(n_modes: int, top: int, cutoff: int | None = None) -> tuple:
     """The vacuum tuple, and (occ, rows, sqrt_s, parent, mode, inv_sqrt_t)
     per sector 1..top: ``rows[k]`` is the position of s - e_k in the sector
     below (0 where s_k = 0); column t lowers its most occupied mode j (first
     on ties), which keeps the blocks unitary to roundoff (1e-14 at 2-mode
     sector 60, where lowering the first occupied mode drifts to 3e-9).
+
+    ``cutoff`` keeps only the tuples of a FockArena with that cutoff; None
+    keeps whole sectors.  The recursion is closed on arena tuples: s - e_k
+    and t - e_j of an arena tuple are arena tuples.
     """
-    table = FockArena(n_modes, top + 1).occupation_table()
+    table = FockArena(n_modes, top + 1 if cutoff is None else cutoff).occupation_table()
     sectors = [table[table.sum(axis=1) == n] for n in range(top + 1)]
     eye = np.eye(n_modes, dtype=int)
     steps = []
@@ -124,14 +127,17 @@ def _sector_plan(n_modes: int, top: int) -> tuple:
     return sectors[0], tuple(steps)
 
 
-def _sector_blocks(matrix: np.ndarray, top: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _sector_blocks(matrix: np.ndarray, top: int,
+                   cutoff: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sectors 0..top of the Fock-space lift of the mode matrix, each as its
     occupation tuples (lexicographic, as a FockArena lists them) and its
-    full block <s|U|t>, built from U|0> = |0> by
+    block <s|U|t>, built from U|0> = |0> by
         U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
+    Blocks are full, or with ``cutoff`` the P U P sub-blocks on the tuples
+    of a FockArena with that cutoff.
     """
     conj = np.conj(matrix)
-    vacuum, steps = _sector_plan(len(matrix), top)
+    vacuum, steps = _sector_plan(len(matrix), top, cutoff)
     block = np.ones((1, 1), dtype=complex)
     out = [(vacuum, block)]
     for occ, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
@@ -144,19 +150,19 @@ def _sector_blocks(matrix: np.ndarray, top: int) -> list[tuple[np.ndarray, np.nd
 
 
 def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
-    """P U P: the full-sector blocks up to n_modes*(cutoff-1), restricted to
-    the arena's occupation tuples.  Sectors below the cutoff fit whole and
-    stay unitary; the clipped ones above it are contractions, so a row loses
-    at most its own weight there."""
+    """P U P: the sector blocks up to n_modes*(cutoff-1) on the arena's
+    occupation tuples alone.  Sectors below the cutoff fit whole and stay
+    unitary; the clipped ones above it are contractions, so a row loses at
+    most its own weight there."""
     if m.n_modes != arena.n_modes:
         raise ValueError("mode count mismatch between unitary and arena")
     dim = arena.total_dim
     shape = (arena.cutoff,) * arena.n_modes
     matrix = np.zeros((dim, dim), dtype=complex)
-    for occ, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1)):
-        kept = occ.max(axis=1) < arena.cutoff
-        index = np.ravel_multi_index(occ[kept].T, shape)
-        matrix[np.ix_(index, index)] = block[np.ix_(kept, kept)]
+    for occ, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1),
+                                     arena.cutoff):
+        index = np.ravel_multi_index(occ.T, shape)
+        matrix[np.ix_(index, index)] = block
 
     lifted = LiftedUnitary(arena, matrix)
     vac_dev = float(np.abs(matrix[:, 0] - np.eye(dim)[:, 0]).max())
@@ -177,7 +183,7 @@ def _sector_tail_bound(mean: float) -> int:
     if mean <= 0.0:
         return 0
     n = max(1, int(mean))
-    while scipy.special.pdtrc(n - 1, mean) > SECTOR_TAIL_EPS:
+    while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
         n += 1
     return n
 

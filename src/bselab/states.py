@@ -7,9 +7,35 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from .hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector, _check_leak
+
+
+def _poisson_tail(n: int, mean: float) -> float:
+    """P(N >= n) for N ~ Poisson(mean).
+
+    Past the mean the tail is summed term by term from n upward, until a
+    term no longer changes the float sum, so a small tail keeps its
+    relative precision (1 - head sum has a floor near 1e-16).  At or below
+    the mean the tail is at least about 1/2, and 1 - the head sum, summed
+    from n - 1 downward, loses nothing.
+    """
+    if n <= 0 or mean == math.inf:
+        return 1.0
+    if mean <= 0.0:
+        return 0.0
+    k = n if n > mean else n - 1
+    term = math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
+    total = 0.0
+    while k >= 0 and total + term != total:
+        total += term
+        if n > mean:  # pmf(k + 1) = pmf(k) * mean / (k + 1)
+            k += 1
+            term *= mean / k
+        else:
+            term *= k / mean
+            k -= 1
+    return total if n > mean else 1.0 - total
 
 
 def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
@@ -17,7 +43,7 @@ def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
     the Poisson(|alpha|^2) tail P(N >= cutoff)."""
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
-    return float(scipy.special.pdtrc(cutoff - 1, abs_alpha * abs_alpha))
+    return _poisson_tail(cutoff, float(abs_alpha * abs_alpha))
 
 
 def vacuum(arena: FockArena) -> StateVector:

@@ -101,6 +101,7 @@ class TrialRecord:
     unitary_description: dict
     ensemble_closure: str  # "pass" | "fail"
     ppt_min_eigenvalue: float
+    ppt_headroom: float  # ppt_min_eigenvalue + ppt_tol: the margin above a ppt_violation
     entanglement_reports: tuple[EntanglementReport, ...]
     classicality: ClassicalityReport
     cross_pipeline_max_dev: float
@@ -122,6 +123,7 @@ class TrialRecord:
             "unitary": self.unitary_description,
             "ensemble_closure": self.ensemble_closure,
             "ppt_min_eigenvalue": self.ppt_min_eigenvalue,
+            "ppt_headroom": self.ppt_headroom,
             "bipartitions": [
                 {
                     "modes_a": list(r.bipartition[0]),
@@ -222,6 +224,7 @@ def run_theorem_trial(
         unitary_description=describe_unitary(m, unitary_source),
         ensemble_closure="pass" if closure_ok else "fail",
         ppt_min_eigenvalue=ppt_min,
+        ppt_headroom=ppt_min + ppt_tol,
         entanglement_reports=reports,
         classicality=classicality,
         cross_pipeline_max_dev=cross_dev,

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bselab import cli, theoremlab
 from bselab.hilbert import LEAK_TOL, FockArena
@@ -380,18 +385,22 @@ def _child_env(**extra) -> dict:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    probe = "import sys, bselab.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
-                            capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "False"
-
-
-def test_cli_import_does_not_load_scipy_linalg():
-    probe = "import sys, bselab.cli; print('scipy.linalg' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
-                            capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "False"
+def test_commands_do_not_load_scipy(tmp_path):
+    # bselab runs on numpy alone: no command imports any scipy module
+    cfg = _write_config(tmp_path, n_trials=1, cutoff=6, amplitude_bound=0.5)
+    ens = tmp_path / "ensemble.json"
+    ens.write_text(json.dumps({"ensemble": [{"weight": 1.0, "alphas": [[0.5, 0.1], [0.0, 0.3]]}]}))
+    runs = [["verify", "--config", str(cfg)],
+            ["sweep", "--input", "ensemble", "--config", str(ens), "--thetas", "0.3"],
+            ["demo", "vacuum"]]
+    probe = ("import json, sys; from bselab import cli; "
+             "codes = [cli.main(argv + ['--out', sys.argv[2] + str(i)]) "
+             "for i, argv in enumerate(json.loads(sys.argv[1]))]; "
+             "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(runs), str(tmp_path / "out")],
+                            env=_child_env(), capture_output=True, text=True, timeout=120,
+                            check=True)
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 def test_verify_bytes_do_not_depend_on_blas_environment(tmp_path):
@@ -426,3 +435,119 @@ def test_missing_subcommand_is_usage_error():
 
 def test_sweep_has_no_seed_option(tmp_path):
     assert cli.main(["sweep", "--seed", "5", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+
+
+# fuzzed inputs: small valid values, with one config field, one ensemble
+# entry or one option now and then set to an odd value (wrong type, sign or
+# range, or a non-finite number)
+_ODD = st.sampled_from([None, True, "2", "x", -1, 0, 1.5, 1e200,
+                        float("nan"), float("inf"), [], {}])
+_CONFIG_FIELDS = {
+    "n_trials": st.integers(0, 2),
+    "cutoff": st.sampled_from([6, 5, 4, 2, 1]),
+    "amplitude_bound": st.floats(0.01, 0.6),
+    "seed": st.integers(0, 2**64),
+    "n_modes": st.sampled_from([2, 3]),
+    "max_ensemble_components": st.integers(1, 3),
+    "unitary_source": st.sampled_from(["random_haar", "beam_splitter_grid"]),
+    "threads": st.integers(1, 2),
+    "ppt_tol": st.sampled_from([1e-8, 1e-16]),
+    "leak_tol": st.sampled_from([1e-6, 1e-3]),
+}
+
+
+@st.composite
+def _ensemble(draw):
+    n_modes = draw(st.integers(1, 3))
+    pair = st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)).map(list)
+    comps = draw(st.lists(st.fixed_dictionaries(
+        {"weight": st.floats(0.0, 1.0),
+         "alphas": st.lists(pair, min_size=n_modes, max_size=n_modes)}),
+        min_size=1, max_size=3))
+    where = draw(st.sampled_from([None, "ensemble", "component", "weight", "alphas", "pair"]))
+    odd = draw(_ODD)
+    if where == "ensemble":
+        return odd
+    if where == "component":
+        comps[0] = odd
+    elif where in ("weight", "alphas"):
+        comps[0][where] = odd
+    elif where == "pair":
+        comps[0]["alphas"][0] = draw(st.sampled_from(
+            [[3.0, 3.0], [odd, 0.0], [0.1], [0.1, 0.0, 0.0], odd]))
+    return comps
+
+
+@st.composite
+def _config_text(draw):
+    kind = draw(st.sampled_from(["object"] * 4 + ["malformed", "array", "missing"]))
+    if kind == "malformed":
+        return '{"version": 1,'
+    if kind == "array":
+        return "[1, 2]"
+    if kind == "missing":
+        return None
+    # n_trials, cutoff and amplitude_bound always present: their defaults
+    # are a 200-trial, cutoff-14 campaign at bound 1
+    required = ("n_trials", "cutoff", "amplitude_bound")
+    payload = {"version": 1, **draw(st.fixed_dictionaries(
+        {k: v for k, v in _CONFIG_FIELDS.items() if k in required},
+        optional={k: v for k, v in _CONFIG_FIELDS.items() if k not in required}))}
+    if draw(st.booleans()):
+        payload["ensemble"] = draw(_ensemble())
+    fields = ["version", "frobnicate", *_CONFIG_FIELDS]
+    odd_field = draw(st.sampled_from([None] * len(fields) + fields))
+    if odd_field is not None:
+        payload[odd_field] = draw(_ODD)
+    return json.dumps(payload)
+
+
+_INT = st.sampled_from(["6", "4", "2", "1", "0"])
+_ANGLE = st.sampled_from(["0", "0.3", "0.7853981633974483", "-1.2"])
+_OPTIONS = {
+    "verify": {"--seed": _INT, "--threads": st.sampled_from(["1", "2"]), "--cutoff": _INT},
+    "sweep": {"--cutoff": _INT, "--phi0": _ANGLE,
+              "--thetas": st.sampled_from(["", "0.3", "0,0.7853981633974483", ","]),
+              "--input": st.sampled_from(["fock", "ensemble"]),
+              "--occupations": st.sampled_from(["1,0", "0,0", "2,1", "6,0", "1", "1,0,0"])},
+    "demo": {"--cutoff": _INT, "--theta": _ANGLE, "--phi1": _ANGLE, "--seed": _INT},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "demo":
+        argv.append(draw(st.sampled_from(["vacuum", "bell", "inverse", "coherent-covariance",
+                                          "bogus"])))
+    options = {flag: draw(values) for flag, values in _OPTIONS[command].items()
+               if draw(st.booleans())}
+    odd_flag = draw(st.sampled_from([None] * 8 + sorted(_OPTIONS[command])))
+    if odd_flag is not None:
+        options[odd_flag] = draw(st.sampled_from(["-1", "x", "1.5", "nan", "inf", "", "1,x"]))
+    # --flag=value, so that values starting with '-' stay values
+    return argv + [f"{flag}={value}" for flag, value in options.items()]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(argv=_argv(), config_text=_config_text())
+@example(argv=["demo", "vacuum", "--seed=-1"], config_text=None)
+@example(argv=["verify"], config_text=json.dumps(
+    {"version": 1, "n_trials": 1, "cutoff": 6, "amplitude_bound": 0.3, "ensemble": [1]}))
+@example(argv=["sweep", "--input=ensemble"], config_text=json.dumps(
+    {"ensemble": [{"weight": 1.0, "alphas": [["a", 0.0], [0.0, 0.0]]}]}))
+def test_fuzzed_commands_exit_with_a_contract_code(argv, config_text):
+    # every call returns a documented exit code and reports through a
+    # message, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if config_text is not None:
+            (root / "config.json").write_text(config_text)
+        if argv[0] == "verify" or "--input=ensemble" in argv:
+            argv = argv + [f"--config={root / 'config.json'}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv + [f"--out={root / 'out'}"])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_FINDING, cli.EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()

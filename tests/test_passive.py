@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from bselab.hilbert import FockArena, annihilation_matrix
 from bselab.passive import (
+    SECTOR_TAIL_EPS,
     ModeUnitary,
+    _sector_tail_bound,
     beam_splitter_matrix,
     lift_unitary,
     transform_coherent_exact,
@@ -189,3 +192,18 @@ def test_lifts_are_vacuum_invariant_for_random_unitaries():
         u = lift_unitary(haar_unitary(2, rng), arena)
         dev = np.abs(u.apply_to_vector(vacuum(arena).amplitudes) - vacuum(arena).amplitudes)
         assert dev.max() <= 1e-10
+
+
+def test_sector_tail_bound_matches_pdtrc_reference():
+    # the smallest n whose Poisson tail P(N >= n) = pdtrc(n - 1, mean) is
+    # within SECTOR_TAIL_EPS, found by a plain upward search
+    def reference(mean):
+        if mean <= 0.0:
+            return 0
+        n = 1
+        while scipy.special.pdtrc(n - 1, mean) > SECTOR_TAIL_EPS:
+            n += 1
+        return n
+
+    for mean in np.linspace(0.0, 30.0, 3001):
+        assert _sector_tail_bound(float(mean)) == reference(float(mean)), mean

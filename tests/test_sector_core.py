@@ -84,6 +84,20 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
 
 
 @PROPERTY
+@given(st.sampled_from([(2, 12), (3, 8), (4, 4)]).flatmap(
+    lambda shape: st.tuples(st.just(shape), unitaries(shape[0]))))
+def test_arena_sector_blocks_are_full_sub_blocks(case):
+    # the recursion closed on the arena's tuples gives P U P directly
+    (n_modes, cutoff), m = case
+    top = n_modes * (cutoff - 1)
+    arena_blocks = _sector_blocks(m.matrix, top, cutoff)
+    for (occ, block), (full_occ, full) in zip(arena_blocks, _sector_blocks(m.matrix, top)):
+        kept = full_occ.max(axis=1) < cutoff
+        assert np.array_equal(occ, full_occ[kept])
+        assert np.abs(block - full[np.ix_(kept, kept)]).max() <= 1e-15
+
+
+@PROPERTY
 @given(st.sampled_from([(2, 4), (2, 7), (3, 5)]).flatmap(
     lambda shape: st.tuples(st.just(shape), unitaries(shape[0]))))
 def test_lift_properties(case):

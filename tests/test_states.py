@@ -1,15 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bselab.hilbert import FockArena, TruncationError, annihilation_matrix, partial_trace
 from bselab.states import (
     CoherentEnsemble,
     GaussianSpec,
+    _poisson_tail,
     coherent,
     coherent_leakage,
     ensemble_marginals,
@@ -91,6 +93,22 @@ def test_coherent_leakage_has_no_cancellation_floor():
     assert coherent_leakage(0.1, 8) == pytest.approx(scipy.special.pdtrc(7, 0.01), rel=1e-12)
     with pytest.raises(ValueError):
         coherent_leakage(0.5, 0)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(0, 80), mean=st.floats(0.0, 50.0))
+@example(n=0, mean=0.0)
+@example(n=5, mean=0.0)
+@example(n=3, mean=3.0)  # n <= mean: 1 - the head sum
+@example(n=20, mean=49.5)
+@example(n=80, mean=0.0147)  # a tail near 1e-266
+def test_poisson_tail_matches_pdtrc(n, mean):
+    # pdtrc(k, m) is P(N <= k), so the tail P(N >= n) is pdtrc(n - 1, m)
+    # complemented; below the smallest normal float no relative precision
+    # is left to compare
+    expected = 1.0 if n == 0 else float(scipy.special.pdtrc(n - 1, mean))
+    assert _poisson_tail(n, mean) == pytest.approx(expected, rel=1e-12,
+                                                   abs=sys.float_info.min)
 
 
 def test_ensemble_rejects_negative_weight_outright():
