@@ -385,6 +385,20 @@ def _child_env(**extra) -> dict:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
 
 
+def test_cli_import_does_not_load_scipy_stats():
+    probe = "import sys, bselab.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    probe = "import sys, bselab.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_commands_do_not_load_scipy(tmp_path):
     # bselab runs on numpy alone: no command imports any scipy module
     cfg = _write_config(tmp_path, n_trials=1, cutoff=6, amplitude_bound=0.5)
