@@ -22,8 +22,6 @@ from .hilbert import (
     Mixture,
     StateVector,
     TruncationError,
-    annihilation_matrix,
-    partial_trace,
 )
 from .passive import (
     LiftedUnitary,

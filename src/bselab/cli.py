@@ -58,6 +58,11 @@ _CAMPAIGN_FIELDS = (
 ) | {"version", "ensemble"}
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a boolean (bool subclasses int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_ensemble(entries) -> CoherentEnsemble:
     """Parse a manual ensemble: a list of {weight, alphas: [[re, im], ...]}."""
     if not isinstance(entries, list) or not entries:
@@ -70,7 +75,7 @@ def parse_ensemble(entries) -> CoherentEnsemble:
         if unknown:
             raise ConfigError(f"unknown ensemble component fields: {sorted(unknown)}")
         w = comp.get("weight")
-        if not isinstance(w, (int, float)):
+        if not _is_number(w):
             raise ConfigError("each ensemble component needs a numeric weight")
         if w < 0:
             raise ConfigError(
@@ -80,7 +85,7 @@ def parse_ensemble(entries) -> CoherentEnsemble:
         rows = comp.get("alphas")
         if not isinstance(rows, list) or not all(
             isinstance(p, list) and len(p) == 2
-            and all(isinstance(x, (int, float)) for x in p) for p in rows
+            and all(_is_number(x) for x in p) for p in rows
         ):
             raise ConfigError("alphas must be a list of numeric [re, im] pairs")
         weights.append(float(w))
@@ -111,7 +116,7 @@ def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
     unknown = set(raw) - _CAMPAIGN_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if raw.get("version") != 1:
+    if not (_is_number(raw.get("version")) and raw["version"] == 1):
         raise ConfigError("config must declare \"version\": 1")
 
     ensemble = None
@@ -134,9 +139,11 @@ def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
 
 
 def resolve_out_dir(args) -> Path:
-    out = args.out or os.environ.get("BSE_OUT_DIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("BSE_OUT_DIR") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
 
 
@@ -371,7 +378,7 @@ def cmd_sweep(args) -> int:
         report = negativity_report(state, ((0,), (1,)))
         rho_a, rho_b = state.marginals()
         table.append([theta, report.negativity, report.log_negativity,
-                      report.min_pt_eigenvalue, mandel_q(rho_a, 0), mandel_q(rho_b, 0)])
+                      report.min_pt_eigenvalue, mandel_q(rho_a), mandel_q(rho_b)])
     elapsed = time.perf_counter() - t0
 
     sweep_path = out_dir / "sweep.csv"

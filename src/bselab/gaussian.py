@@ -140,18 +140,6 @@ def is_classical(g: GaussianState) -> GaussianVerdict:
     return GaussianVerdict(label, margin)
 
 
-def ppt_uncertainty_margin(g: GaussianState) -> float:
-    """Min eigenvalue of PT(cov) + (i/2) Omega for a two-mode state, where
-    PT flips the momentum of mode 1.  Non-negative iff PPT holds; the
-    eigenvalue form of the Simon criterion, kept as an independent
-    cross-check of :func:`simon_separable`."""
-    if g.n_modes != 2:
-        raise ValueError("PPT margin is defined for two-mode states")
-    p = np.diag([1.0, 1.0, 1.0, -1.0])
-    herm = (p @ g.cov @ p).astype(complex) + 0.5j * symplectic_form(2)
-    return float(np.linalg.eigvalsh(herm)[0])
-
-
 def simon_separable(g: GaussianState) -> GaussianVerdict:
     """Simon's separability criterion for two-mode Gaussian states.
 

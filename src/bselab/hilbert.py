@@ -1,5 +1,7 @@
-"""Truncated multimode Fock space: basis indexing, ladder operators, the
-validated state containers and the partial trace on dense arrays.
+"""Truncated multimode Fock space: basis indexing and the validated state
+containers.  No operator matrix is built here: a full-space state is a set
+of weighted amplitude rows, and its single-mode marginals are reduced from
+those rows directly.
 
 Everything here is dense numpy. At the scales this package targets
 (<= 3 modes, cutoff <= ~20) dense linear algebra is simpler and fast
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,13 +77,9 @@ class FockArena:
         """(total_dim, n_modes) integer array of all occupation tuples."""
         return _occupation_table(self.n_modes, self.cutoff)
 
-    def total_photon_numbers(self) -> np.ndarray:
-        """Total photon number of every basis state, length total_dim."""
-        return self.occupation_table().sum(axis=1)
-
     def subspace_indices(self, max_total_photons: int) -> np.ndarray:
         """Indices of basis states with total photon number <= the bound."""
-        return np.flatnonzero(self.total_photon_numbers() <= max_total_photons)
+        return np.flatnonzero(self.occupation_table().sum(axis=1) <= max_total_photons)
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,27 +88,6 @@ def _occupation_table(n_modes: int, cutoff: int) -> np.ndarray:
     table = grids.reshape(n_modes, -1).T
     table.setflags(write=False)
     return table
-
-
-def _single_mode_annihilation(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
-
-
-@functools.lru_cache(maxsize=None)
-def _annihilation_cached(n_modes: int, cutoff: int, mode: int) -> np.ndarray:
-    a = _single_mode_annihilation(cutoff)
-    op = np.eye(1, dtype=complex)
-    for m in range(n_modes):
-        op = np.kron(op, a if m == mode else np.eye(cutoff, dtype=complex))
-    op.setflags(write=False)
-    return op
-
-
-def annihilation_matrix(arena: FockArena, mode: int) -> np.ndarray:
-    """Dense annihilation operator on ``mode``, identity on the rest."""
-    if not 0 <= mode < arena.n_modes:
-        raise ValueError(f"mode {mode} out of range for {arena.n_modes} modes")
-    return _annihilation_cached(arena.n_modes, arena.cutoff, mode)
 
 
 @dataclass(frozen=True)
@@ -181,9 +158,6 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ op))
-
 
 @dataclass(frozen=True)
 class Mixture:
@@ -230,24 +204,3 @@ class Mixture:
             rho = np.einsum("i,iak,ibk->ab", self.weights, a, a.conj())
             out.append(DensityOperator(FockArena(1, d), rho, leak_tol=self.leak_tol))
         return tuple(out)
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Reduced state on ``keep`` (sorted mode order), tracing out the rest."""
-    keep_sorted = sorted(set(keep))
-    n = rho.arena.n_modes
-    if not keep_sorted:
-        raise ValueError("keep set must be non-empty")
-    if any(m < 0 or m >= n for m in keep_sorted):
-        raise ValueError("keep set contains an invalid mode index")
-
-    tensor = rho.matrix.reshape((rho.arena.cutoff,) * (2 * n))
-    traced = [m for m in range(n) if m not in keep_sorted]
-    for offset, m in enumerate(traced):
-        axis = m - offset  # axes shift as earlier modes are traced out
-        n_left = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=n_left + axis)
-    k = len(keep_sorted)
-    reduced_arena = FockArena(k, rho.arena.cutoff)
-    matrix = tensor.reshape(reduced_arena.total_dim, reduced_arena.total_dim)
-    return DensityOperator(reduced_arena, matrix, leak_tol=rho.leak_tol)

@@ -272,8 +272,10 @@ class CampaignConfig:
         # the chained test also rejects NaN, which would make every
         # `x > tol` check below and in the trials false
         for name in ("amplitude_bound", "ppt_tol", "leak_tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < np.inf):
+                raise ValueError(f"{name} must be a finite positive number, not {value!r}")
         if self.manual_ensemble is not None and self.manual_ensemble.n_modes != self.n_modes:
             raise ValueError("manual ensemble mode count does not match config")
         # truncation safety: the coherent tail at the amplitude bound must
@@ -459,7 +461,7 @@ def non_sufficiency_demo(
         raise ValueError("the demo is a two-mode construction")
     m = beam_splitter_matrix(theta, phi0, phi1)
     psi_in = fock(arena, (1, 0)).amplitudes
-    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).marginals()[0], 0)
+    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).marginals()[0])
 
     psi_fwd = lift_unitary(m, arena).matrix @ psi_in
     forward = negativity_report(Mixture(arena, [1.0], [psi_fwd]), ((0,), (1,)))

@@ -1,6 +1,10 @@
 """Numeric diagnostics on truncated states: PPT negativity of a full-space
 mixture, Mandel Q and quadrature squeezing of single-mode densities.
 
+The single-mode moments <n>, <n^2>, <a> and <a^2> are closed sums over the
+main, first and second lower diagonals of the density; no ladder-operator
+matrix is built.
+
 The partial-transpose spectrum of a mixture of K rows is taken on the local
 supports of the rows: across a cut A|B every row lies in
 supp rho_A ⊗ supp rho_B, and the partial transpose vanishes outside that
@@ -20,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import DensityOperator, Mixture, annihilation_matrix, partial_trace
+from .hilbert import DensityOperator, Mixture
 
 #: PPT eigenvalue tolerance; looser than the PSD tolerance because
 #: partial-transpose spectra inherit truncation noise from the lift pipeline
@@ -113,36 +117,39 @@ def negativity_report(
     )
 
 
-def _single_mode_moments(rho: DensityOperator, mode: int):
-    reduced = rho if rho.arena.n_modes == 1 else partial_trace(rho, [mode])
-    a = annihilation_matrix(reduced.arena, 0)
-    n_op = a.conj().T @ a
-    exp_a = reduced.expectation(a)
-    exp_a2 = reduced.expectation(a @ a)
-    exp_n = reduced.expectation(n_op).real
-    exp_n2 = reduced.expectation(n_op @ n_op).real
-    return exp_a, exp_a2, exp_n, exp_n2
+def _single_mode_moments(rho: DensityOperator):
+    """<a>, <a^2>, <n>, <n^2> of a single-mode density as closed sums over
+    its diagonals: <n^p> = sum_k k^p rho_kk, <a> = sum_k sqrt(k) rho_{k,k-1}
+    and <a^2> = sum_k sqrt(k(k-1)) rho_{k,k-2}."""
+    if rho.arena.n_modes != 1:
+        raise ValueError("moments are taken on a single-mode density")
+    k = np.arange(rho.arena.cutoff, dtype=float)
+    probs = rho.matrix.diagonal().real
+    exp_a = complex(np.sqrt(k[1:]) @ rho.matrix.diagonal(-1))
+    exp_a2 = complex(np.sqrt(k[2:] * k[1:-1]) @ rho.matrix.diagonal(-2))
+    return exp_a, exp_a2, float(k @ probs), float((k * k) @ probs)
 
 
-def mandel_q(rho: DensityOperator, mode: int) -> float:
-    """(<n^2> - <n>^2 - <n>)/<n> on the reduced mode; 0 for vacuum."""
-    _, _, exp_n, exp_n2 = _single_mode_moments(rho, mode)
+def mandel_q(rho: DensityOperator) -> float:
+    """(<n^2> - <n>^2 - <n>)/<n> of a single-mode density; 0 for vacuum."""
+    _, _, exp_n, exp_n2 = _single_mode_moments(rho)
     if exp_n < VACUUM_NBAR_EPS:
         return 0.0
     return float((exp_n2 - exp_n**2 - exp_n) / exp_n)
 
 
-def min_quadrature_variance(rho: DensityOperator, mode: int) -> float:
-    """Quadrature variance minimized over the phase (closed form)."""
-    exp_a, exp_a2, exp_n, _ = _single_mode_moments(rho, mode)
+def min_quadrature_variance(rho: DensityOperator) -> float:
+    """Quadrature variance of a single-mode density, minimized over the
+    phase (closed form)."""
+    exp_a, exp_a2, exp_n, _ = _single_mode_moments(rho)
     return float(0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2))
 
 
 def classicality_report(marginals: Sequence[DensityOperator]) -> ClassicalityReport:
     """Mandel Q and minimum quadrature variance of each single-mode
     marginal (one per mode, in mode order) with verdict flags."""
-    qs = tuple(mandel_q(rho, 0) for rho in marginals)
-    variances = tuple(min_quadrature_variance(rho, 0) for rho in marginals)
+    qs = tuple(mandel_q(rho) for rho in marginals)
+    variances = tuple(min_quadrature_variance(rho) for rho in marginals)
     return ClassicalityReport(
         mandel_q=qs,
         min_quadrature_variance=variances,

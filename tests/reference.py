@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
 
-from bselab.hilbert import (
-    LEAK_TOL,
-    DensityOperator,
-    FockArena,
-    StateVector,
-    annihilation_matrix,
-    partial_trace,
-)
+from bselab.gaussian import GaussianState, symplectic_form
+from bselab.hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector
 from bselab.passive import LiftedUnitary, ModeUnitary
 from bselab.states import CoherentEnsemble, GaussianSpec, coherent, squeezed_vacuum, thermal
 
@@ -66,13 +61,55 @@ def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:
     return to_density(squeezed_vacuum(arena, spec.r, spec.theta_s))
 
 
+def annihilation_matrix(arena: FockArena, mode: int) -> np.ndarray:
+    """Dense annihilation operator on ``mode``, identity on the other modes
+    (mode 0 is the first ``np.kron`` factor)."""
+    if not 0 <= mode < arena.n_modes:
+        raise ValueError(f"mode {mode} out of range for {arena.n_modes} modes")
+    a = np.diag(np.sqrt(np.arange(1, arena.cutoff, dtype=float)), k=1).astype(complex)
+    op = np.eye(1, dtype=complex)
+    for m in range(arena.n_modes):
+        op = np.kron(op, a if m == mode else np.eye(arena.cutoff, dtype=complex))
+    return op
+
+
+def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
+    """Reduced state on ``keep`` (sorted mode order), tracing out the rest."""
+    keep_sorted = sorted(set(keep))
+    n = rho.arena.n_modes
+    if not keep_sorted:
+        raise ValueError("keep set must be non-empty")
+    if any(m < 0 or m >= n for m in keep_sorted):
+        raise ValueError("keep set contains an invalid mode index")
+
+    tensor = rho.matrix.reshape((rho.arena.cutoff,) * (2 * n))
+    traced = [m for m in range(n) if m not in keep_sorted]
+    for offset, m in enumerate(traced):
+        axis = m - offset  # axes shift as earlier modes are traced out
+        n_left = tensor.ndim // 2
+        tensor = np.trace(tensor, axis1=axis, axis2=n_left + axis)
+    reduced_arena = FockArena(len(keep_sorted), rho.arena.cutoff)
+    matrix = tensor.reshape(reduced_arena.total_dim, reduced_arena.total_dim)
+    return DensityOperator(reduced_arena, matrix, leak_tol=rho.leak_tol)
+
+
+def dense_moments(rho: DensityOperator) -> tuple[complex, complex, float, float]:
+    """<a>, <a^2>, <n>, <n^2> of a single-mode density as tr(rho op) with
+    dense ladder-operator products, n = a^dag a."""
+    a = annihilation_matrix(rho.arena, 0)
+    n_op = a.conj().T @ a
+
+    def expect(op):
+        return complex(np.trace(rho.matrix @ op))
+
+    return expect(a), expect(a @ a), expect(n_op).real, expect(n_op @ n_op).real
+
+
 def quadrature_variance(rho: DensityOperator, mode: int, theta_q: float) -> float:
     """Variance of x_theta = (a e^{-i theta} + a^dag e^{i theta})/sqrt(2)."""
     reduced = rho if rho.arena.n_modes == 1 else partial_trace(rho, [mode])
-    a = annihilation_matrix(reduced.arena, 0)
-    exp_a = reduced.expectation(a)
-    exp_n = reduced.expectation(a.conj().T @ a).real
-    central = reduced.expectation(a @ a) - exp_a**2
+    exp_a, exp_a2, exp_n, _ = dense_moments(reduced)
+    central = exp_a2 - exp_a**2
     return float(
         0.5 + exp_n - abs(exp_a) ** 2 + (np.exp(-2j * theta_q) * central).real
     )
@@ -126,3 +163,15 @@ def permanent_block(matrix: np.ndarray, occupations: np.ndarray) -> np.ndarray:
             per = sub[np.arange(n), perms].prod(axis=1).sum()
             out[a, b] = per / math.sqrt(norm_s * norm_t)
     return out
+
+
+def ppt_uncertainty_margin(g: GaussianState) -> float:
+    """Min eigenvalue of PT(cov) + (i/2) Omega for a two-mode state, where
+    PT flips the momentum of mode 1.  Non-negative iff PPT holds; the
+    eigenvalue form of the Simon criterion, an independent cross-check of
+    ``gaussian.simon_separable``."""
+    if g.n_modes != 2:
+        raise ValueError("PPT margin is defined for two-mode states")
+    p = np.diag([1.0, 1.0, 1.0, -1.0])
+    herm = (p @ g.cov @ p).astype(complex) + 0.5j * symplectic_form(2)
+    return float(np.linalg.eigvalsh(herm)[0])

@@ -195,10 +195,17 @@ def test_verify_rejects_non_finite_config(tmp_path, capsys, overrides):
         {"ppt_tol": -1},
         {"leak_tol": 0, "amplitude_bound": 1e-3},
         {"cutoff": 0, "amplitude_bound": 1e-9},
+        {"amplitude_bound": True, "cutoff": 14},
+        {"ppt_tol": True},
+        {"leak_tol": True},
+        {"version": True},
+        {"ensemble": [{"weight": True, "alphas": [[0.3, 0.0], [0.0, 0.2]]}]},
+        {"ensemble": [{"weight": 1.0, "alphas": [[True, 0.0], [0.0, 0.2]]}], "cutoff": 14},
     ],
     ids=["zero-amplitude-bound", "zero-components", "fractional-n-trials",
          "bool-n-trials", "negative-seed", "float-n-modes", "fractional-threads",
-         "negative-ppt-tol", "zero-leak-tol", "zero-cutoff"],
+         "negative-ppt-tol", "zero-leak-tol", "zero-cutoff", "bool-amplitude-bound",
+         "bool-ppt-tol", "bool-leak-tol", "bool-version", "bool-weight", "bool-alpha"],
 )
 def test_verify_rejects_out_of_range_config(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, n_trials=1, cutoff=8, amplitude_bound=0.5)
@@ -441,6 +448,27 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("BSE_OUT_DIR", str(target))
     assert cli.main(["demo", "vacuum"]) == 0
     assert (target / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", [["demo", "vacuum"], ["verify"], ["sweep"]],
+                         ids=["demo", "verify", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+def test_out_dir_on_a_file_is_config_error(tmp_path, capsys, monkeypatch, command,
+                                           under, via_env):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "run" if under else blocker
+    argv = list(command)
+    if command == ["verify"]:
+        argv += ["--config", str(_write_config(tmp_path, n_trials=1, cutoff=8))]
+    if via_env:
+        monkeypatch.setenv("BSE_OUT_DIR", str(out))
+    else:
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "config error: cannot use output directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
 
 
 def test_missing_subcommand_is_usage_error():

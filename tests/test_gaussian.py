@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bselab.gaussian import (
     GaussianState,
     apply_passive,
     gaussian_from_spec,
     is_classical,
-    ppt_uncertainty_margin,
     simon_separable,
     symplectic_form,
     symplectic_image,
 )
-from bselab.passive import ModeUnitary, beam_splitter_matrix, transform_ensemble
-from bselab.states import CoherentEnsemble, GaussianSpec
+from bselab.hilbert import FockArena, Mixture
+from bselab.passive import (
+    ModeUnitary,
+    beam_splitter_matrix,
+    transform_coherent_exact,
+    transform_ensemble,
+)
+from bselab.states import CoherentEnsemble, GaussianSpec, coherent_leakage
 from bselab.theoremlab import haar_unitary
+from bselab.witnesses import _single_mode_moments, min_quadrature_variance
+from reference import ppt_uncertainty_margin
 
 
 def _vacuum(n=2):
@@ -145,3 +154,36 @@ def test_apply_passive_preserves_uncertainty_relation():
         out = apply_passive(g, haar_unitary(2, rng))
         herm = out.cov.astype(complex) + 0.5j * omega
         assert np.linalg.eigvalsh(herm)[0] >= -1e-10
+
+
+# (n_modes, cutoff, amplitude bound) with coherent_leakage(bound * sqrt(n),
+# cutoff) <= 1e-12: an output amplitude is at most the input norm, so every
+# output marginal keeps its coherent moments to well inside 1e-10
+_SAFE_SHAPES = [(2, 24, 1.0), (2, 14, 0.5), (3, 14, 0.5), (3, 10, 0.3)]
+
+
+@st.composite
+def _coherent_through_haar(draw):
+    n_modes, cutoff, bound = draw(st.sampled_from(_SAFE_SHAPES))
+    radii = draw(st.lists(st.floats(0.0, bound), min_size=n_modes, max_size=n_modes))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n_modes, max_size=n_modes))
+    m = haar_unitary(n_modes, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return FockArena(n_modes, cutoff), bound, np.array(radii) * np.exp(1j * np.array(phases)), m
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=_coherent_through_haar())
+def test_gaussian_and_fock_routes_agree_on_coherent_marginals(case):
+    arena, bound, alpha, m = case
+    assert coherent_leakage(bound * np.sqrt(arena.n_modes), arena.cutoff) <= 1e-12
+    rows = transform_coherent_exact(m, alpha[None, :], arena)
+    marginals = Mixture(arena, [1.0], rows).marginals()
+    g_out = apply_passive(
+        gaussian_from_spec([GaussianSpec("coherent", alpha=complex(a)) for a in alpha]), m
+    )
+    for j, rho in enumerate(marginals):
+        exp_a = _single_mode_moments(rho)[0]
+        mean = np.sqrt(2.0) * np.array([exp_a.real, exp_a.imag])
+        assert np.abs(mean - g_out.mean[2 * j : 2 * j + 2]).max() <= 1e-10
+        block = g_out.cov[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+        assert abs(min_quadrature_variance(rho) - np.linalg.eigvalsh(block)[0]) <= 1e-10

@@ -3,17 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bselab.hilbert import (
-    DensityOperator,
-    FockArena,
-    Mixture,
-    StateVector,
-    TruncationError,
-    annihilation_matrix,
-    partial_trace,
-)
+from bselab.hilbert import DensityOperator, FockArena, Mixture, StateVector, TruncationError
 from bselab.states import CoherentEnsemble, coherent, fock, vacuum
-from reference import decode, ensemble_to_density, to_density
+from reference import annihilation_matrix, decode, ensemble_to_density, partial_trace, to_density
 
 
 @pytest.mark.parametrize("n_modes,cutoff", [(1, 6), (2, 4), (2, 6), (3, 3), (3, 6)])

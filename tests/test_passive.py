@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bselab.hilbert import FockArena, annihilation_matrix
+from bselab.hilbert import FockArena
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
@@ -14,7 +14,7 @@ from bselab.passive import (
 )
 from bselab.states import CoherentEnsemble, coherent, fock, vacuum
 from bselab.theoremlab import haar_unitary
-from reference import conjugation_residual, ensemble_to_density, norm
+from reference import annihilation_matrix, conjugation_residual, ensemble_to_density, norm
 
 RT2 = np.sqrt(2.0) / 2.0
 
@@ -111,7 +111,7 @@ def test_lifted_row_keeps_vacuum_and_loses_only_clipped_weight():
     psi = coherent(arena, [0.6, -0.2 + 0.4j])
     out = u.matrix @ psi.amplitudes
     loss = norm(psi) ** 2 - np.linalg.norm(out) ** 2
-    clipped = float(np.sum(np.abs(psi.amplitudes[arena.total_photon_numbers() >= 8]) ** 2))
+    clipped = float(np.sum(np.abs(psi.amplitudes[arena.occupation_table().sum(axis=1) >= 8]) ** 2))
     assert clipped > 0.0
     assert -1e-14 <= loss <= clipped + 1e-14
 

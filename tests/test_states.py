@@ -7,7 +7,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bselab.hilbert import FockArena, TruncationError, annihilation_matrix, partial_trace
+from bselab.hilbert import FockArena, TruncationError
 from bselab.states import (
     CoherentEnsemble,
     GaussianSpec,
@@ -20,7 +20,7 @@ from bselab.states import (
     thermal,
     vacuum,
 )
-from reference import ensemble_to_density, norm, spec_to_density
+from reference import annihilation_matrix, ensemble_to_density, norm, partial_trace, spec_to_density
 
 
 def test_vacuum_is_unit_vector_at_index_zero():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bselab.hilbert import FockArena, Mixture, StateVector, partial_trace
+from bselab.hilbert import DensityOperator, FockArena, Mixture, StateVector
 from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from bselab.states import (
     CoherentEnsemble,
@@ -16,13 +16,21 @@ from bselab.states import (
 from bselab.theoremlab import CampaignConfig, bipartitions, haar_unitary
 from bselab.witnesses import (
     PPT_TOL,
+    VACUUM_NBAR_EPS,
     WITNESS_TOL,
+    _single_mode_moments,
     classicality_report,
     mandel_q,
     min_quadrature_variance,
     negativity_report,
 )
-from reference import dense_pt_eigenvalues, quadrature_variance, to_density
+from reference import (
+    dense_moments,
+    dense_pt_eigenvalues,
+    partial_trace,
+    quadrature_variance,
+    to_density,
+)
 
 
 def _bell(arena):
@@ -202,26 +210,65 @@ def test_classical_output_is_ppt_and_poissonian(case):
     # is the Q of one coherent state at the bound. At these edge bounds that
     # floor lies far below -WITNESS_TOL (-3.5e-5 at cutoff 10, |alpha| 1.1).
     cutoff = state.arena.cutoff
-    floor = min(0.0, mandel_q(to_density(coherent(FockArena(1, cutoff), [bound])), 0))
+    floor = min(0.0, mandel_q(to_density(coherent(FockArena(1, cutoff), [bound]))))
     for marginal in state.marginals():
-        assert mandel_q(marginal, 0) >= floor - WITNESS_TOL
+        assert mandel_q(marginal) >= floor - WITNESS_TOL
 
 
 def test_mandel_q_reference_states():
-    assert mandel_q(to_density(coherent(FockArena(1, 25), [1.0])), 0) == pytest.approx(
+    assert mandel_q(to_density(coherent(FockArena(1, 25), [1.0]))) == pytest.approx(
         0.0, abs=1e-8
     )
-    assert mandel_q(to_density(fock(FockArena(1, 4), (1,))), 0) == pytest.approx(-1.0)
-    assert mandel_q(thermal(FockArena(1, 30), 1.0), 0) == pytest.approx(1.0, abs=1e-6)
+    assert mandel_q(to_density(fock(FockArena(1, 4), (1,)))) == pytest.approx(-1.0)
+    assert mandel_q(thermal(FockArena(1, 30), 1.0)) == pytest.approx(1.0, abs=1e-6)
     # vacuum convention: 0/0 defined as 0
-    assert mandel_q(to_density(vacuum(FockArena(1, 4))), 0) == 0.0
+    assert mandel_q(to_density(vacuum(FockArena(1, 4)))) == 0.0
 
 
 def test_mandel_q_on_multimode_reduction():
     arena = FockArena(2, 4)
     rho = to_density(fock(arena, (1, 0)))
-    assert mandel_q(rho, 0) == pytest.approx(-1.0)
-    assert mandel_q(rho, 1) == 0.0
+    assert mandel_q(partial_trace(rho, [0])) == pytest.approx(-1.0)
+    assert mandel_q(partial_trace(rho, [1])) == 0.0
+    # the moments are single-mode: a multi-mode density is refused, not reduced
+    for witness in (mandel_q, min_quadrature_variance):
+        with pytest.raises(ValueError, match="single-mode"):
+            witness(rho)
+
+
+@st.composite
+def _single_mode_densities(draw):
+    """A random PSD single-mode density G G^dag scaled to trace <= 1."""
+    cutoff = draw(st.integers(1, 25))
+    rank = draw(st.integers(1, cutoff))
+    trace = draw(st.floats(1e-3, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((cutoff, rank)) + 1j * rng.standard_normal((cutoff, rank))
+    rho = g @ g.conj().T
+    return DensityOperator(FockArena(1, cutoff), trace * rho / np.trace(rho).real,
+                           leak_tol=1.0)
+
+
+def _close(value, reference):
+    return abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rho=_single_mode_densities())
+@example(rho=DensityOperator(FockArena(1, 1), [[1.0]]))
+@example(rho=DensityOperator(FockArena(1, 2), [[0.5, 0.3j], [-0.3j, 0.5]]))
+def test_closed_sum_moments_match_dense_ladder(rho):
+    # cutoffs 1 and 2 leave the -1 and -2 diagonals empty
+    moments = _single_mode_moments(rho)
+    reference = dense_moments(rho)
+    for value, ref in zip(moments, reference):
+        assert _close(value, ref), (moments, reference)
+
+    exp_a, exp_a2, exp_n, exp_n2 = reference
+    q_ref = 0.0 if exp_n < VACUUM_NBAR_EPS else (exp_n2 - exp_n**2 - exp_n) / exp_n
+    assert _close(mandel_q(rho), q_ref)
+    v_ref = 0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2)
+    assert _close(min_quadrature_variance(rho), v_ref)
 
 
 def test_quadrature_variance_reference_states():
@@ -234,7 +281,7 @@ def test_quadrature_variance_reference_states():
 
     sq = to_density(squeezed_vacuum(FockArena(1, 30), 0.5, 0.0))
     assert quadrature_variance(sq, 0, 0.0) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
-    assert min_quadrature_variance(sq, 0) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
+    assert min_quadrature_variance(sq) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
 
 
 def test_min_variance_tracks_squeezing_phase():
