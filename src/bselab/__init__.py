@@ -50,12 +50,6 @@ from .theoremlab import (
     run_campaign,
     run_theorem_trial,
 )
-from .witnesses import (
-    ClassicalityReport,
-    EntanglementReport,
-    classicality_report,
-    mandel_q,
-    negativity_report,
-)
+from .witnesses import EntanglementReport, mandel_q, negativity_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

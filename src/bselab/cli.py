@@ -36,7 +36,7 @@ from .theoremlab import (
     non_sufficiency_demo,
     run_campaign,
 )
-from .witnesses import classicality_report, mandel_q, negativity_report
+from .witnesses import mandel_q, negativity_report
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -4,11 +4,11 @@ coherent ensembles, squeezed vacuum and thermal probe states."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector, _check_leak
+from .hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -163,34 +163,6 @@ class CoherentEnsemble:
 
     def max_abs_alpha(self) -> float:
         return float(np.abs(self.alphas).max())
-
-
-def ensemble_marginals(
-    ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
-) -> tuple[DensityOperator, ...]:
-    """Single-mode reduced states of sum_i w_i |alpha_i><alpha_i| on the arena.
-
-    Mode m gets sum_i w_i prod_{m' != m} ||c(alpha_im')||^2 |c(alpha_im)><c(alpha_im)|,
-    with c the truncated coherent column, so the dim x dim matrix is never
-    built.  Raises :class:`TruncationError` on the condition ``coherent``
-    applies: a component whose multi-mode lost probability
-    1 - prod_m ||c(alpha_im)||^2 exceeds ``leak_tol``.
-    """
-    if arena.n_modes != ens.n_modes:
-        raise ValueError("arena mode count does not match ensemble")
-    # (component, mode, photon number)
-    columns = np.array(
-        [[_coherent_column(complex(a), arena.cutoff) for a in row] for row in ens.alphas]
-    )
-    norms = np.sum(np.abs(columns) ** 2, axis=-1)
-    for leak in 1.0 - norms.prod(axis=1):
-        _check_leak(leak, leak_tol)
-    marginals = []
-    for m in range(ens.n_modes):
-        w = ens.weights * np.delete(norms, m, axis=1).prod(axis=1)
-        rho = (w * columns[:, m].T) @ columns[:, m].conj()
-        marginals.append(DensityOperator(FockArena(1, arena.cutoff), rho, leak_tol=leak_tol))
-    return tuple(marginals)
 
 
 @dataclass(frozen=True)

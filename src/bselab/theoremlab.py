@@ -20,7 +20,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,17 +39,9 @@ from .states import (
     GaussianSpec,
     coherent,
     coherent_leakage,
-    ensemble_marginals,
     fock,
 )
-from .witnesses import (
-    PPT_TOL,
-    ClassicalityReport,
-    EntanglementReport,
-    classicality_report,
-    mandel_q,
-    negativity_report,
-)
+from .witnesses import PPT_TOL, EntanglementReport, mandel_q, negativity_report
 
 #: cross-pipeline agreement tolerance (max-norm between the two routes)
 CROSS_PIPELINE_TOL = 1e-7
@@ -103,7 +95,6 @@ class TrialRecord:
     ppt_min_eigenvalue: float
     ppt_headroom: float  # ppt_min_eigenvalue + ppt_tol: the margin above a ppt_violation
     entanglement_reports: tuple[EntanglementReport, ...]
-    classicality: ClassicalityReport
     cross_pipeline_max_dev: float
     gaussian_verdict: Optional[dict]
     wall_time: float
@@ -135,14 +126,6 @@ class TrialRecord:
                 }
                 for r in self.entanglement_reports
             ],
-            "classicality": {
-                "mandel_q": list(self.classicality.mandel_q),
-                "min_quadrature_variance": list(
-                    self.classicality.min_quadrature_variance
-                ),
-                "squeezing_detected": self.classicality.squeezing_detected,
-                "sub_poissonian_detected": self.classicality.sub_poissonian_detected,
-            },
             "cross_pipeline_max_dev": self.cross_pipeline_max_dev,
             "gaussian": self.gaussian_verdict,
         }
@@ -185,8 +168,6 @@ def run_theorem_trial(
         np.array_equal(out_ens.weights, ens.weights) and np.all(out_ens.weights >= 0)
     )
 
-    classicality = classicality_report(ensemble_marginals(ens, arena, leak_tol=leak_tol))
-
     # route 2: each coherent component through the lifted unitary, evaluated
     # sector-exactly and projected to the cutoff afterwards, so PPT
     # diagnostics measure the output state rather than lift boundary-clipping
@@ -226,7 +207,6 @@ def run_theorem_trial(
         ppt_min_eigenvalue=ppt_min,
         ppt_headroom=ppt_min + ppt_tol,
         entanglement_reports=reports,
-        classicality=classicality,
         cross_pipeline_max_dev=cross_dev,
         gaussian_verdict=gaussian_verdict,
         wall_time=time.perf_counter() - t0,

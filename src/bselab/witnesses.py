@@ -1,9 +1,8 @@
 """Numeric diagnostics on truncated states: PPT negativity of a full-space
-mixture, Mandel Q and quadrature squeezing of single-mode densities.
+mixture and Mandel Q of a single-mode density.
 
-The single-mode moments <n>, <n^2>, <a> and <a^2> are closed sums over the
-main, first and second lower diagonals of the density; no ladder-operator
-matrix is built.
+The single-mode moments <n> and <n^2> are closed sums over the diagonal of
+the density; no ladder-operator matrix is built.
 
 The partial-transpose spectrum of a mixture of K rows is taken on the local
 supports of the rows: across a cut A|B every row lies in
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .hilbert import DensityOperator, Mixture
 #: PPT eigenvalue tolerance; looser than the PSD tolerance because
 #: partial-transpose spectra inherit truncation noise from the lift pipeline
 PPT_TOL = 1e-8
-#: tolerance for the classicality flags
-WITNESS_TOL = 1e-8
 #: below this mean photon number Mandel Q is defined as 0 (0/0 at vacuum)
 VACUUM_NBAR_EPS = 1e-14
 
@@ -42,14 +38,6 @@ class EntanglementReport:
     negativity: float
     log_negativity: float
     verdict: str  # "separable_by_ppt_nonviolation" | "entangled"
-
-
-@dataclass(frozen=True)
-class ClassicalityReport:
-    mandel_q: tuple[float, ...]
-    min_quadrature_variance: tuple[float, ...]
-    squeezing_detected: bool
-    sub_poissonian_detected: bool
 
 
 def _pt_spectrum(weights, rows, cutoff: int, part_a, part_b):
@@ -117,42 +105,19 @@ def negativity_report(
     )
 
 
-def _single_mode_moments(rho: DensityOperator):
-    """<a>, <a^2>, <n>, <n^2> of a single-mode density as closed sums over
-    its diagonals: <n^p> = sum_k k^p rho_kk, <a> = sum_k sqrt(k) rho_{k,k-1}
-    and <a^2> = sum_k sqrt(k(k-1)) rho_{k,k-2}."""
+def _single_mode_moments(rho: DensityOperator) -> tuple[float, float]:
+    """<n>, <n^2> of a single-mode density as closed sums over its diagonal:
+    <n^p> = sum_k k^p rho_kk."""
     if rho.arena.n_modes != 1:
         raise ValueError("moments are taken on a single-mode density")
     k = np.arange(rho.arena.cutoff, dtype=float)
     probs = rho.matrix.diagonal().real
-    exp_a = complex(np.sqrt(k[1:]) @ rho.matrix.diagonal(-1))
-    exp_a2 = complex(np.sqrt(k[2:] * k[1:-1]) @ rho.matrix.diagonal(-2))
-    return exp_a, exp_a2, float(k @ probs), float((k * k) @ probs)
+    return float(k @ probs), float((k * k) @ probs)
 
 
 def mandel_q(rho: DensityOperator) -> float:
     """(<n^2> - <n>^2 - <n>)/<n> of a single-mode density; 0 for vacuum."""
-    _, _, exp_n, exp_n2 = _single_mode_moments(rho)
+    exp_n, exp_n2 = _single_mode_moments(rho)
     if exp_n < VACUUM_NBAR_EPS:
         return 0.0
     return float((exp_n2 - exp_n**2 - exp_n) / exp_n)
-
-
-def min_quadrature_variance(rho: DensityOperator) -> float:
-    """Quadrature variance of a single-mode density, minimized over the
-    phase (closed form)."""
-    exp_a, exp_a2, exp_n, _ = _single_mode_moments(rho)
-    return float(0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2))
-
-
-def classicality_report(marginals: Sequence[DensityOperator]) -> ClassicalityReport:
-    """Mandel Q and minimum quadrature variance of each single-mode
-    marginal (one per mode, in mode order) with verdict flags."""
-    qs = tuple(mandel_q(rho) for rho in marginals)
-    variances = tuple(min_quadrature_variance(rho) for rho in marginals)
-    return ClassicalityReport(
-        mandel_q=qs,
-        min_quadrature_variance=variances,
-        squeezing_detected=any(v < 0.5 - WITNESS_TOL for v in variances),
-        sub_poissonian_detected=any(q < -WITNESS_TOL for q in qs),
-    )

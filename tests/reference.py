@@ -105,6 +105,13 @@ def dense_moments(rho: DensityOperator) -> tuple[complex, complex, float, float]
     return expect(a), expect(a @ a), expect(n_op).real, expect(n_op @ n_op).real
 
 
+def min_quadrature_variance(rho: DensityOperator) -> float:
+    """Quadrature variance of a single-mode density, minimized over the
+    phase: 1/2 + <n> - |<a>|^2 - |<a^2> - <a>^2|."""
+    exp_a, exp_a2, exp_n, _ = dense_moments(rho)
+    return float(0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2))
+
+
 def quadrature_variance(rho: DensityOperator, mode: int, theta_q: float) -> float:
     """Variance of x_theta = (a e^{-i theta} + a^dag e^{i theta})/sqrt(2)."""
     reduced = rho if rho.arena.n_modes == 1 else partial_trace(rho, [mode])

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import bselab
 
 # The public API, pinned: removing a name, or exporting a new one, has to
@@ -5,7 +8,6 @@ import bselab
 PUBLIC_API = [
     "CampaignConfig",
     "CampaignSummary",
-    "ClassicalityReport",
     "CoherentEnsemble",
     "DensityOperator",
     "EntanglementReport",
@@ -20,7 +22,6 @@ PUBLIC_API = [
     "TruncationError",
     "apply_passive",
     "beam_splitter_matrix",
-    "classicality_report",
     "coherent",
     "fock",
     "gaussian",
@@ -50,3 +51,27 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(bselab.__all__) == PUBLIC_API
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (``__future__`` aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_src_has_no_unused_imports():
+    # the package __init__ imports to re-export: __all__ is read off dir()
+    modules = sorted(Path(bselab.__file__).parent.glob("*.py"))
+    unused = [hit for path in modules if path.name != "__init__.py"
+              for hit in _unused_imports(path)]
+    assert unused == []

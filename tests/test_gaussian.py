@@ -21,8 +21,7 @@ from bselab.passive import (
 )
 from bselab.states import CoherentEnsemble, GaussianSpec, coherent_leakage
 from bselab.theoremlab import haar_unitary
-from bselab.witnesses import _single_mode_moments, min_quadrature_variance
-from reference import ppt_uncertainty_margin
+from reference import dense_moments, min_quadrature_variance, ppt_uncertainty_margin
 
 
 def _vacuum(n=2):
@@ -182,8 +181,19 @@ def test_gaussian_and_fock_routes_agree_on_coherent_marginals(case):
         gaussian_from_spec([GaussianSpec("coherent", alpha=complex(a)) for a in alpha]), m
     )
     for j, rho in enumerate(marginals):
-        exp_a = _single_mode_moments(rho)[0]
+        exp_a = dense_moments(rho)[0]
         mean = np.sqrt(2.0) * np.array([exp_a.real, exp_a.imag])
         assert np.abs(mean - g_out.mean[2 * j : 2 * j + 2]).max() <= 1e-10
         block = g_out.cov[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
         assert abs(min_quadrature_variance(rho) - np.linalg.eigvalsh(block)[0]) <= 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=_coherent_through_haar())
+def test_exact_transform_conserves_photon_number(case):
+    # a passive map conserves N: the output row's <N> is the input's
+    # sum |alpha|^2, up to the Poisson tail past the cutoff
+    arena, _, alpha, m = case
+    row = transform_coherent_exact(m, alpha[None, :], arena)[0]
+    photons = np.indices((arena.cutoff,) * arena.n_modes).sum(axis=0).ravel()
+    assert abs(photons @ np.abs(row) ** 2 - np.sum(np.abs(alpha) ** 2)) <= 1e-10

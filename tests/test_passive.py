@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bselab.hilbert import FockArena
 from bselab.passive import (
@@ -155,6 +157,31 @@ def test_transform_ensemble_preserves_photon_expectation():
         assert np.all(out.weights >= 0)
         n_in, n_out = (e.weights @ np.sum(np.abs(e.alphas) ** 2, axis=1) for e in (ens, out))
         assert abs(n_out - n_in) <= 1e-12
+
+
+@st.composite
+def _ensemble_and_two_maps(draw):
+    n_modes = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas = rng.standard_normal((k, n_modes)) + 1j * rng.standard_normal((k, n_modes))
+    ens = CoherentEnsemble(n_modes, np.array(weights), alphas)
+    return ens, haar_unitary(n_modes, rng), haar_unitary(n_modes, rng)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=_ensemble_and_two_maps())
+def test_transform_ensemble_closes_under_composition(case):
+    # M1 then M2 is the passive map M1 M2: weights stay bit for bit, and
+    # the amplitudes agree to roundoff
+    ens, m1, m2 = case
+    twice = transform_ensemble(transform_ensemble(ens, m1), m2)
+    once = transform_ensemble(ens, ModeUnitary(m1.matrix @ m2.matrix))
+    assert np.array_equal(twice.weights, ens.weights)
+    assert np.abs(twice.alphas - once.alphas).max() <= 1e-14
 
 
 def test_cross_pipeline_consistency_truncation_safe():

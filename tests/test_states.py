@@ -14,13 +14,12 @@ from bselab.states import (
     _poisson_tail,
     coherent,
     coherent_leakage,
-    ensemble_marginals,
     fock,
     squeezed_vacuum,
     thermal,
     vacuum,
 )
-from reference import annihilation_matrix, ensemble_to_density, norm, partial_trace, spec_to_density
+from reference import annihilation_matrix, ensemble_to_density, norm, spec_to_density
 
 
 def test_vacuum_is_unit_vector_at_index_zero():
@@ -199,38 +198,3 @@ def test_gaussian_spec_validation_and_fock_form():
     arena = FockArena(1, 15)
     rho = spec_to_density(GaussianSpec("coherent", alpha=0.3 + 0.1j), arena)
     assert abs(rho.trace - 1.0) <= 1e-8
-
-
-_amplitude = st.one_of(
-    st.just(0.0),
-    st.floats(-0.8, 0.8, allow_subnormal=False),
-)
-
-
-@st.composite
-def _ensembles(draw):
-    n_modes = draw(st.integers(2, 3))
-    k = draw(st.integers(1, 4))
-    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    parts = draw(st.lists(_amplitude, min_size=2 * k * n_modes, max_size=2 * k * n_modes))
-    alphas = np.array(parts[::2]) + 1j * np.array(parts[1::2])
-    return CoherentEnsemble(n_modes, np.array(weights), alphas.reshape(k, n_modes))
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(ens=_ensembles(), cutoff=st.integers(3, 8))
-def test_ensemble_marginals_match_dense_partial_trace(ens, cutoff):
-    # reference: the dense multi-mode density, traced down to each mode
-    arena = FockArena(ens.n_modes, cutoff)
-    try:
-        rho = ensemble_to_density(ens, arena)
-    except TruncationError:
-        with pytest.raises(TruncationError):
-            ensemble_marginals(ens, arena)
-        return
-    marginals = ensemble_marginals(ens, arena)
-    assert len(marginals) == ens.n_modes
-    for m, marginal in enumerate(marginals):
-        assert marginal.arena == FockArena(1, cutoff)
-        reference = partial_trace(rho, [m]).matrix
-        assert np.abs(marginal.matrix - reference).max() <= 1e-14

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bselab.hilbert import DensityOperator, FockArena, Mixture, StateVector
+from bselab.hilbert import DensityOperator, FockArena, Mixture
 from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from bselab.states import (
     CoherentEnsemble,
@@ -17,16 +17,14 @@ from bselab.theoremlab import CampaignConfig, bipartitions, haar_unitary
 from bselab.witnesses import (
     PPT_TOL,
     VACUUM_NBAR_EPS,
-    WITNESS_TOL,
     _single_mode_moments,
-    classicality_report,
     mandel_q,
-    min_quadrature_variance,
     negativity_report,
 )
 from reference import (
     dense_moments,
     dense_pt_eigenvalues,
+    min_quadrature_variance,
     partial_trace,
     quadrature_variance,
     to_density,
@@ -198,6 +196,10 @@ def test_edge_shapes_are_the_largest_safe_bounds():
                            amplitude_bound=bound + 0.05)
 
 
+# roundoff allowed below the truncation floor of Mandel Q
+Q_MARGIN = 1e-8
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(case=_classical_outputs())
 def test_classical_output_is_ppt_and_poissonian(case):
@@ -208,11 +210,11 @@ def test_classical_output_is_ppt_and_poissonian(case):
     # variance < mean. A mixture's Q is at least its components' smallest
     # Q, and a truncated coherent state's Q falls with |alpha|, so the floor
     # is the Q of one coherent state at the bound. At these edge bounds that
-    # floor lies far below -WITNESS_TOL (-3.5e-5 at cutoff 10, |alpha| 1.1).
+    # floor lies far below -Q_MARGIN (-3.5e-5 at cutoff 10, |alpha| 1.1).
     cutoff = state.arena.cutoff
     floor = min(0.0, mandel_q(to_density(coherent(FockArena(1, cutoff), [bound]))))
     for marginal in state.marginals():
-        assert mandel_q(marginal) >= floor - WITNESS_TOL
+        assert mandel_q(marginal) >= floor - Q_MARGIN
 
 
 def test_mandel_q_reference_states():
@@ -231,9 +233,8 @@ def test_mandel_q_on_multimode_reduction():
     assert mandel_q(partial_trace(rho, [0])) == pytest.approx(-1.0)
     assert mandel_q(partial_trace(rho, [1])) == 0.0
     # the moments are single-mode: a multi-mode density is refused, not reduced
-    for witness in (mandel_q, min_quadrature_variance):
-        with pytest.raises(ValueError, match="single-mode"):
-            witness(rho)
+    with pytest.raises(ValueError, match="single-mode"):
+        mandel_q(rho)
 
 
 @st.composite
@@ -258,17 +259,15 @@ def _close(value, reference):
 @example(rho=DensityOperator(FockArena(1, 1), [[1.0]]))
 @example(rho=DensityOperator(FockArena(1, 2), [[0.5, 0.3j], [-0.3j, 0.5]]))
 def test_closed_sum_moments_match_dense_ladder(rho):
-    # cutoffs 1 and 2 leave the -1 and -2 diagonals empty
+    # cutoffs 1 and 2 are the edge cases: vacuum only, and one photon at most
     moments = _single_mode_moments(rho)
-    reference = dense_moments(rho)
+    reference = dense_moments(rho)[2:]
     for value, ref in zip(moments, reference):
         assert _close(value, ref), (moments, reference)
 
-    exp_a, exp_a2, exp_n, exp_n2 = reference
+    exp_n, exp_n2 = reference
     q_ref = 0.0 if exp_n < VACUUM_NBAR_EPS else (exp_n2 - exp_n**2 - exp_n) / exp_n
     assert _close(mandel_q(rho), q_ref)
-    v_ref = 0.5 + exp_n - abs(exp_a) ** 2 - abs(exp_a2 - exp_a**2)
-    assert _close(min_quadrature_variance(rho), v_ref)
 
 
 def test_quadrature_variance_reference_states():
@@ -291,25 +290,3 @@ def test_min_variance_tracks_squeezing_phase():
             np.exp(-0.8) / 2, abs=1e-6
         )
 
-
-def _marginals(rho):
-    return [partial_trace(rho, [m]) for m in range(rho.arena.n_modes)]
-
-
-def test_classicality_report_flags():
-    arena1 = FockArena(1, 30)
-    sq = np.kron(squeezed_vacuum(arena1, 0.5).amplitudes,
-                 squeezed_vacuum(arena1, 0.0).amplitudes)
-    report = classicality_report(_marginals(to_density(StateVector(FockArena(2, 30), sq))))
-    assert report.squeezing_detected
-    assert not report.sub_poissonian_detected
-
-    single_photon = to_density(fock(FockArena(2, 4), (1, 0)))
-    report = classicality_report(_marginals(single_photon))
-    assert report.sub_poissonian_detected
-    assert report.mandel_q[0] == pytest.approx(-1.0)
-
-    coh = to_density(coherent(FockArena(2, 20), [0.5, 0.2]))
-    report = classicality_report(_marginals(coh))
-    assert not report.squeezing_detected
-    assert not report.sub_poissonian_detected
