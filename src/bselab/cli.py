@@ -31,6 +31,7 @@ from .hilbert import FockArena, Mixture, TruncationError
 from .passive import beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from .states import CoherentEnsemble, coherent, fock, vacuum
 from .theoremlab import (
+    TRIAL_STAGES,
     CampaignConfig,
     haar_unitary,
     non_sufficiency_demo,
@@ -274,6 +275,16 @@ def cmd_demo(args) -> int:
 # verify
 
 
+#: stages of the earlier trial pipeline that no trial runs any more; the
+#: manifest lists them as null, not as 0
+_RETIRED_STAGES = ("density_assembly", "density_validation", "sector_exponential")
+
+
+def _timing_summary(times: list[float]) -> dict:
+    return {"count": len(times), "total": sum(times), "max": max(times, default=None),
+            "p50": float(np.median(times)) if times else None}
+
+
 def cmd_verify(args) -> int:
     out_dir = resolve_out_dir(args)
     overrides = {"seed": args.seed, "threads": args.threads, "cutoff": args.cutoff}
@@ -289,10 +300,16 @@ def cmd_verify(args) -> int:
             fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
     report_path = out_dir / "report.json"
     write_json(report_path, summary.to_json_dict())
-    times = [r.wall_time for r in summary.records]  # completed trials, last attempt
-    trials = {"count": len(times), "total": sum(times), "max": max(times, default=None),
-              "p50": float(np.median(times)) if times else None}
-    write_manifest(out_dir, summary.config_echo, {"total": elapsed, "trials": trials},
+    # completed trials, last attempt
+    stages = {name: [t for r in summary.records for s, t in r.stage_times if s == name]
+              for name in TRIAL_STAGES}
+    timings = {
+        "total": elapsed,
+        "trials": _timing_summary([r.wall_time for r in summary.records]),
+        "stages": {**{name: _timing_summary(times) for name, times in stages.items()},
+                   **dict.fromkeys(_RETIRED_STAGES)},
+    }
+    write_manifest(out_dir, summary.config_echo, timings,
                    [str(report_path), str(trials_path)], workers=cfg.threads)
 
     flagged = {f["trial"] for f in summary.findings}

@@ -168,7 +168,7 @@ class Mixture:
     1 - sum_i w_i ||psi_i||^2 (sum_i w_i (1 - ||psi_i||^2) for weights that
     sum to 1).  No code forms its dim x dim matrix: ``marginals`` works on
     the rows, and ``witnesses.negativity_report`` takes the partial-transpose
-    spectrum on the rows' local supports.
+    spectrum on a low-rank compression of the rows.
     """
 
     arena: FockArena

@@ -8,8 +8,10 @@ sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 
 One builder, ``_sector_blocks``, forms those blocks column by column from
 U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
-to choose at eigenphases +-pi), no exponential.  ``transform_coherent_exact``
-applies full sectors to coherent states and projects afterwards;
+to choose at eigenphases +-pi), no exponential.  It builds whole blocks, or
+only the rows (and columns) whose tuples fit a cutoff.
+``transform_coherent_exact`` applies the arena rows of full-column blocks to
+coherent states, which is the projection of the exact transform;
 ``lift_unitary`` is P U P, the exact lift projected onto the arena.
 
 On coherent amplitudes the same map reads, in row-vector form,
@@ -100,52 +102,62 @@ class LiftedUnitary:
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_plan(n_modes: int, top: int, cutoff: int | None = None) -> tuple:
-    """The vacuum tuple, and (occ, rows, sqrt_s, parent, mode, inv_sqrt_t)
-    per sector 1..top: ``rows[k]`` is the position of s - e_k in the sector
-    below (0 where s_k = 0); column t lowers its most occupied mode j (first
-    on ties), which keeps the blocks unitary to roundoff (1e-14 at 2-mode
-    sector 60, where lowering the first occupied mode drifts to 3e-9).
+def _sector_plan(n_modes: int, top: int, row_cutoff: int | None = None,
+                 col_cutoff: int | None = None) -> tuple:
+    """The vacuum tuple, and (occ, cols, rows, sqrt_s, parent, mode,
+    inv_sqrt_t) per sector 1..top: ``occ`` are the row tuples and ``cols``
+    the column tuples; ``rows[k]`` is the position of row s - e_k in the
+    sector below (0 where s_k = 0); column t lowers its most occupied mode j
+    (first on ties), which keeps the blocks unitary to roundoff (1e-14 at
+    2-mode sector 60, where lowering the first occupied mode drifts to 3e-9).
 
-    ``cutoff`` keeps only the tuples of a FockArena with that cutoff; None
-    keeps whole sectors.  The recursion is closed on arena tuples: s - e_k
-    and t - e_j of an arena tuple are arena tuples.
+    A cutoff keeps only the tuples of a FockArena with that cutoff, on the
+    rows or on the columns; None keeps whole sectors.  The recursion is
+    closed either way: s - e_k of a row is a row and t - e_j of a column is a
+    column.  The lift uses arena rows and columns, the exact coherent
+    transform arena rows and full columns.
     """
-    table = FockArena(n_modes, top + 1 if cutoff is None else cutoff).occupation_table()
-    sectors = [table[table.sum(axis=1) == n] for n in range(top + 1)]
+    def sectors(cutoff):
+        table = FockArena(n_modes, top + 1 if cutoff is None else cutoff).occupation_table()
+        return [table[table.sum(axis=1) == n] for n in range(top + 1)]
+
+    row_sectors = sectors(row_cutoff)
+    col_sectors = row_sectors if col_cutoff == row_cutoff else sectors(col_cutoff)
     eye = np.eye(n_modes, dtype=int)
     steps = []
-    for below, occ in zip(sectors, sectors[1:]):
-        where = {tuple(t): i for i, t in enumerate(below)}
-        mode = occ.argmax(axis=1)
-        rows = np.array([[where.get(tuple(s - e), 0) for s in occ] for e in eye])
-        parent = np.array([where[tuple(t - eye[j])] for t, j in zip(occ, mode)])
-        steps.append((occ, rows, np.sqrt(occ.T), parent, mode,
-                      1.0 / np.sqrt(occ[np.arange(len(occ)), mode])))
-    for array in (sectors[0], *(a for step in steps for a in step)):
+    for n in range(1, top + 1):
+        row_below = {tuple(s): i for i, s in enumerate(row_sectors[n - 1])}
+        col_below = {tuple(t): i for i, t in enumerate(col_sectors[n - 1])}
+        occ, cols = row_sectors[n], col_sectors[n]
+        mode = cols.argmax(axis=1)
+        rows = np.array([[row_below.get(tuple(s - e), 0) for s in occ] for e in eye])
+        parent = np.array([col_below[tuple(t - eye[j])] for t, j in zip(cols, mode)])
+        steps.append((occ, cols, rows, np.sqrt(occ.T), parent, mode,
+                      1.0 / np.sqrt(cols[np.arange(len(cols)), mode])))
+    for array in (row_sectors[0], *(a for step in steps for a in step)):
         array.setflags(write=False)
-    return sectors[0], tuple(steps)
+    return row_sectors[0], tuple(steps)
 
 
-def _sector_blocks(matrix: np.ndarray, top: int,
-                   cutoff: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _sector_blocks(matrix: np.ndarray, top: int, row_cutoff: int | None = None,
+                   col_cutoff: int | None = None) -> list[tuple]:
     """Sectors 0..top of the Fock-space lift of the mode matrix, each as its
-    occupation tuples (lexicographic, as a FockArena lists them) and its
-    block <s|U|t>, built from U|0> = |0> by
+    row and column occupation tuples (lexicographic, as a FockArena lists
+    them) and its block <s|U|t>, built from U|0> = |0> by
         U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
-    Blocks are full, or with ``cutoff`` the P U P sub-blocks on the tuples
-    of a FockArena with that cutoff.
+    Blocks are full; a row or column cutoff keeps the sub-block on the
+    tuples of a FockArena with that cutoff (both: the P U P blocks).
     """
     conj = np.conj(matrix)
-    vacuum, steps = _sector_plan(len(matrix), top, cutoff)
+    vacuum, steps = _sector_plan(len(matrix), top, row_cutoff, col_cutoff)
     block = np.ones((1, 1), dtype=complex)
-    out = [(vacuum, block)]
-    for occ, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
+    out = [(vacuum, vacuum, block)]
+    for occ, cols, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
         # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>
         parents = block[:, parent]
         coef = conj[mode].T * inv_sqrt_t
         block = sum(s[:, None] * parents[r] * c for r, s, c in zip(rows, sqrt_s, coef))
-        out.append((occ, block))
+        out.append((occ, cols, block))
     return out
 
 
@@ -159,8 +171,8 @@ def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
     dim = arena.total_dim
     shape = (arena.cutoff,) * arena.n_modes
     matrix = np.zeros((dim, dim), dtype=complex)
-    for occ, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1),
-                                     arena.cutoff):
+    for occ, _, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1),
+                                        arena.cutoff, arena.cutoff):
         index = np.ravel_multi_index(occ.T, shape)
         matrix[np.ix_(index, index)] = block
 
@@ -199,7 +211,9 @@ def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.nda
     state (each state up to its own sector bound, where the Poissonian tail
     drops below ``SECTOR_TAIL_EPS``) and projecting afterwards gives
     P U|alpha>; the dense P U P on a truncated input would miss the
-    amplitude that U carries into the arena from outside it.
+    amplitude that U carries into the arena from outside it.  Only the
+    arena's rows of each block are built (from every column of the sector),
+    and no sector above n_modes*(cutoff-1), which holds no arena tuple.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape[-1] != arena.n_modes:
@@ -207,17 +221,15 @@ def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.nda
     rows = alphas.reshape(-1, arena.n_modes)
     means = np.sum(np.abs(rows) ** 2, axis=1)
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
-    top = int(n_max.max())
+    top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
 
+    shape = (arena.cutoff,) * arena.n_modes
     out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
-    for n, (occ, block) in enumerate(_sector_blocks(m.matrix, top)):
-        amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
+    for n, (occ, cols, block) in enumerate(_sector_blocks(m.matrix, top, arena.cutoff)):
+        amps = columns[:, np.arange(arena.n_modes), cols].prod(axis=-1)
         amps[n_max < n] = 0.0
-        transformed = amps @ block.T
-        kept = occ.max(axis=1) < arena.cutoff
-        index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
-        out[:, index] = transformed[:, kept]
+        out[:, np.ravel_multi_index(occ.T, shape)] = amps @ block.T
     return out.reshape(alphas.shape[:-1] + (arena.total_dim,))
 
 

@@ -1,7 +1,8 @@
 """Dense references the tests check bselab against.
 
 The package never builds these: a full-space state stays a set of weighted
-amplitude rows, and a trial's PT spectrum is taken on the local supports.
+amplitude rows, a trial's PT spectrum is taken on a certified low-rank
+compression, and route 2 builds only the arena rows of each sector block.
 Each helper here builds the dense object, or reads a quantity off it, so
 that a test can compare the package's result with the textbook one.
 """
@@ -16,8 +17,15 @@ import numpy as np
 
 from bselab.gaussian import GaussianState, symplectic_form
 from bselab.hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector
-from bselab.passive import LiftedUnitary, ModeUnitary
-from bselab.states import CoherentEnsemble, GaussianSpec, coherent, squeezed_vacuum, thermal
+from bselab.passive import LiftedUnitary, ModeUnitary, _sector_blocks, _sector_tail_bound
+from bselab.states import (
+    CoherentEnsemble,
+    GaussianSpec,
+    _coherent_column,
+    coherent,
+    squeezed_vacuum,
+    thermal,
+)
 
 
 def decode(arena: FockArena, index: int) -> tuple[int, ...]:
@@ -147,6 +155,55 @@ def dense_pt_eigenvalues(weights, rows, arena: FockArena, part_a) -> np.ndarray:
     for m in part_a:
         tensor = np.swapaxes(tensor, m, n + m)
     return np.linalg.eigvalsh(tensor.reshape(rho.shape))
+
+
+def exact_pt_spectrum(weights, rows, cutoff: int, part_a, part_b):
+    """Spectrum of the partial transpose over ``part_a`` of
+    sum_i w_i |psi_i><psi_i|, taken on the local supports with no rank cut,
+    and whether they span a proper subspace of the full space.
+
+    Every psi_i, reshaped to Psi_i (d_A x d_B), lies in Q_A ⊗ Q_B with Q_A
+    an orthonormal basis of the columns of [Psi_1 ... Psi_K] and Q_B one of
+    their rows.  A reduced Householder QR gives a basis of a superset of the
+    support whatever the rank.  A side is compressed only where its stacked
+    matrix is tall (K d_other < d_side); with neither this is the dense
+    partial transpose.
+    """
+    n = len(part_a) + len(part_b)
+    d_a, d_b = cutoff ** len(part_a), cutoff ** len(part_b)
+    k = rows.shape[0]
+    order = (0,) + tuple(1 + m for m in part_a + part_b)
+    psi = rows.reshape((k,) + (cutoff,) * n).transpose(order).reshape(k, d_a, d_b)
+    if k * d_b < d_a:
+        q_a = np.linalg.qr(psi.transpose(1, 0, 2).reshape(d_a, k * d_b))[0]
+        psi = q_a.conj().T @ psi
+    elif k * d_a < d_b:
+        q_b = np.linalg.qr(psi.transpose(2, 0, 1).reshape(d_b, k * d_a))[0]
+        psi = psi @ q_b.conj()
+    r_a, r_b = psi.shape[1:]
+    x = psi.reshape(k, r_a * r_b)
+    sigma = (weights * x.T) @ x.conj()
+    tensor = ((sigma + sigma.conj().T) / 2.0).reshape(r_a, r_b, r_a, r_b)
+    eigs = np.linalg.eigvalsh(tensor.swapaxes(0, 2).reshape(sigma.shape))
+    return eigs, r_a * r_b < d_a * d_b
+
+
+def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarray:
+    """P U|alpha> for each row of ``alphas`` from whole sector blocks up to
+    the Poisson tail bound, keeping the arena's tuples afterwards."""
+    rows = np.atleast_2d(np.asarray(alphas, dtype=complex))
+    n_max = np.array([_sector_tail_bound(float(np.sum(np.abs(r) ** 2))) for r in rows])
+    top = int(n_max.max())
+    columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
+    out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
+    for n, (occ, _, block) in enumerate(_sector_blocks(m.matrix, top)):
+        amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
+        amps[n_max < n] = 0.0
+        transformed = amps @ block.T
+        kept = occ.max(axis=1) < arena.cutoff
+        index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
+        out[:, index] = transformed[:, kept]
+    return out
 
 
 def permanent_block(matrix: np.ndarray, occupations: np.ndarray) -> np.ndarray:

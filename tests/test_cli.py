@@ -380,9 +380,20 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
         rows = transform_coherent_exact(m, alphas, FockArena(3, r["cutoff"]))
         assert r["leak"] == 1.0 - float(weights @ np.sum(np.abs(rows) ** 2, axis=1))
         assert r["leak"] <= LEAK_TOL
-    trials = json.loads((outs[0] / "manifest.json").read_text())["timings_seconds"]["trials"]
+    timings = json.loads((outs[0] / "manifest.json").read_text())["timings_seconds"]
+    trials = timings["trials"]
     assert trials["count"] == len(records) == 8
     assert 0.0 < trials["p50"] <= trials["max"] <= trials["total"]
+    # per stage over the completed trials; the retired stages are null
+    stages = timings["stages"]
+    assert stages["density_assembly"] is stages["density_validation"] is None
+    assert stages["sector_exponential"] is None
+    assert stages["pt_spectrum"]["count"] == 3 * stages["route2_transform"]["count"] == 24
+    n_single = sum(len(r["input"]["weights"]) == 1 for r in records)
+    assert stages["route3_gaussian"]["count"] == n_single
+    timed = [v for v in stages.values() if v is not None and v["count"]]
+    assert all(0.0 < v["p50"] <= v["max"] <= v["total"] for v in timed)
+    assert sum(v["total"] for v in timed) <= trials["total"]
 
 
 def _child_env(**extra) -> dict:

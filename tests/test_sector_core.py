@@ -23,7 +23,7 @@ from bselab.passive import (
 )
 from bselab.states import coherent, vacuum
 from bselab.theoremlab import haar_unitary
-from reference import conjugation_residual, permanent_block
+from reference import conjugation_residual, full_sector_transform, permanent_block
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -67,8 +67,9 @@ def _unitarity_dev(block: np.ndarray) -> float:
 @given(st.sampled_from([2, 3]).flatmap(unitaries))
 def test_sector_blocks_match_permanent_reference(m):
     table = FockArena(m.n_modes, 6).occupation_table()
-    for n, (occ, block) in enumerate(_sector_blocks(m.matrix, 5)):
+    for n, (occ, cols, block) in enumerate(_sector_blocks(m.matrix, 5)):
         assert np.array_equal(occ, table[table.sum(axis=1) == n])
+        assert np.array_equal(cols, occ)
         assert np.abs(block - permanent_block(m.matrix, occ)).max() <= 1e-12
 
 
@@ -79,7 +80,7 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
     # the column recursion lowers the most occupied mode; lowering the first
     # occupied one instead drifts past 1e-12 on sectors this big
     top, m = case
-    for _, block in _sector_blocks(m.matrix, top):
+    for _, _, block in _sector_blocks(m.matrix, top):
         assert _unitarity_dev(block) <= 1e-12
 
 
@@ -87,14 +88,19 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
 @given(st.sampled_from([(2, 12), (3, 8), (4, 4)]).flatmap(
     lambda shape: st.tuples(st.just(shape), unitaries(shape[0]))))
 def test_arena_sector_blocks_are_full_sub_blocks(case):
-    # the recursion closed on the arena's tuples gives P U P directly
+    # the recursion closed on the arena's tuples gives P U P directly, and
+    # closed on arena rows alone the arena rows of the full blocks
     (n_modes, cutoff), m = case
     top = n_modes * (cutoff - 1)
-    arena_blocks = _sector_blocks(m.matrix, top, cutoff)
-    for (occ, block), (full_occ, full) in zip(arena_blocks, _sector_blocks(m.matrix, top)):
+    arena_blocks = _sector_blocks(m.matrix, top, cutoff, cutoff)
+    row_blocks = _sector_blocks(m.matrix, top, cutoff)
+    for (occ, cols, block), (row_occ, row_cols, rows), (full_occ, _, full) in zip(
+            arena_blocks, row_blocks, _sector_blocks(m.matrix, top)):
         kept = full_occ.max(axis=1) < cutoff
-        assert np.array_equal(occ, full_occ[kept])
+        assert np.array_equal(occ, full_occ[kept]) and np.array_equal(cols, occ)
         assert np.abs(block - full[np.ix_(kept, kept)]).max() <= 1e-15
+        assert np.array_equal(row_occ, occ) and np.array_equal(row_cols, full_occ)
+        assert np.abs(rows - full[kept]).max() <= 1e-15
 
 
 @PROPERTY
@@ -144,3 +150,23 @@ def test_exact_transform_properties(case):
         # closed-form image, used here only as the reference
         closed = coherent(arena, alpha @ np.conj(m.matrix), leak_tol=1.0).amplitudes
         assert np.abs(single - closed).max() <= 1e-10
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 8), (2, 14), (3, 6), (3, 8)]).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape),
+        unitaries(shape[0]),
+        st.lists(st.lists(amplitudes, min_size=shape[0], max_size=shape[0]),
+                 min_size=1, max_size=4),
+        st.floats(0.5, 2.0),
+    )))
+def test_arena_row_transform_matches_full_sectors(case):
+    # arena rows only, and no sector above n_modes*(cutoff-1): the same
+    # amplitudes as the full blocks projected afterwards, up to the roundoff
+    # of a GEMM on another shape
+    (n_modes, cutoff), m, rows, scale = case
+    arena = FockArena(n_modes, cutoff)
+    alphas = scale * np.array(rows, dtype=complex)
+    reference = full_sector_transform(m, alphas, arena)
+    assert np.abs(transform_coherent_exact(m, alphas, arena) - reference).max() <= 1e-15

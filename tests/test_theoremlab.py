@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bselab import _blas, theoremlab
+from bselab import _blas, theoremlab, witnesses
 from bselab.hilbert import FockArena
 from bselab.passive import ModeUnitary, beam_splitter_matrix
 from bselab.states import CoherentEnsemble
@@ -59,29 +59,31 @@ def test_trial_identity_unitary_keeps_diagnostics():
     assert record.cross_pipeline_max_dev <= 1e-10
 
 
-def test_trial_eigensolves_only_on_local_supports(monkeypatch):
-    # the PT spectrum of each bipartition, on the local supports of the K
-    # output rows: a 1|2 cut at cutoff d keeps d x (d^2 or K d), so no
-    # eigensolve reaches total_dim or exceeds d^2 K
-    arena = FockArena(3, 6)
-    sizes = []
-    eigvalsh = np.linalg.eigvalsh
+@pytest.mark.parametrize("shape", [(3, 8, 0.5, 505), (2, 14, 1.0, 404)],
+                         ids=["campaign5", "campaign4"])
+def test_trial_pt_eigensolves_are_at_most_k_squared_wide(monkeypatch, shape):
+    # route-2 rows of K coherent components are product states to within the
+    # sector cut, so each side of every cut keeps at most K singular vectors
+    # and no partial-transpose spectrum is wider than K^2
+    n_modes, cutoff, bound, seed = shape
+    widths = []
+    spectrum = witnesses._pt_spectrum
 
-    def counting(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return eigvalsh(a, *args, **kwargs)
+    def recording(*args):
+        out = spectrum(*args)
+        widths.append(out[0].size)
+        return out
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    rng = np.random.default_rng(4)
-    for k in range(1, 5):
-        sizes.clear()
-        alphas = 0.3 * np.exp(2j * np.pi * rng.uniform(size=(k, 3)))
-        ens = CoherentEnsemble(3, rng.dirichlet(np.ones(k)), alphas)
-        record = run_theorem_trial(ens, haar_unitary(3, rng), arena)
-        assert len(record.entanglement_reports) == len(bipartitions(3)) == 3
-        assert arena.total_dim not in sizes
-        assert max(sizes) <= arena.cutoff**2 * k
-        assert sizes.count(arena.cutoff**2 * k) == 3
+    monkeypatch.setattr(witnesses, "_pt_spectrum", recording)
+    summary = run_campaign(CampaignConfig(
+        n_trials=100, seed=seed, n_modes=n_modes, max_ensemble_components=4,
+        amplitude_bound=bound, cutoff=cutoff))
+    cuts = len(bipartitions(n_modes))
+    assert len(widths) == cuts * summary.n_completed == cuts * 100
+    for i, record in enumerate(summary.records):
+        k = len(record.input_description["weights"])
+        assert max(widths[cuts * i: cuts * (i + 1)]) <= k * k
+    assert max(widths) == 16  # four components occur, and each keeps its rank
 
 
 def test_trial_single_component_runs_gaussian_oracle():
@@ -105,6 +107,15 @@ def test_trial_record_serialization_omits_wall_time():
     }
     assert payload["ensemble_closure"] == "pass"
     assert len(payload["bipartitions"]) == 1
+    assert set(payload["bipartitions"][0]) == {
+        "modes_a", "modes_b", "min_pt_eigenvalue", "negativity", "log_negativity",
+        "pt_bound", "verdict",
+    }
+    # timings stay off the record's bytes; the stages run in order and
+    # account for the whole trial
+    assert [name for name, _ in record.stage_times] == [
+        "route1_closed_form", "route2_transform", "pt_spectrum", "cross_check"]
+    assert sum(t for _, t in record.stage_times) <= record.wall_time
 
 
 def test_empty_campaign():

@@ -16,6 +16,7 @@ from bselab.states import (
 from bselab.theoremlab import CampaignConfig, bipartitions, haar_unitary
 from bselab.witnesses import (
     PPT_TOL,
+    PT_BOUND_SHARE,
     VACUUM_NBAR_EPS,
     _single_mode_moments,
     mandel_q,
@@ -24,6 +25,7 @@ from bselab.witnesses import (
 from reference import (
     dense_moments,
     dense_pt_eigenvalues,
+    exact_pt_spectrum,
     min_quadrature_variance,
     partial_trace,
     quadrature_variance,
@@ -109,14 +111,16 @@ def test_product_mixture_has_psd_partial_transpose():
 
 @st.composite
 def _row_mixtures(draw):
-    """K weighted rows on 2 modes (never compressed) or 3 modes at a cutoff
-    where K < cutoff compresses a 1|2 cut and K >= cutoff does not. Rows are
-    random vectors, lifted Fock states (entangled) or exact coherent
-    outputs (separable); some rows repeat and some weights are 0."""
+    """K weighted rows on 2 modes or 3 modes, at cutoffs where K rows span
+    less than the full space on one side of a 1|2 cut and where they do
+    not. Rows are random vectors or lifted Fock states (entangled, full
+    rank: nothing above roundoff may be cut), exact coherent outputs
+    (separable), or those plus a tiny random residue (the cut must move the
+    spectrum); some rows repeat and some weights are 0."""
     n_modes = draw(st.sampled_from((2, 3, 3)))
     cutoff = draw(st.integers(3, 5) if n_modes == 2 else st.integers(3, 4))
     k = draw(st.integers(1, cutoff + 2))
-    kind = draw(st.sampled_from(("random", "fock", "coherent")))
+    kind = draw(st.sampled_from(("random", "fock", "coherent", "near-product")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arena = FockArena(n_modes, cutoff)
     if kind == "random":
@@ -132,6 +136,11 @@ def _row_mixtures(draw):
     else:
         alphas = 0.4 * np.exp(2j * np.pi * rng.uniform(size=(k, n_modes)))
         rows = transform_coherent_exact(haar_unitary(n_modes, rng), alphas, arena)
+        if kind == "near-product":
+            # an entangled residue of amplitude 1e-11, below the budget:
+            # the cut drops it and moves the least eigenvalue by ~1e-11
+            z = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+            rows = rows + 1e-11 * z / np.linalg.norm(z, axis=1, keepdims=True)
     repeats = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
     if draw(st.booleans()):
         rows = rows[repeats]  # rank-deficient: repeated rows
@@ -140,20 +149,31 @@ def _row_mixtures(draw):
         weights[repeats[0]] = 0.0
         weights /= weights.sum()
     part_a = draw(st.sampled_from(bipartitions(n_modes)))[0]
-    return Mixture(arena, weights, rows, leak_tol=1.0), part_a
+    return Mixture(arena, weights, rows, leak_tol=1.0), part_a, kind
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(case=_row_mixtures())
 def test_compressed_pt_matches_dense_reference(case):
-    state, part_a = case
+    # the rank cut moves the least eigenvalue by at most its bound b, against
+    # the exact spectrum on the local supports and the dense one; by
+    # Hoffman-Wielandt the negativity moves by at most sqrt(dim) b
+    state, part_a, kind = case
     arena, k = state.arena, state.weights.size
     part_b = tuple(m for m in range(arena.n_modes) if m not in part_a)
     for a, b in ((part_a, part_b), (part_b, part_a)):
-        dense = dense_pt_eigenvalues(state.weights, state.rows, arena, a)
         report = negativity_report(state, (a, b))
-        assert abs(report.min_pt_eigenvalue - dense[0]) <= 1e-13
-        assert abs(report.negativity - max(0.0, -dense[dense < 0].sum())) <= 1e-13
+        bound = report.pt_bound
+        assert 0.0 <= bound <= PT_BOUND_SHARE * PPT_TOL
+        if kind == "random":
+            assert bound <= 1e-13  # full rank: only roundoff is cut
+        exact, proper = exact_pt_spectrum(state.weights, state.rows, arena.cutoff, a, b)
+        exact_min = min(exact[0], 0.0) if proper else exact[0]
+        assert abs(report.min_pt_eigenvalue - exact_min) <= bound + 1e-13
+        dense = dense_pt_eigenvalues(state.weights, state.rows, arena, a)
+        assert abs(report.min_pt_eigenvalue - dense[0]) <= bound + 1e-13
+        assert abs(report.negativity - max(0.0, -dense[dense < 0].sum())) <= (
+            np.sqrt(dense.size) * bound + 1e-13)
         dense_verdict = "entangled" if dense[0] < -PPT_TOL else "separable_by_ppt_nonviolation"
         assert report.verdict == dense_verdict
         d_a, d_b = arena.cutoff ** len(a), arena.cutoff ** len(b)
@@ -167,10 +187,10 @@ EDGE_SHAPES = {2: (10, 1.1), 3: (6, 0.55)}
 
 
 @st.composite
-def _classical_outputs(draw):
-    """A random classical ensemble through a random Haar unitary by the
-    exact transform, with every component amplitude vector of norm at most
-    the shape's bound, so that every output mode stays within it too."""
+def _classical_inputs(draw):
+    """A random classical ensemble at an edge shape and a random Haar
+    unitary, with every component amplitude vector of norm at most the
+    shape's bound, so that every output mode stays within it too."""
     n_modes = draw(st.sampled_from(sorted(EDGE_SHAPES)))
     cutoff, bound = EDGE_SHAPES[n_modes]
     k = draw(st.integers(1, 4))
@@ -182,8 +202,14 @@ def _classical_outputs(draw):
     radii = bound * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
     alphas = radii[:, None] * z / np.linalg.norm(z, axis=1, keepdims=True)
     ens = CoherentEnsemble(n_modes, np.array(weights), alphas)
-    arena = FockArena(n_modes, cutoff)
-    rows = transform_coherent_exact(haar_unitary(n_modes, rng), ens.alphas, arena)
+    return ens, haar_unitary(n_modes, rng), FockArena(n_modes, cutoff), bound
+
+
+@st.composite
+def _classical_outputs(draw):
+    """A classical input through its unitary by the exact transform."""
+    ens, m, arena, bound = draw(_classical_inputs())
+    rows = transform_coherent_exact(m, ens.alphas, arena)
     return Mixture(arena, ens.weights, rows), bound
 
 
@@ -215,6 +241,27 @@ def test_classical_output_is_ppt_and_poissonian(case):
     floor = min(0.0, mandel_q(to_density(coherent(FockArena(1, cutoff), [bound]))))
     for marginal in state.marginals():
         assert mandel_q(marginal) >= floor - Q_MARGIN
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=_classical_inputs())
+def test_pup_lift_output_is_ppt_to_within_the_input_truncation(case):
+    # P U P on a truncated coherent row P|alpha> differs from the product
+    # row P U|alpha> by P U (1 - P)|alpha>, of norm sqrt(leak). So each row
+    # is within sqrt(leak_i) of a product vector, the mixture is within
+    # 2 sum_i w_i sqrt(leak_i) of a separable one in trace norm, and Weyl's
+    # inequality bounds the partial transpose's least eigenvalue below by
+    # minus that floor. At the edge bounds the floor is near 1e-3 and the
+    # lift reads down to about -2e-4, far past -PPT_TOL: route 2 therefore
+    # transforms untruncated states.
+    ens, m, arena, _ = case
+    inputs = np.array([coherent(arena, a, leak_tol=1.0).amplitudes for a in ens.alphas])
+    leaks = 1.0 - np.sum(np.abs(inputs) ** 2, axis=1)
+    floor = 2.0 * float(ens.weights @ np.sqrt(np.maximum(leaks, 0.0)))
+    state = Mixture(arena, ens.weights, inputs @ lift_unitary(m, arena).matrix.T, leak_tol=1.0)
+    for bp in bipartitions(arena.n_modes):
+        report = negativity_report(state, bp)
+        assert report.min_pt_eigenvalue - report.pt_bound >= -PPT_TOL - floor
 
 
 def test_mandel_q_reference_states():
