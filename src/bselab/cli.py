@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import fields
@@ -282,7 +283,7 @@ _RETIRED_STAGES = ("density_assembly", "density_validation", "sector_exponential
 
 def _timing_summary(times: list[float]) -> dict:
     return {"count": len(times), "total": sum(times), "max": max(times, default=None),
-            "p50": float(np.median(times)) if times else None}
+            "p50": statistics.median(times) if times else None}
 
 
 def cmd_verify(args) -> int:
@@ -365,8 +366,9 @@ def cmd_sweep(args) -> int:
     thetas = _parse_thetas(args.thetas)
     arena = _two_mode_arena(args.cutoff)
 
-    # rows(m): the output amplitude rows after mode matrix m; an ensemble
-    # goes through the exact coherent transform a campaign trial uses
+    # rows(ms): the output amplitude rows after each mode matrix of ms; an
+    # ensemble goes through the exact coherent transform a campaign trial
+    # uses, once for the whole sweep
     if args.input == "fock":
         try:
             occ = tuple(int(tok) for tok in args.occupations.split(","))
@@ -374,7 +376,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
         input_echo = {"kind": "fock", "occupations": list(occ)}
-        weights, rows = [1.0], lambda m: [lift_unitary(m, arena).matrix @ psi]
+        weights, rows = [1.0], lambda ms: [[lift_unitary(m, arena).matrix @ psi] for m in ms]
     else:
         cfg_path = args.config
         if cfg_path is None:
@@ -385,13 +387,13 @@ def cmd_sweep(args) -> int:
         for alpha in ens.alphas:  # a component that overflows alone is an error,
             coherent(arena, alpha)  # even where a small weight hides it in the mixture
         input_echo = {"kind": "ensemble", "components": ens.n_components}
-        weights, rows = ens.weights, lambda m: transform_coherent_exact(m, ens.alphas, arena)
+        weights, rows = ens.weights, lambda ms: transform_coherent_exact(ms, ens.alphas, arena)
 
     table = []
     t0 = time.perf_counter()
-    for theta in thetas:
-        m = beam_splitter_matrix(theta, args.phi0, args.phi1)
-        state = Mixture(arena, weights, rows(m))
+    unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
+    for theta, out in zip(thetas, rows(unitaries)):
+        state = Mixture(arena, weights, out)
         report = negativity_report(state, ((0,), (1,)))
         rho_a, rho_b = state.marginals()
         table.append([theta, report.negativity, report.log_negativity,

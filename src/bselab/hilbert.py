@@ -195,12 +195,15 @@ class Mixture:
 
     def marginals(self) -> tuple[DensityOperator, ...]:
         """Single-mode reduced states in mode order: sum_i w_i A_i A_i^dag,
-        with A_i row i reshaped to (cutoff, rest) for that mode."""
+        with A_i row i reshaped to (cutoff, rest) for that mode: one GEMM
+        per mode, contracting the weighted rows with their conjugates over
+        the rows and the other modes."""
         n, d = self.arena.n_modes, self.arena.cutoff
         tensor = self.rows.reshape((-1,) + (d,) * n)
+        weighted = self.weights.reshape((-1,) + (1,) * n) * tensor
         out = []
         for m in range(n):
-            a = np.moveaxis(tensor, m + 1, 1).reshape(-1, d, d ** (n - 1))
-            rho = np.einsum("i,iak,ibk->ab", self.weights, a, a.conj())
+            others = [0] + [k + 1 for k in range(n) if k != m]
+            rho = np.tensordot(weighted, tensor.conj(), axes=(others, others))
             out.append(DensityOperator(FockArena(1, d), rho, leak_tol=self.leak_tol))
         return tuple(out)

@@ -9,10 +9,13 @@ sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 One builder, ``_sector_blocks``, forms those blocks column by column from
 U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
 to choose at eigenphases +-pi), no exponential.  It builds whole blocks, or
-only the rows (and columns) whose tuples fit a cutoff.
+only the rows (and columns) whose tuples fit a cutoff, for one mode matrix
+or for a stack of them at once (a leading batch axis).
 ``transform_coherent_exact`` applies the arena rows of full-column blocks to
-coherent states, which is the projection of the exact transform;
-``lift_unitary`` is P U P, the exact lift projected onto the arena.
+coherent states, which is the projection of the exact transform; given a
+sequence of unitaries (a sweep's angles) it transforms its input once and
+builds every block for the whole sequence.  ``lift_unitary`` is P U P, the
+exact lift projected onto the arena.
 
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -140,25 +144,37 @@ def _sector_plan(n_modes: int, top: int, row_cutoff: int | None = None,
 
 
 def _sector_blocks(matrix: np.ndarray, top: int, row_cutoff: int | None = None,
-                   col_cutoff: int | None = None) -> list[tuple]:
-    """Sectors 0..top of the Fock-space lift of the mode matrix, each as its
+                   col_cutoff: int | None = None) -> Iterator[tuple]:
+    """Sectors 0..top of the Fock-space lift of the mode matrix, in order and
+    one at a time (each is built from the one below), each as its
     row and column occupation tuples (lexicographic, as a FockArena lists
     them) and its block <s|U|t>, built from U|0> = |0> by
         U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
     Blocks are full; a row or column cutoff keeps the sub-block on the
     tuples of a FockArena with that cutoff (both: the P U P blocks).
+
+    ``matrix`` may be a stack ``(..., n, n)``; every block then carries the
+    same leading axes.  The recursion keeps the rows first and the stack
+    axes between rows and columns: a single matrix then runs on 2-d blocks,
+    and each entry of a stack through the same elementwise operations in the
+    same order.  ``np.take`` keeps each block C-contiguous in that order, so
+    every matrix of a stack has unit column stride and reaches BLAS as a
+    single one does.
     """
-    conj = np.conj(matrix)
-    vacuum, steps = _sector_plan(len(matrix), top, row_cutoff, col_cutoff)
-    block = np.ones((1, 1), dtype=complex)
-    out = [(vacuum, vacuum, block)]
+    conj_t = np.moveaxis(np.conj(matrix), -1, 0)  # conj_t[k, ..., j] = conj(M_jk)
+    lead = conj_t.shape[1:-1]
+    # the recursion's (rows, ..., cols) to the caller's (..., rows, cols)
+    rows_last = (*range(1, len(lead) + 1), 0, len(lead) + 1)
+    vacuum, steps = _sector_plan(conj_t.shape[0], top, row_cutoff, col_cutoff)
+    block = np.ones((1,) + lead + (1,), dtype=complex)
+    yield vacuum, vacuum, block.transpose(rows_last)
     for occ, cols, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
         # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>
-        parents = block[:, parent]
-        coef = conj[mode].T * inv_sqrt_t
-        block = sum(s[:, None] * parents[r] * c for r, s, c in zip(rows, sqrt_s, coef))
-        out.append((occ, cols, block))
-    return out
+        parents = np.take(block, parent, axis=-1)
+        coef = conj_t[..., mode] * inv_sqrt_t
+        sqrt_s = sqrt_s.reshape(sqrt_s.shape + (1,) * (len(lead) + 1))
+        block = sum(s * parents[r] * c for r, s, c in zip(rows, sqrt_s, coef))
+        yield occ, cols, block.transpose(rows_last)
 
 
 def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
@@ -190,21 +206,64 @@ def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
     return lifted
 
 
+@functools.lru_cache(maxsize=None)
+def _column_plan(n_modes: int, top: int, cutoff: int) -> tuple:
+    """The arena-row plan of sectors 0..top flattened for one gather: every
+    column tuple in sector order and the sector of each column; and per
+    sector, the slice of its columns in that order and the arena index of
+    each of its rows, where the sector's block scatters."""
+    vacuum, steps = _sector_plan(n_modes, top, cutoff)
+    occs = [vacuum] + [step[0] for step in steps]
+    cols = [vacuum] + [step[1] for step in steps]
+    starts = np.cumsum([0] + [len(c) for c in cols]).tolist()
+    flat = np.concatenate(cols)
+    sector = np.repeat(np.arange(top + 1), np.diff(starts))
+    sectors = tuple((slice(a, b), np.ravel_multi_index(o.T, (cutoff,) * n_modes))
+                    for a, b, o in zip(starts, starts[1:], occs))
+    for array in (flat, sector, *(index for _, index in sectors)):
+        array.setflags(write=False)
+    return flat, sector, sectors
+
+
 def _sector_tail_bound(mean: float) -> int:
-    """Smallest n with Poisson(mean) tail P(N >= n) <= SECTOR_TAIL_EPS."""
+    """Smallest n with Poisson(mean) tail P(N >= n) <= SECTOR_TAIL_EPS.
+
+    The tail falls with n, so the bound is bracketed by doubling the step
+    from max(1, int(mean)) and then bisected: about 2 log2(n - mean) tail
+    evaluations where a search one step at a time takes n - mean."""
     if mean <= 0.0:
         return 0
-    n = max(1, int(mean))
-    while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
-        n += 1
-    return n
+    lo = max(1, int(mean))
+    if _poisson_tail(lo, mean) <= SECTOR_TAIL_EPS:
+        return lo
+    step = 1  # invariant: the tail at lo is above SECTOR_TAIL_EPS
+    while _poisson_tail(lo + step, mean) > SECTOR_TAIL_EPS:
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _poisson_tail(mid, mean) > SECTOR_TAIL_EPS:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarray:
+def transform_coherent_exact(m, alphas, arena: FockArena) -> np.ndarray:
     """Amplitudes of the lifted unitary applied to |alphas>, projected to
     the arena truncation *after* the transform.
 
-    ``alphas`` has shape ``(..., n_modes)``, the result ``(..., total_dim)``.
+    ``m`` is one ModeUnitary or a sequence of T of them, ``alphas`` has
+    shape ``(..., n_modes)``; the result has shape ``(..., total_dim)`` for
+    one unitary and ``(T, ..., total_dim)`` for a sequence.  That is T
+    single calls bit for bit from two modes up; one mode's blocks are 1 x 1,
+    and numpy rounds the lone complex product of a single call without a
+    fused multiply-add, so there the last bit can differ.  The work on the
+    input (sector bounds, coherent columns, the gather of each sector's
+    amplitudes) is done once for the whole sequence, and each sector block
+    is built for all T at once (``_sector_blocks`` on the stack of mode
+    matrices).  The result holds T x n_components x total_dim complex
+    numbers.
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
@@ -215,6 +274,9 @@ def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.nda
     arena's rows of each block are built (from every column of the sector),
     and no sector above n_modes*(cutoff-1), which holds no arena tuple.
     """
+    unitaries = [m] if isinstance(m, ModeUnitary) else list(m)
+    if any(u.n_modes != arena.n_modes for u in unitaries):
+        raise ValueError("mode count mismatch between unitary and arena")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape[-1] != arena.n_modes:
         raise ValueError("need one amplitude per mode")
@@ -222,15 +284,17 @@ def transform_coherent_exact(m: ModeUnitary, alphas, arena: FockArena) -> np.nda
     means = np.sum(np.abs(rows) ** 2, axis=1)
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
-    columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
+    cols, sector, sectors = _column_plan(arena.n_modes, top, arena.cutoff)
+    amps = _coherent_column(rows, top + 1)[:, np.arange(arena.n_modes), cols].prod(axis=-1)
+    amps[sector > n_max[:, None]] = 0.0
 
-    shape = (arena.cutoff,) * arena.n_modes
-    out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
-    for n, (occ, cols, block) in enumerate(_sector_blocks(m.matrix, top, arena.cutoff)):
-        amps = columns[:, np.arange(arena.n_modes), cols].prod(axis=-1)
-        amps[n_max < n] = 0.0
-        out[:, np.ravel_multi_index(occ.T, shape)] = amps @ block.T
-    return out.reshape(alphas.shape[:-1] + (arena.total_dim,))
+    matrices = np.array([u.matrix for u in unitaries]).reshape((-1,) + (arena.n_modes,) * 2)
+    out = np.zeros((len(unitaries), len(rows), arena.total_dim), dtype=complex)
+    blocks = _sector_blocks(matrices, top, arena.cutoff)
+    for (columns, index), (_, _, block) in zip(sectors, blocks):
+        out[..., index] = amps[:, columns] @ np.swapaxes(block, -1, -2)
+    out = out.reshape(out.shape[:1] + alphas.shape[:-1] + out.shape[-1:])
+    return out[0] if isinstance(m, ModeUnitary) else out
 
 
 def transform_ensemble(ens: CoherentEnsemble, m: ModeUnitary) -> CoherentEnsemble:

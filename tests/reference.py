@@ -17,11 +17,18 @@ import numpy as np
 
 from bselab.gaussian import GaussianState, symplectic_form
 from bselab.hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector
-from bselab.passive import LiftedUnitary, ModeUnitary, _sector_blocks, _sector_tail_bound
+from bselab.passive import (
+    SECTOR_TAIL_EPS,
+    LiftedUnitary,
+    ModeUnitary,
+    _sector_blocks,
+    _sector_tail_bound,
+)
 from bselab.states import (
     CoherentEnsemble,
     GaussianSpec,
     _coherent_column,
+    _poisson_tail,
     coherent,
     squeezed_vacuum,
     thermal,
@@ -204,6 +211,28 @@ def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarra
         index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
         out[:, index] = transformed[:, kept]
     return out
+
+
+def linear_sector_tail_bound(mean: float) -> int:
+    """Smallest n with P(N >= n) <= SECTOR_TAIL_EPS, by the plain upward
+    search from max(1, int(mean)) that ``_sector_tail_bound`` bisects."""
+    if mean <= 0.0:
+        return 0
+    n = max(1, int(mean))
+    while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
+        n += 1
+    return n
+
+
+def scalar_coherent_column(alpha: complex, cutoff: int) -> np.ndarray:
+    """e^{-|a|^2/2} a^n / sqrt(n!) for one amplitude, in Python scalars
+    where the formula has them: the form ``_coherent_column`` vectorises."""
+    n = np.arange(cutoff)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
+    if alpha == 0:
+        return np.concatenate(([1.0], np.zeros(cutoff - 1))).astype(complex)
+    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0)
+    return mag * np.exp(1j * n * np.angle(alpha))
 
 
 def permanent_block(matrix: np.ndarray, occupations: np.ndarray) -> np.ndarray:

@@ -14,10 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bselab import cli, theoremlab
-from bselab.hilbert import LEAK_TOL, FockArena
-from bselab.passive import ModeUnitary, transform_coherent_exact
-from bselab.states import CoherentEnsemble
-from bselab.witnesses import PPT_TOL
+from bselab.hilbert import LEAK_TOL, FockArena, Mixture
+from bselab.passive import (
+    ModeUnitary,
+    beam_splitter_matrix,
+    lift_unitary,
+    transform_coherent_exact,
+)
+from bselab.states import CoherentEnsemble, fock
+from bselab.witnesses import PPT_TOL, mandel_q, negativity_report
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -297,16 +302,55 @@ def test_sweep_classical_ensemble_stays_ppt(tmp_path):
     assert all(float(row["min_pt_eigenvalue"]) >= -PPT_TOL for row in rows)
 
 
-def test_sweep_ensemble_checks_each_input_component(tmp_path, capsys):
+def test_sweep_ensemble_checks_each_input_component(tmp_path, capsys, monkeypatch):
     # the second component alone loses 0.57 past cutoff 12; its weight is
-    # too small for the mixture's leak to exceed the budget
+    # too small for the mixture's leak to exceed the budget.  The check runs
+    # before the sweep's one transform of all angles.
+    def no_angle_runs(*args):
+        raise AssertionError("the sweep transformed its input")
+
+    monkeypatch.setattr(cli, "transform_coherent_exact", no_angle_runs)
     cfg = tmp_path / "ensemble.json"
     cfg.write_text(json.dumps({"version": 1, "ensemble": [
         {"weight": 1.0 - 1e-7, "alphas": [[0.1, 0.0], [0.1, 0.0]]},
         {"weight": 1e-7, "alphas": [[3.5, 0.0], [0.0, 0.0]]}]}))
     assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg), "--cutoff", "12",
-                     "--thetas", "0.7", "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERIC
+                     "--thetas", "0.3,0.7", "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERIC
     assert "truncation leakage 5.667e-01" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_ensemble_empty_grid_writes_header_only(tmp_path):
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": [
+        {"weight": 1.0, "alphas": [[0.4, 0.1], [-0.2, 0.3]]}]}))
+    out = tmp_path / "empty"
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg),
+                     "--thetas", "", "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_text().splitlines() == [",".join(cli.SWEEP_COLUMNS)]
+
+
+def test_sweep_fock_rows_are_each_angles_lift(tmp_path):
+    # the Fock input still lifts each angle's beam splitter on its own
+    thetas = [0.0, 0.4, 1.1, np.pi / 2]
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--input", "fock", "--occupations", "2,1", "--cutoff", "6",
+                     "--phi0", "0.3", "--thetas", ",".join(map(repr, thetas)),
+                     "--out", str(out)]) == 0
+    arena = FockArena(2, 6)
+    psi = fock(arena, (2, 1)).amplitudes
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(cli.SWEEP_COLUMNS)
+    for theta in thetas:
+        m = beam_splitter_matrix(theta, 0.3, 0.0)
+        state = Mixture(arena, [1.0], [lift_unitary(m, arena).matrix @ psi])
+        report = negativity_report(state, ((0,), (1,)))
+        writer.writerow([theta, report.negativity, report.log_negativity,
+                         report.min_pt_eigenvalue,
+                         *(mandel_q(rho) for rho in state.marginals())])
+    with (out / "sweep.csv").open(newline="") as fh:
+        assert fh.read() == expected.getvalue()
 
 
 THREE_MODE_ENSEMBLE = json.dumps({"version": 1, "ensemble": [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bselab.hilbert import FockArena
@@ -16,7 +16,13 @@ from bselab.passive import (
 )
 from bselab.states import CoherentEnsemble, coherent, fock, vacuum
 from bselab.theoremlab import haar_unitary
-from reference import annihilation_matrix, conjugation_residual, ensemble_to_density, norm
+from reference import (
+    annihilation_matrix,
+    conjugation_residual,
+    ensemble_to_density,
+    linear_sector_tail_bound,
+    norm,
+)
 
 RT2 = np.sqrt(2.0) / 2.0
 
@@ -234,3 +240,18 @@ def test_sector_tail_bound_matches_pdtrc_reference():
 
     for mean in np.linspace(0.0, 30.0, 3001):
         assert _sector_tail_bound(float(mean)) == reference(float(mean)), mean
+
+
+def test_sector_tail_bound_bisection_matches_linear_search():
+    # 0, vanishing means and means past the top sector of every arena the
+    # campaigns and sweeps use (3 modes at cutoff 8: 21; 2 at cutoff 22: 42)
+    means = np.concatenate(([0.0, 1e-300, 1e-9, 1e-3], np.linspace(0.0, 64.0, 2561)))
+    for mean in means:
+        assert _sector_tail_bound(float(mean)) == linear_sector_tail_bound(float(mean)), mean
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.floats(0.0, 1000.0))
+@example(1e-9)
+def test_sector_tail_bound_bisection_matches_linear_search_on_any_mean(mean):
+    assert _sector_tail_bound(mean) == linear_sector_tail_bound(mean)

@@ -170,3 +170,26 @@ def test_arena_row_transform_matches_full_sectors(case):
     alphas = scale * np.array(rows, dtype=complex)
     reference = full_sector_transform(m, alphas, arena)
     assert np.abs(transform_coherent_exact(m, alphas, arena) - reference).max() <= 1e-15
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 6), (2, 22), (3, 5), (3, 8)]).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape),
+        st.lists(unitaries(shape[0]), min_size=1, max_size=5),
+        st.lists(st.lists(amplitudes, min_size=shape[0], max_size=shape[0]),
+                 min_size=1, max_size=4),
+        st.floats(0.5, 2.0),
+    )))
+def test_exact_transform_of_a_stack_is_single_calls_bit_for_bit(case):
+    # every stack also holds the eigenphases +-pi, and every input a zero
+    # amplitude; a stack of one is a sweep of one angle
+    (n_modes, cutoff), ms, rows, scale = case
+    arena = FockArena(n_modes, cutoff)
+    ms = ms + [ModeUnitary(np.diag(np.exp(1j * np.pi * (-1.0) ** np.arange(n_modes))))]
+    alphas = scale * np.array(rows + [[0j] + rows[0][1:]], dtype=complex)
+    batch = transform_coherent_exact(ms, alphas, arena)
+    assert batch.shape == (len(ms), len(alphas), arena.total_dim)
+    for m, amps in zip(ms, batch):
+        assert amps.tobytes() == transform_coherent_exact(m, alphas, arena).tobytes()
+    assert transform_coherent_exact(ms[:1], alphas, arena)[0].tobytes() == batch[0].tobytes()

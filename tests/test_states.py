@@ -11,6 +11,7 @@ from bselab.hilbert import FockArena, TruncationError
 from bselab.states import (
     CoherentEnsemble,
     GaussianSpec,
+    _coherent_column,
     _poisson_tail,
     coherent,
     coherent_leakage,
@@ -19,7 +20,13 @@ from bselab.states import (
     thermal,
     vacuum,
 )
-from reference import annihilation_matrix, ensemble_to_density, norm, spec_to_density
+from reference import (
+    annihilation_matrix,
+    ensemble_to_density,
+    norm,
+    scalar_coherent_column,
+    spec_to_density,
+)
 
 
 def test_vacuum_is_unit_vector_at_index_zero():
@@ -198,3 +205,24 @@ def test_gaussian_spec_validation_and_fock_form():
     arena = FockArena(1, 15)
     rho = spec_to_density(GaussianSpec("coherent", alpha=0.3 + 0.1j), arena)
     assert abs(rho.trace - 1.0) <= 1e-8
+
+
+_parts = st.floats(-4.0, 4.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.lists(st.one_of(st.just(0j), st.builds(complex, _parts, _parts)),
+                    min_size=n, max_size=n), min_size=1, max_size=4)),
+       st.integers(1, 30))
+@example([[0j, 1.885376393636725 + 0j], [-0.3991432526686962 - 0.6268762044095801j, 0j]], 22)
+def test_coherent_column_matches_scalar_formula_bit_for_bit(rows, cutoff):
+    # rows mixing zero and nonzero amplitudes, as a sweep or trial ensemble
+    # has; the example's |a|^2 and |a| are ones where r * r and np.abs of a
+    # complex array round differently from the scalar formula
+    alphas = np.array(rows, dtype=complex)
+    columns = _coherent_column(alphas, cutoff)
+    assert columns.shape == alphas.shape + (cutoff,)
+    expected = np.array([[scalar_coherent_column(complex(a), cutoff) for a in row]
+                         for row in alphas])
+    assert columns.tobytes() == expected.tobytes()
