@@ -3,8 +3,9 @@
 
 The package runs the constructive closed-form argument (classical coherent
 ensembles stay classical coherent ensembles under passive unitaries) side
-by side with independent numeric checks: PPT negativity on truncated Fock
-density matrices and a Gaussian covariance-matrix oracle.
+by side with independent numeric checks: PPT diagnostics on the truncated
+Fock-space output, held as weighted amplitude rows, and a Gaussian
+covariance-matrix oracle.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +18,6 @@ from .gaussian import (
     simon_separable,
 )
 from .hilbert import (
-    DensityOperator,
     FockArena,
     Mixture,
     StateVector,

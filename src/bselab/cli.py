@@ -395,9 +395,9 @@ def cmd_sweep(args) -> int:
     for theta, out in zip(thetas, rows(unitaries)):
         state = Mixture(arena, weights, out)
         report = negativity_report(state, ((0,), (1,)))
-        rho_a, rho_b = state.marginals()
+        p_a, p_b = state.photon_distributions()
         table.append([theta, report.negativity, report.log_negativity,
-                      report.min_pt_eigenvalue, mandel_q(rho_a), mandel_q(rho_b)])
+                      report.min_pt_eigenvalue, mandel_q(p_a), mandel_q(p_b)])
     elapsed = time.perf_counter() - t0
 
     sweep_path = out_dir / "sweep.csv"

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .passive import ModeUnitary
 from .states import GaussianSpec
 
 SYM_TOL = 1e-12
@@ -109,17 +110,16 @@ def symplectic_image(matrix: np.ndarray) -> np.ndarray:
     return s
 
 
-def apply_passive(g: GaussianState, m) -> GaussianState:
+def apply_passive(g: GaussianState, m: ModeUnitary) -> GaussianState:
     """Image of a Gaussian state under the passive unitary M.
 
     Uses the amplitude map alpha -> M^dag alpha of the Fock-space lift, so
     the two pipelines transform states identically: mean -> S mean,
     cov -> S cov S^T with S the symplectic image of M^dag.
     """
-    matrix = np.asarray(m.matrix if hasattr(m, "matrix") else m, dtype=complex)
-    if matrix.shape[0] != g.n_modes:
+    if m.n_modes != g.n_modes:
         raise ValueError("mode count mismatch")
-    s = symplectic_image(matrix.conj().T)
+    s = symplectic_image(m.matrix.conj().T)
     return GaussianState(g.n_modes, s @ g.mean, s @ g.cov @ s.T)
 
 

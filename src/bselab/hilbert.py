@@ -1,7 +1,7 @@
 """Truncated multimode Fock space: basis indexing and the validated state
-containers.  No operator matrix is built here: a full-space state is a set
-of weighted amplitude rows, and its single-mode marginals are reduced from
-those rows directly.
+containers.  No operator matrix is built here: a pure state is an amplitude
+vector, a full-space mixed state is a set of weighted amplitude rows, and
+each mode's photon-number distribution is summed from those rows directly.
 
 Everything here is dense numpy. At the scales this package targets
 (<= 3 modes, cutoff <= ~20) dense linear algebra is simpler and fast
@@ -18,10 +18,6 @@ import numpy as np
 
 #: default truncation-leakage budget for state constructors, a probability
 LEAK_TOL = 1e-6
-#: positive-semidefiniteness tolerance (scaled by matrix norm)
-PSD_TOL = 1e-10
-#: relative Hermiticity tolerance for density operators
-HERM_TOL = 1e-12
 
 
 class TruncationError(ValueError):
@@ -117,58 +113,15 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
-    """A mixed state as a dense Hermitian PSD matrix over the arena basis.
-
-    Validated at construction: the input is Hermitian within ``HERM_TOL``
-    relative to its largest entry; ``matrix`` is then the read-only,
-    exactly Hermitian copy ``(rho + rho^dag)/2``, whose trace lies in
-    ``[1 - leak_tol, 1]`` and whose minimum eigenvalue is >= ``-PSD_TOL``
-    scaled by the matrix norm.  Code downstream trusts these properties and
-    does not re-impose them.
-    """
-
-    arena: FockArena
-    matrix: np.ndarray
-    leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.matrix, dtype=complex)
-        dim = self.arena.total_dim
-        if raw.shape != (dim, dim):
-            raise ValueError("density matrix has wrong shape")
-        scale = float(np.abs(raw).max())
-        if scale == 0.0:
-            raise ValueError("density matrix is identically zero")
-        herm_dev = float(np.abs(raw - raw.conj().T).max())
-        if herm_dev > HERM_TOL * scale:
-            raise ValueError(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
-        mat = (raw + raw.conj().T) / 2.0
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        tr = float(np.trace(mat).real)
-        if tr > 1.0 + 1e-12:
-            raise ValueError(f"trace {tr} exceeds 1")
-        _check_leak(1.0 - tr, self.leak_tol)
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -PSD_TOL * max(scale, 1.0):
-            raise ValueError(f"density matrix not PSD: min eigenvalue {min_eig:.3e}")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-@dataclass(frozen=True)
 class Mixture:
     """A full-space state sum_i w_i |psi_i><psi_i| held as read-only copies
     of its finite, non-negative weights and its pure amplitude rows.
 
     It is PSD by construction, so the one check is the truncation ``leak``
     1 - sum_i w_i ||psi_i||^2 (sum_i w_i (1 - ||psi_i||^2) for weights that
-    sum to 1).  No code forms its dim x dim matrix: ``marginals`` works on
-    the rows, and ``witnesses.negativity_report`` takes the partial-transpose
-    spectrum on a low-rank compression of the rows.
+    sum to 1).  No code forms its dim x dim matrix: ``photon_distributions``
+    sums the rows' squared moduli, and ``witnesses.negativity_report`` takes
+    the partial-transpose spectrum on a low-rank compression of the rows.
     """
 
     arena: FockArena
@@ -193,17 +146,11 @@ class Mixture:
         object.__setattr__(self, "leak", 1.0 - kept)
         _check_leak(self.leak, self.leak_tol)
 
-    def marginals(self) -> tuple[DensityOperator, ...]:
-        """Single-mode reduced states in mode order: sum_i w_i A_i A_i^dag,
-        with A_i row i reshaped to (cutoff, rest) for that mode: one GEMM
-        per mode, contracting the weighted rows with their conjugates over
-        the rows and the other modes."""
+    def photon_distributions(self) -> np.ndarray:
+        """Each mode's photon-number distribution, shape (n_modes, cutoff):
+        row m is sum_i w_i |psi_i|^2 summed over every mode but m, the
+        diagonal of mode m's reduced state."""
         n, d = self.arena.n_modes, self.arena.cutoff
-        tensor = self.rows.reshape((-1,) + (d,) * n)
-        weighted = self.weights.reshape((-1,) + (1,) * n) * tensor
-        out = []
-        for m in range(n):
-            others = [0] + [k + 1 for k in range(n) if k != m]
-            rho = np.tensordot(weighted, tensor.conj(), axes=(others, others))
-            out.append(DensityOperator(FockArena(1, d), rho, leak_tol=self.leak_tol))
-        return tuple(out)
+        probs = (self.weights @ np.abs(self.rows) ** 2).reshape((d,) * n)
+        return np.array([probs.sum(axis=tuple(k for k in range(n) if k != m))
+                         for m in range(n)])

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector
+from .hilbert import LEAK_TOL, FockArena, Mixture, StateVector
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -119,15 +119,16 @@ def squeezed_vacuum(arena: FockArena, r: float, theta_s: float = 0.0) -> StateVe
     return StateVector(arena, amps)
 
 
-def thermal(arena: FockArena, nbar: float) -> DensityOperator:
-    """Single-mode thermal state diag((1-q) q^k) with q = nbar/(1+nbar)."""
+def thermal(arena: FockArena, nbar: float) -> Mixture:
+    """Single-mode thermal state: the Fock rows |k> with weights (1-q) q^k,
+    q = nbar/(1+nbar); the leak past the cutoff is q^cutoff."""
     if arena.n_modes != 1:
         raise ValueError("thermal builds single-mode states")
     if nbar < 0:
         raise ValueError("mean photon number must be >= 0")
     q = nbar / (1.0 + nbar)
     probs = (1.0 - q) * q ** np.arange(arena.cutoff)
-    return DensityOperator(arena, np.diag(probs).astype(complex))
+    return Mixture(arena, probs, np.eye(arena.cutoff))
 
 
 @dataclass(frozen=True)

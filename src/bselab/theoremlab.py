@@ -462,7 +462,7 @@ def non_sufficiency_demo(
         raise ValueError("the demo is a two-mode construction")
     m = beam_splitter_matrix(theta, phi0, phi1)
     psi_in = fock(arena, (1, 0)).amplitudes
-    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).marginals()[0])
+    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).photon_distributions()[0])
 
     psi_fwd = lift_unitary(m, arena).matrix @ psi_in
     forward = negativity_report(Mixture(arena, [1.0], [psi_fwd]), ((0,), (1,)))

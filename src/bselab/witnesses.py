@@ -1,8 +1,9 @@
 """Numeric diagnostics on truncated states: PPT negativity of a full-space
-mixture and Mandel Q of a single-mode density.
+mixture and Mandel Q of a single-mode photon-number distribution.
 
-The single-mode moments <n> and <n^2> are closed sums over the diagonal of
-the density; no ladder-operator matrix is built.
+Mandel Q needs only the moments <n> and <n^2>, closed sums over the
+distribution (``hilbert.Mixture.photon_distributions``); no ladder-operator
+matrix and no single-mode density is built.
 
 The partial-transpose spectrum of a mixture of K rows is taken on a
 low-rank compression: across a cut A|B each side keeps the leading singular
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, Mixture
+from .hilbert import Mixture
 
-#: PPT eigenvalue tolerance; looser than the PSD tolerance because
-#: partial-transpose spectra inherit truncation noise from the lift pipeline
+#: PPT eigenvalue tolerance: a least partial-transpose eigenvalue at or above
+#: -PPT_TOL reads as PPT.  Route 2 drops sectors past passive.SECTOR_TAIL_EPS,
+#: so its rows are exact only to about 1e-10 in amplitude; the tolerance sits
+#: 100 times above that, and the rank cut's bound spends at most
+#: PT_BOUND_SHARE of it.
 PPT_TOL = 1e-8
 #: share of the PPT tolerance the rank cut of a partial-transpose spectrum
 #: may spend: its bound b stays <= PT_BOUND_SHARE * ppt_tol (1e-10 at
@@ -145,19 +149,14 @@ def negativity_report(
     )
 
 
-def _single_mode_moments(rho: DensityOperator) -> tuple[float, float]:
-    """<n>, <n^2> of a single-mode density as closed sums over its diagonal:
-    <n^p> = sum_k k^p rho_kk."""
-    if rho.arena.n_modes != 1:
-        raise ValueError("moments are taken on a single-mode density")
-    k = np.arange(rho.arena.cutoff, dtype=float)
-    probs = rho.matrix.diagonal().real
-    return float(k @ probs), float((k * k) @ probs)
-
-
-def mandel_q(rho: DensityOperator) -> float:
-    """(<n^2> - <n>^2 - <n>)/<n> of a single-mode density; 0 for vacuum."""
-    exp_n, exp_n2 = _single_mode_moments(rho)
+def mandel_q(probs) -> float:
+    """(<n^2> - <n>^2 - <n>)/<n> of a single-mode photon-number
+    distribution, <n^p> = sum_k k^p probs[k]; 0 for vacuum."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1:
+        raise ValueError("Mandel Q reads one mode's photon-number distribution")
+    k = np.arange(probs.size, dtype=float)
+    exp_n, exp_n2 = float(k @ probs), float((k * k) @ probs)
     if exp_n < VACUUM_NBAR_EPS:
         return 0.0
     return float((exp_n2 - exp_n**2 - exp_n) / exp_n)

@@ -1,7 +1,8 @@
 """Dense references the tests check bselab against.
 
 The package never builds these: a full-space state stays a set of weighted
-amplitude rows, a trial's PT spectrum is taken on a certified low-rank
+amplitude rows, Mandel Q reads a photon-number distribution, not a
+single-mode density, a trial's PT spectrum is taken on a certified low-rank
 compression, and route 2 builds only the arena rows of each sector block.
 Each helper here builds the dense object, or reads a quantity off it, so
 that a test can compare the package's result with the textbook one.
@@ -11,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from bselab.gaussian import GaussianState, symplectic_form
-from bselab.hilbert import LEAK_TOL, DensityOperator, FockArena, StateVector
+from bselab.hilbert import LEAK_TOL, FockArena, Mixture, StateVector, _check_leak
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     LiftedUnitary,
@@ -33,6 +35,69 @@ from bselab.states import (
     squeezed_vacuum,
     thermal,
 )
+
+
+#: positive-semidefiniteness tolerance (scaled by matrix norm)
+PSD_TOL = 1e-10
+#: relative Hermiticity tolerance for density operators
+HERM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class DensityOperator:
+    """A mixed state as a dense Hermitian PSD matrix over the arena basis.
+
+    Validated at construction: the input is Hermitian within ``HERM_TOL``
+    relative to its largest entry; ``matrix`` is then the read-only,
+    exactly Hermitian copy ``(rho + rho^dag)/2``, whose trace lies in
+    ``[1 - leak_tol, 1]`` and whose minimum eigenvalue is >= ``-PSD_TOL``
+    scaled by the matrix norm.
+    """
+
+    arena: FockArena
+    matrix: np.ndarray
+    leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        raw = np.asarray(self.matrix, dtype=complex)
+        dim = self.arena.total_dim
+        if raw.shape != (dim, dim):
+            raise ValueError("density matrix has wrong shape")
+        scale = float(np.abs(raw).max())
+        if scale == 0.0:
+            raise ValueError("density matrix is identically zero")
+        herm_dev = float(np.abs(raw - raw.conj().T).max())
+        if herm_dev > HERM_TOL * scale:
+            raise ValueError(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
+        mat = (raw + raw.conj().T) / 2.0
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        tr = float(np.trace(mat).real)
+        if tr > 1.0 + 1e-12:
+            raise ValueError(f"trace {tr} exceeds 1")
+        _check_leak(1.0 - tr, self.leak_tol)
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig < -PSD_TOL * max(scale, 1.0):
+            raise ValueError(f"density matrix not PSD: min eigenvalue {min_eig:.3e}")
+
+    @property
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
+
+
+def marginals(state: Mixture) -> tuple[DensityOperator, ...]:
+    """Single-mode reduced states in mode order: sum_i w_i A_i A_i^dag,
+    with A_i row i reshaped to (cutoff, rest) for that mode, contracted
+    over the rows and the other modes."""
+    n, d = state.arena.n_modes, state.arena.cutoff
+    tensor = state.rows.reshape((-1,) + (d,) * n)
+    weighted = state.weights.reshape((-1,) + (1,) * n) * tensor
+    out = []
+    for m in range(n):
+        others = [0] + [k + 1 for k in range(n) if k != m]
+        rho = np.tensordot(weighted, tensor.conj(), axes=(others, others))
+        out.append(DensityOperator(FockArena(1, d), rho, leak_tol=state.leak_tol))
+    return tuple(out)
 
 
 def decode(arena: FockArena, index: int) -> tuple[int, ...]:
@@ -72,7 +137,7 @@ def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:
     if spec.kind == "coherent":
         return to_density(coherent(arena, [spec.alpha]))
     if spec.kind == "thermal":
-        return thermal(arena, spec.nbar)
+        return DensityOperator(arena, np.diag(thermal(arena, spec.nbar).weights))
     return to_density(squeezed_vacuum(arena, spec.r, spec.theta_s))
 
 

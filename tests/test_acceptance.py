@@ -149,7 +149,8 @@ def _factor_rows(spec: GaussianSpec, arena: FockArena):
     """(weights, rows) of a single-mode factor: a thermal state is Fock rows
     with its thermal weights, a coherent state one row of weight 1."""
     if spec.kind == "thermal":
-        return np.diag(thermal(arena, spec.nbar).matrix).real, np.eye(arena.cutoff)
+        state = thermal(arena, spec.nbar)
+        return state.weights, state.rows
     return np.ones(1), coherent(arena, [spec.alpha]).amplitudes[None]
 
 

@@ -348,7 +348,7 @@ def test_sweep_fock_rows_are_each_angles_lift(tmp_path):
         report = negativity_report(state, ((0,), (1,)))
         writer.writerow([theta, report.negativity, report.log_negativity,
                          report.min_pt_eigenvalue,
-                         *(mandel_q(rho) for rho in state.marginals())])
+                         *map(mandel_q, state.photon_distributions())])
     with (out / "sweep.csv").open(newline="") as fh:
         assert fh.read() == expected.getvalue()
 

@@ -21,7 +21,7 @@ from bselab.passive import (
 )
 from bselab.states import CoherentEnsemble, GaussianSpec, coherent_leakage
 from bselab.theoremlab import haar_unitary
-from reference import dense_moments, min_quadrature_variance, ppt_uncertainty_margin
+from reference import dense_moments, marginals, min_quadrature_variance, ppt_uncertainty_margin
 
 
 def _vacuum(n=2):
@@ -176,11 +176,11 @@ def test_gaussian_and_fock_routes_agree_on_coherent_marginals(case):
     arena, bound, alpha, m = case
     assert coherent_leakage(bound * np.sqrt(arena.n_modes), arena.cutoff) <= 1e-12
     rows = transform_coherent_exact(m, alpha[None, :], arena)
-    marginals = Mixture(arena, [1.0], rows).marginals()
+    reduced = marginals(Mixture(arena, [1.0], rows))
     g_out = apply_passive(
         gaussian_from_spec([GaussianSpec("coherent", alpha=complex(a)) for a in alpha]), m
     )
-    for j, rho in enumerate(marginals):
+    for j, rho in enumerate(reduced):
         exp_a = dense_moments(rho)[0]
         mean = np.sqrt(2.0) * np.array([exp_a.real, exp_a.imag])
         assert np.abs(mean - g_out.mean[2 * j : 2 * j + 2]).max() <= 1e-10

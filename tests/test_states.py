@@ -182,14 +182,17 @@ def test_squeezed_vacuum_limits():
 
 
 def test_thermal_states():
+    # a thermal state is the Fock rows with the thermal weights
     arena = FockArena(1, 4)
     vac_proj = thermal(arena, 0.0)
-    assert np.abs(vac_proj.matrix - np.diag([1.0, 0, 0, 0])).max() == 0.0
+    assert np.array_equal(vac_proj.weights, [1.0, 0, 0, 0])
+    assert np.array_equal(vac_proj.rows, np.eye(4))
 
     hot = thermal(FockArena(1, 30), 1.0)
     n = np.arange(30)
-    mean = float(np.diag(hot.matrix).real @ n)
+    mean = float(hot.photon_distributions()[0] @ n)
     assert abs(mean - 1.0) <= 1e-6
+    assert abs(hot.leak - 0.5**30) <= 1e-15  # q^cutoff, q = nbar / (1 + nbar)
 
     with pytest.raises(ValueError):
         thermal(arena, -0.5)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bselab.hilbert import DensityOperator, FockArena, Mixture
+from bselab.hilbert import FockArena, Mixture
 from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from bselab.states import (
     CoherentEnsemble,
@@ -18,16 +18,15 @@ from bselab.witnesses import (
     PPT_TOL,
     PT_BOUND_SHARE,
     VACUUM_NBAR_EPS,
-    _single_mode_moments,
     mandel_q,
     negativity_report,
 )
 from reference import (
+    DensityOperator,
     dense_moments,
     dense_pt_eigenvalues,
     exact_pt_spectrum,
     min_quadrature_variance,
-    partial_trace,
     quadrature_variance,
     to_density,
 )
@@ -238,9 +237,9 @@ def test_classical_output_is_ppt_and_poissonian(case):
     # is the Q of one coherent state at the bound. At these edge bounds that
     # floor lies far below -Q_MARGIN (-3.5e-5 at cutoff 10, |alpha| 1.1).
     cutoff = state.arena.cutoff
-    floor = min(0.0, mandel_q(to_density(coherent(FockArena(1, cutoff), [bound]))))
-    for marginal in state.marginals():
-        assert mandel_q(marginal) >= floor - Q_MARGIN
+    floor = min(0.0, mandel_q(_probs(coherent(FockArena(1, cutoff), [bound]))))
+    for probs in state.photon_distributions():
+        assert mandel_q(probs) >= floor - Q_MARGIN
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -264,24 +263,29 @@ def test_pup_lift_output_is_ppt_to_within_the_input_truncation(case):
         assert report.min_pt_eigenvalue - report.pt_bound >= -PPT_TOL - floor
 
 
+def _probs(state):
+    """Photon-number distribution of a single-mode pure state."""
+    return np.abs(state.amplitudes) ** 2
+
+
 def test_mandel_q_reference_states():
-    assert mandel_q(to_density(coherent(FockArena(1, 25), [1.0]))) == pytest.approx(
-        0.0, abs=1e-8
-    )
-    assert mandel_q(to_density(fock(FockArena(1, 4), (1,)))) == pytest.approx(-1.0)
-    assert mandel_q(thermal(FockArena(1, 30), 1.0)) == pytest.approx(1.0, abs=1e-6)
+    assert mandel_q(_probs(coherent(FockArena(1, 25), [1.0]))) == pytest.approx(0.0, abs=1e-8)
+    assert mandel_q(_probs(fock(FockArena(1, 4), (1,)))) == -1.0
+    hot = thermal(FockArena(1, 30), 1.0).photon_distributions()[0]
+    assert mandel_q(hot) == pytest.approx(1.0, abs=1e-6)
     # vacuum convention: 0/0 defined as 0
-    assert mandel_q(to_density(vacuum(FockArena(1, 4)))) == 0.0
+    assert mandel_q(_probs(vacuum(FockArena(1, 4)))) == 0.0
 
 
 def test_mandel_q_on_multimode_reduction():
     arena = FockArena(2, 4)
-    rho = to_density(fock(arena, (1, 0)))
-    assert mandel_q(partial_trace(rho, [0])) == pytest.approx(-1.0)
-    assert mandel_q(partial_trace(rho, [1])) == 0.0
-    # the moments are single-mode: a multi-mode density is refused, not reduced
-    with pytest.raises(ValueError, match="single-mode"):
-        mandel_q(rho)
+    probs = Mixture(arena, [1.0], [fock(arena, (1, 0)).amplitudes]).photon_distributions()
+    assert mandel_q(probs[0]) == -1.0
+    assert mandel_q(probs[1]) == 0.0
+    # Mandel Q reads one mode's distribution: anything not 1-d is refused
+    for bad in (probs, np.diag(probs[0]), 1.0):
+        with pytest.raises(ValueError, match="one mode"):
+            mandel_q(bad)
 
 
 @st.composite
@@ -306,15 +310,11 @@ def _close(value, reference):
 @example(rho=DensityOperator(FockArena(1, 1), [[1.0]]))
 @example(rho=DensityOperator(FockArena(1, 2), [[0.5, 0.3j], [-0.3j, 0.5]]))
 def test_closed_sum_moments_match_dense_ladder(rho):
-    # cutoffs 1 and 2 are the edge cases: vacuum only, and one photon at most
-    moments = _single_mode_moments(rho)
-    reference = dense_moments(rho)[2:]
-    for value, ref in zip(moments, reference):
-        assert _close(value, ref), (moments, reference)
-
-    exp_n, exp_n2 = reference
+    # cutoffs 1 and 2 are the edge cases: vacuum only, and one photon at most;
+    # Mandel Q from the diagonal's closed sums against tr(rho n^p) with ladders
+    exp_n, exp_n2 = dense_moments(rho)[2:]
     q_ref = 0.0 if exp_n < VACUUM_NBAR_EPS else (exp_n2 - exp_n**2 - exp_n) / exp_n
-    assert _close(mandel_q(rho), q_ref)
+    assert _close(mandel_q(rho.matrix.diagonal().real), q_ref)
 
 
 def test_quadrature_variance_reference_states():
