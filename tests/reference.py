@@ -5,7 +5,9 @@ amplitude rows, Mandel Q reads a photon-number distribution, not a
 single-mode density, a trial's PT spectrum is taken on a certified low-rank
 compression, and route 2 builds only the arena rows of each sector block.
 Each helper here builds the dense object, or reads a quantity off it, so
-that a test can compare the package's result with the textbook one.
+that a test can compare the package's result with the textbook one.  The
+SVD rank cut that the package's randomized range bases replaced is kept
+here too (``svd_pt_spectrum``).
 """
 
 from __future__ import annotations
@@ -258,6 +260,54 @@ def exact_pt_spectrum(weights, rows, cutoff: int, part_a, part_b):
     tensor = ((sigma + sigma.conj().T) / 2.0).reshape(r_a, r_b, r_a, r_b)
     eigs = np.linalg.eigvalsh(tensor.swapaxes(0, 2).reshape(sigma.shape))
     return eigs, r_a * r_b < d_a * d_b
+
+
+def weighted_sides(weights, rows, cutoff: int, part_a, part_b):
+    """The stacked matrices of a cut A|B: with Psi_i the row psi_i reshaped
+    to d_A x d_B, S_A = [sqrt(w_1) Psi_1 ... sqrt(w_K) Psi_K] (d_A x K d_B)
+    and S_B the same of the Psi_i^T (d_B x K d_A); and the weighted Psi_i
+    themselves, shape (K, d_A, d_B)."""
+    n = len(part_a) + len(part_b)
+    d_a, d_b = cutoff ** len(part_a), cutoff ** len(part_b)
+    k = rows.shape[0]
+    order = (0,) + tuple(1 + m for m in part_a + part_b)
+    psi = rows.reshape((k,) + (cutoff,) * n).transpose(order).reshape(k, d_a, d_b)
+    psi = np.sqrt(weights)[:, None, None] * psi
+    s_a = psi.transpose(1, 0, 2).reshape(d_a, k * d_b)
+    s_b = psi.transpose(2, 0, 1).reshape(d_b, k * d_a)
+    return s_a, s_b, psi
+
+
+def kept_ranks(s_a: np.ndarray, s_b: np.ndarray, budget: float) -> tuple[int, int, float]:
+    """How many of each side's (descending) singular values the SVD cut
+    keeps, and the squared mass eps_A + eps_B the rest carry: the smallest
+    values of both sides are discarded, summed from the small end, while
+    that sum stays within ``budget``.  Each side keeps at least one vector."""
+    mass = np.concatenate((s_a, s_b)) ** 2
+    order = np.argsort(mass, kind="stable")
+    tail = np.cumsum(mass[order])
+    n_cut = int(np.searchsorted(tail, budget, side="right"))
+    from_a = int(np.count_nonzero(order[:n_cut] < s_a.size))
+    r_a = max(1, s_a.size - from_a)
+    r_b = max(1, s_b.size - (n_cut - from_a))
+    return r_a, r_b, float(tail[n_cut - 1]) if n_cut else 0.0
+
+
+def svd_pt_spectrum(weights, rows, cutoff: int, part_a, part_b, budget: float):
+    """The SVD rank cut ``witnesses._pt_spectrum`` replaced, with its
+    returns: each side keeps its leading left singular vectors until the
+    squared singular values both sides drop fit ``budget`` together
+    (``kept_ranks``), and b = 2 sqrt(eps) from those singular values."""
+    s_a, s_b, psi = weighted_sides(weights, rows, cutoff, part_a, part_b)
+    k, d_a, d_b = psi.shape
+    u_a, sv_a = np.linalg.svd(s_a, full_matrices=False)[:2]
+    u_b, sv_b = np.linalg.svd(s_b, full_matrices=False)[:2]
+    r_a, r_b, eps = kept_ranks(sv_a, sv_b, budget)
+    x = (u_a[:, :r_a].conj().T @ psi @ u_b[:, :r_b].conj()).reshape(k, r_a * r_b)
+    sigma = x.T @ x.conj()
+    tensor = ((sigma + sigma.conj().T) / 2.0).reshape(r_a, r_b, r_a, r_b)
+    eigs = np.linalg.eigvalsh(tensor.swapaxes(0, 2).reshape(sigma.shape))
+    return eigs, r_a * r_b < d_a * d_b, 2.0 * math.sqrt(eps)
 
 
 def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarray:

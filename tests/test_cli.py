@@ -302,6 +302,32 @@ def test_sweep_classical_ensemble_stays_ppt(tmp_path):
     assert all(float(row["min_pt_eigenvalue"]) >= -PPT_TOL for row in rows)
 
 
+def test_pt_spectra_take_no_svd(tmp_path, monkeypatch):
+    # one way to take a partial-transpose basis: neither a campaign of the
+    # acceptance-5 shape nor an ensemble sweep calls a full SVD
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    cfg = _write_config(tmp_path, n_trials=5, seed=505, n_modes=3, cutoff=8,
+                        max_ensemble_components=4, amplitude_bound=0.5,
+                        unitary_source="random_haar")
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 5
+    rng = np.random.default_rng(1)
+    alphas = np.sqrt(rng.uniform(size=(4, 2))) * np.exp(2j * np.pi * rng.uniform(size=(4, 2)))
+    ensemble = [{"weight": float(w), "alphas": [[a.real, a.imag] for a in row]}
+                for w, row in zip(rng.dirichlet(np.ones(4)), alphas)]
+    ens = tmp_path / "ensemble.json"
+    ens.write_text(json.dumps({"version": 1, "ensemble": ensemble}))
+    thetas = ",".join(repr(float(t)) for t in np.linspace(0.0, np.pi / 2.0, 5))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(ens),
+                     "--cutoff", "22", "--thetas", thetas, "--out", str(out)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 6
+
+
 def test_sweep_ensemble_checks_each_input_component(tmp_path, capsys, monkeypatch):
     # the second component alone loses 0.57 past cutoff 12; its weight is
     # too small for the mixture's leak to exceed the budget.  The check runs

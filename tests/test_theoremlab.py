@@ -63,8 +63,9 @@ def test_trial_identity_unitary_keeps_diagnostics():
                          ids=["campaign5", "campaign4"])
 def test_trial_pt_eigensolves_are_at_most_k_squared_wide(monkeypatch, shape):
     # route-2 rows of K coherent components are product states to within the
-    # sector cut, so each side of every cut keeps at most K singular vectors
-    # and no partial-transpose spectrum is wider than K^2
+    # sector cut, so each side's K-wide range basis already leaves out less
+    # than its half of the budget, and no partial-transpose spectrum is
+    # wider than K^2
     n_modes, cutoff, bound, seed = shape
     widths = []
     spectrum = witnesses._pt_spectrum

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bselab import witnesses
 from bselab.hilbert import FockArena, Mixture
 from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from bselab.states import (
@@ -28,7 +29,9 @@ from reference import (
     exact_pt_spectrum,
     min_quadrature_variance,
     quadrature_variance,
+    svd_pt_spectrum,
     to_density,
+    weighted_sides,
 )
 
 
@@ -219,6 +222,99 @@ def test_edge_shapes_are_the_largest_safe_bounds():
         with pytest.raises(ValueError, match="truncation-unsafe"):
             CampaignConfig(n_trials=1, seed=0, n_modes=n_modes, cutoff=cutoff,
                            amplitude_bound=bound + 0.05)
+
+
+# the rank-cut budget eps_A + eps_B at the default tolerance: b = 2 sqrt(eps)
+BUDGET = (PT_BOUND_SHARE * PPT_TOL / 2.0) ** 2
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=_row_mixtures())
+def test_range_basis_residual_is_measured(case):
+    # each side's basis leaves out at most half the budget, and what it
+    # reports leaving out is no less than the SVD tail at its width
+    # (Eckart-Young): a residual measured wrong, say as a difference of
+    # traces (rounding near 1e-16), would undercut that floor.  The floor
+    # itself is known only to the SVD's backward error: each computed
+    # sigma_j is exact for S + E, ||E|| <= delta = max(d, n) u sigma_1, so a
+    # tail of mass t over m values is known to 2 sqrt(m t) delta + m delta^2
+    # (about 1e-28 on near-product rows, where the tail is near 1e-22)
+    state, part_a, _ = case
+    part_b = tuple(m for m in range(state.arena.n_modes) if m not in part_a)
+    s_a, s_b, _ = weighted_sides(state.weights, state.rows, state.arena.cutoff,
+                                 part_a, part_b)
+    for s in (s_a, s_b):
+        q, eps = witnesses._range_basis(s, state.weights.size, BUDGET / 2.0)
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-12
+        assert 0.0 <= eps <= BUDGET / 2.0
+        sv = np.linalg.svd(s, compute_uv=False)
+        tail = sv[q.shape[1]:]
+        delta = max(s.shape) * np.finfo(float).eps * sv[0]
+        slack = 2.0 * np.sqrt(tail.size * np.sum(tail**2)) * delta + tail.size * delta**2
+        assert eps >= float(np.sum(tail**2)) - slack
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=_classical_outputs())
+def test_classical_widths_match_the_svd_cut(case):
+    # on classical outputs the range bases are as wide as the SVD cut's
+    # kept singular vectors, and both spectra start within their bounds
+    state, _ = case
+    args = (state.weights, state.rows, state.arena.cutoff)
+    for a, b in bipartitions(state.arena.n_modes):
+        eigs, _, bound = witnesses._pt_spectrum(*args, a, b, BUDGET)
+        ref, _, ref_bound = svd_pt_spectrum(*args, a, b, BUDGET)
+        assert eigs.size == ref.size
+        assert abs(eigs[0] - ref[0]) <= bound + ref_bound + 1e-13
+
+
+def _fock_33(arena):
+    u = lift_unitary(beam_splitter_matrix(np.pi / 4), arena).matrix
+    return Mixture(arena, [1.0], [u @ fock(arena, (3, 3)).amplitudes], leak_tol=1.0)
+
+
+def _classical_k4(arena):
+    rng = np.random.default_rng(4)
+    alphas = 0.5 * np.exp(2j * np.pi * rng.uniform(size=(4, arena.n_modes)))
+    rows = transform_coherent_exact(haar_unitary(arena.n_modes, rng), alphas, arena)
+    return Mixture(arena, rng.dirichlet(np.ones(4)), rows)
+
+
+@pytest.mark.parametrize("sketch", ["zeros", "orthogonal"])
+@pytest.mark.parametrize("make, arena", [
+    (_bell, FockArena(2, 4)),
+    (_fock_33, FockArena(2, 8)),
+    (_classical_k4, FockArena(3, 8)),
+], ids=["bell", "fock33", "classical-k4"])
+def test_certificate_not_sketch_carries_correctness(monkeypatch, sketch, make, arena):
+    # a sketch that sees nothing of the range: the measured residual still
+    # sends the basis to the exact range, and the reports stay correct
+    current = {}
+    range_basis = witnesses._range_basis
+
+    def recording(s, r, budget):
+        current["s"] = s
+        return range_basis(s, r, budget)
+
+    def blind(d, r):
+        current["sketches"] = current.get("sketches", 0) + 1
+        if sketch == "zeros":
+            return np.zeros((d, r), complex)
+        # columns orthogonal to the range of s, so that s^dag omega = 0
+        u, sv = np.linalg.svd(current["s"])[:2]
+        null = u[:, int(np.sum(sv > 1e-13)):][:, :r]
+        return np.hstack((null, np.zeros((d, r - null.shape[1]), complex)))
+
+    state = make(arena)
+    monkeypatch.setattr(witnesses, "_range_basis", recording)
+    monkeypatch.setattr(witnesses, "_sketch", blind)
+    for bp in bipartitions(arena.n_modes):
+        report = negativity_report(state, bp)
+        dense = dense_pt_eigenvalues(state.weights, state.rows, arena, bp[0])
+        assert abs(report.min_pt_eigenvalue - dense[0]) <= report.pt_bound + 1e-13
+        dense_verdict = "entangled" if dense[0] < -PPT_TOL else "separable_by_ppt_nonviolation"
+        assert report.verdict == dense_verdict
+    assert current["sketches"] > 0
 
 
 # roundoff allowed below the truncation floor of Mandel Q
