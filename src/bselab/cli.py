@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._blas import openblas_threads, single_threaded_blas
 from .hilbert import FockArena, Mixture, TruncationError
-from .passive import beam_splitter_matrix, lift_unitary, transform_coherent_exact
+from .passive import _lift_rows, beam_splitter_matrix, transform_coherent_exact
 from .states import CoherentEnsemble, coherent, fock, vacuum
 from .theoremlab import (
     TRIAL_STAGES,
@@ -181,19 +181,16 @@ def write_manifest(out_dir: Path, config_echo, timings: dict, files: list[str],
 
 def _demo_vacuum(args, arena: FockArena) -> dict:
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(20):
-        u = lift_unitary(haar_unitary(arena.n_modes, rng), arena)
-        dev = float(np.abs(u.apply_to_vector(vacuum(arena).amplitudes)
-                           - vacuum(arena).amplitudes).max())
-        worst = max(worst, dev)
+    stack = np.array([haar_unitary(arena.n_modes, rng).matrix for _ in range(20)])
+    vac = vacuum(arena).amplitudes
+    worst = float(np.abs(_lift_rows(stack, vac, arena) - vac).max())
     return {"demo": "vacuum", "worst_vacuum_deviation": worst,
             "tolerance": 1e-10, "pass": worst <= 1e-10}
 
 
 def _demo_bell(args, arena: FockArena) -> dict:
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
-    psi = lift_unitary(m, arena).matrix @ fock(arena, (1, 0)).amplitudes
+    psi = _lift_rows(m.matrix, fock(arena, (1, 0)).amplitudes, arena)
     report = negativity_report(Mixture(arena, [1.0], [psi]), ((0,), (1,)))
     # |1,0> maps to cos|10> + sin|01> up to phases: log-negativity
     # log2(1 + |sin 2 theta|) in closed form
@@ -224,13 +221,13 @@ def _demo_inverse(args, arena: FockArena) -> dict:
 def _demo_coherent_covariance(args, arena: FockArena) -> dict:
     rng = np.random.default_rng(args.seed)
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
-    u = lift_unitary(m, arena)
-    worst = 1.0
-    for _ in range(10):
-        alpha = 0.8 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / np.sqrt(2)
-        psi = u.matrix @ coherent(arena, alpha).amplitudes
-        target = coherent(arena, alpha @ np.conj(m.matrix))
-        worst = min(worst, float(abs(np.vdot(target.amplitudes, psi)) ** 2))
+    alphas = [0.8 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / np.sqrt(2)
+              for _ in range(10)]
+    inputs, targets = zip(*[(coherent(arena, a).amplitudes,
+                             coherent(arena, a @ np.conj(m.matrix)).amplitudes)
+                            for a in alphas])
+    rows = _lift_rows(m.matrix, np.array(inputs), arena)
+    worst = min(1.0, *(float(abs(np.vdot(t, psi)) ** 2) for t, psi in zip(targets, rows)))
     return {"demo": "coherent-covariance", "theta": args.theta,
             "worst_fidelity": worst, "tolerance": 1e-6,
             "pass": worst >= 1.0 - 1e-6}
@@ -366,9 +363,9 @@ def cmd_sweep(args) -> int:
     thetas = _parse_thetas(args.thetas)
     arena = _two_mode_arena(args.cutoff)
 
-    # rows(ms): the output amplitude rows after each mode matrix of ms; an
-    # ensemble goes through the exact coherent transform a campaign trial
-    # uses, once for the whole sweep
+    # rows(ms): the output amplitude rows after each mode matrix of ms, for
+    # the whole sweep at once; a Fock row goes through P U P, an ensemble
+    # through the exact coherent transform a campaign trial uses
     if args.input == "fock":
         try:
             occ = tuple(int(tok) for tok in args.occupations.split(","))
@@ -376,7 +373,8 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
         input_echo = {"kind": "fock", "occupations": list(occ)}
-        weights, rows = [1.0], lambda ms: [[lift_unitary(m, arena).matrix @ psi] for m in ms]
+        weights, rows = [1.0], lambda ms: _lift_rows(
+            np.reshape([m.matrix for m in ms], (-1, 2, 2)), psi[None], arena)
     else:
         cfg_path = args.config
         if cfg_path is None:

@@ -73,10 +73,6 @@ class FockArena:
         """(total_dim, n_modes) integer array of all occupation tuples."""
         return _occupation_table(self.n_modes, self.cutoff)
 
-    def subspace_indices(self, max_total_photons: int) -> np.ndarray:
-        """Indices of basis states with total photon number <= the bound."""
-        return np.flatnonzero(self.occupation_table().sum(axis=1) <= max_total_photons)
-
 
 @functools.lru_cache(maxsize=None)
 def _occupation_table(n_modes: int, cutoff: int) -> np.ndarray:

@@ -29,8 +29,8 @@ from .gaussian import apply_passive, gaussian_from_spec, is_classical, simon_sep
 from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import (
     ModeUnitary,
+    _lift_rows,
     beam_splitter_matrix,
-    lift_unitary,
     transform_coherent_exact,
     transform_ensemble,
 )
@@ -464,10 +464,10 @@ def non_sufficiency_demo(
     psi_in = fock(arena, (1, 0)).amplitudes
     q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).photon_distributions()[0])
 
-    psi_fwd = lift_unitary(m, arena).matrix @ psi_in
+    psi_fwd = _lift_rows(m.matrix, psi_in, arena)
     forward = negativity_report(Mixture(arena, [1.0], [psi_fwd]), ((0,), (1,)))
 
-    psi_back = lift_unitary(m.inverse(), arena).matrix @ psi_fwd
+    psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)
     inverse = negativity_report(Mixture(arena, [1.0], [psi_back]), ((0,), (1,)))
     fidelity = float(abs(np.vdot(psi_in, psi_back)) ** 2)
 

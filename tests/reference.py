@@ -43,6 +43,10 @@ from bselab.states import (
 PSD_TOL = 1e-10
 #: relative Hermiticity tolerance for density operators
 HERM_TOL = 1e-12
+#: the lift's vacuum deviation, and its unitarity and conjugation residual
+#: on the protected (total photons <= cutoff/2) subspace
+VACUUM_TOL = 1e-10
+SUBSPACE_UNITARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ def conjugation_residual(u: LiftedUnitary, m: ModeUnitary, mode: int) -> float:
     target = sum(
         m.matrix[mode, k] * annihilation_matrix(arena, k) for k in range(m.n_modes)
     )
-    idx = u.protected_indices()
+    idx = np.flatnonzero(arena.occupation_table().sum(axis=1) <= arena.cutoff // 2)
     diff = (conj - target)[np.ix_(idx, idx)]
     return float(np.abs(diff).max())
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bselab import cli, theoremlab
+from bselab import cli, passive, theoremlab
 from bselab.hilbert import LEAK_TOL, FockArena, Mixture
 from bselab.passive import (
     ModeUnitary,
@@ -328,6 +328,36 @@ def test_pt_spectra_take_no_svd(tmp_path, monkeypatch):
     assert len((out / "sweep.csv").read_text().splitlines()) == 6
 
 
+def test_fock_paths_build_no_dense_lift(tmp_path, monkeypatch):
+    # the Fock sweep and the demos map their rows sector by sector; only
+    # lift_unitary forms the dim x dim P U P, and only passive calls it
+    # (the package __init__ re-exports it)
+    def refused(*args, **kwargs):
+        raise AssertionError("lift_unitary was called")
+
+    monkeypatch.setattr(passive, "lift_unitary", refused)
+    thetas = ",".join(repr(float(t)) for t in np.linspace(0.0, np.pi / 2.0, 5))
+    assert cli.main(["sweep", "--input", "fock", "--occupations", "3,3", "--phi0", "0.3",
+                     "--thetas", thetas, "--out", str(tmp_path / "sweep")]) == 0
+    for name in ("vacuum", "bell", "inverse", "coherent-covariance"):
+        assert cli.main(["demo", name, "--out", str(tmp_path / name)]) == 0
+    src = Path(passive.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if path.name not in ("passive.py", "__init__.py")
+            and "lift_unitary" in path.read_text()] == []
+
+
+def test_sweep_fock_row_clipped_by_the_arena_is_numeric_failure(tmp_path, capsys):
+    # |11,11> is the arena corner at cutoff 12, in sector 22; P U P keeps
+    # only the arena's tuples of that sector, so the row loses 0.9 of its
+    # weight and the sweep writes nothing
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--input", "fock", "--occupations", "11,11", "--cutoff", "12",
+                     "--thetas", "0.3", "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert "truncation leakage 9.055e-01" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_ensemble_checks_each_input_component(tmp_path, capsys, monkeypatch):
     # the second component alone loses 0.57 past cutoff 12; its weight is
     # too small for the mixture's leak to exceed the budget.  The check runs
@@ -357,7 +387,8 @@ def test_sweep_ensemble_empty_grid_writes_header_only(tmp_path):
 
 
 def test_sweep_fock_rows_are_each_angles_lift(tmp_path):
-    # the Fock input still lifts each angle's beam splitter on its own
+    # one call maps the Fock row for every angle, and each output row is
+    # that angle's dense P U P applied to it, byte for byte
     thetas = [0.0, 0.4, 1.1, np.pi / 2]
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--input", "fock", "--occupations", "2,1", "--cutoff", "6",

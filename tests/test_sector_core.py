@@ -1,6 +1,6 @@
 """Property tests for the photon-number-sector builder shared by the Fock
-lift (`lift_unitary`) and the exact coherent transform
-(`transform_coherent_exact`).
+lift (`lift_unitary`), its applier on amplitude rows (`_lift_rows`) and the
+exact coherent transform (`transform_coherent_exact`).
 
 Unitaries are Haar draws and degenerate cases: +-I, mode permutations and
 eigenphases at +-pi, each also in a rotated eigenbasis.
@@ -14,16 +14,21 @@ from hypothesis import strategies as st
 
 from bselab.hilbert import FockArena
 from bselab.passive import (
-    SUBSPACE_UNITARITY_TOL,
-    VACUUM_TOL,
     ModeUnitary,
+    _lift_rows,
     _sector_blocks,
     lift_unitary,
     transform_coherent_exact,
 )
 from bselab.states import coherent, vacuum
 from bselab.theoremlab import haar_unitary
-from reference import conjugation_residual, full_sector_transform, permanent_block
+from reference import (
+    SUBSPACE_UNITARITY_TOL,
+    VACUUM_TOL,
+    conjugation_residual,
+    full_sector_transform,
+    permanent_block,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -128,6 +133,40 @@ def test_lift_properties(case):
             assert _unitarity_dev(block) <= 1e-12
         else:
             assert np.linalg.norm(block, 2) <= 1.0 + 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 6), (3, 4)]).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape),
+        st.lists(unitaries(shape[0]), min_size=1, max_size=5),
+        st.lists(st.lists(amplitudes, min_size=shape[0], max_size=shape[0]),
+                 min_size=1, max_size=4),
+    )))
+def test_lift_rows_is_the_dense_lift(case):
+    # P U P on rows, sector by sector up to the rows' top occupied sector;
+    # the basis rows run from the vacuum to the arena corner in sector
+    # n_modes*(cutoff-1), where P U P clips
+    (n_modes, cutoff), ms, rows = case
+    arena = FockArena(n_modes, cutoff)
+    dense = lift_unitary(ms[0], arena).matrix
+    for row in np.eye(arena.total_dim, dtype=complex):
+        assert _lift_rows(ms[0].matrix, row, arena).tobytes() == (dense @ row).tobytes()
+    zero = np.zeros((2, arena.total_dim), dtype=complex)
+    assert not np.any(_lift_rows(ms[0].matrix, zero, arena))
+    inputs = np.array([coherent(arena, alpha, leak_tol=1.0).amplitudes for alpha in rows])
+    assert np.abs(_lift_rows(ms[0].matrix, inputs, arena) - inputs @ dense.T).max() <= 1e-15
+    # a stack of T mode matrices is T single calls, bit for bit but for the
+    # arena corner's 1 x 1 block, whose lone complex products numpy rounds
+    # without a fused multiply-add in a single call
+    inputs = np.concatenate([inputs, np.eye(arena.total_dim)[[0, -1]]])
+    stack = np.array([m.matrix for m in ms])
+    batch = _lift_rows(stack, inputs, arena)
+    assert batch.shape == (len(ms), len(inputs), arena.total_dim)
+    for m, out in zip(stack, batch):
+        single = _lift_rows(m, inputs, arena)
+        assert out[:, :-1].tobytes() == single[:, :-1].tobytes()
+        assert np.abs(out[:, -1] - single[:, -1]).max() <= 1e-15
 
 
 @PROPERTY
