@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import platform
@@ -38,7 +39,7 @@ from .theoremlab import (
     non_sufficiency_demo,
     run_campaign,
 )
-from .witnesses import mandel_q, negativity_report
+from .witnesses import _negativity_reports, mandel_q, negativity_report
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -390,9 +391,9 @@ def cmd_sweep(args) -> int:
     table = []
     t0 = time.perf_counter()
     unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
-    for theta, out in zip(thetas, rows(unitaries)):
-        state = Mixture(arena, weights, out)
-        report = negativity_report(state, ((0,), (1,)))
+    states = [Mixture(arena, weights, out) for out in rows(unitaries)]
+    reports = _negativity_reports([(state, ((0,), (1,))) for state in states])
+    for theta, state, report in zip(thetas, states, reports):
         p_a, p_b = state.photon_distributions()
         table.append([theta, report.negativity, report.log_negativity,
                       report.min_pt_eigenvalue, mandel_q(p_a), mandel_q(p_b)])
@@ -414,7 +415,9 @@ def cmd_sweep(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on the first ``main`` call, then shared."""
     parser = argparse.ArgumentParser(
         prog="bselab",
         description="Beam-splitter separability laboratory: verify that "
@@ -431,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--cutoff", type=int, default=12)
     demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--out", help="output directory (or $BSE_OUT_DIR)")
-    demo.set_defaults(func=cmd_demo)
 
     verify = sub.add_parser("verify", help="run a seeded verification campaign")
     verify.add_argument("--config", required=True, help="campaign config JSON")
@@ -439,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None, help="override config seed")
     verify.add_argument("--threads", type=int, default=None)
     verify.add_argument("--cutoff", type=int, default=None)
-    verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="sweep the splitter angle, emit CSV")
     sweep.add_argument("--thetas", default="", help="comma-separated angles (radians)")
@@ -450,19 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi1", type=_finite_float, default=0.0)
     sweep.add_argument("--cutoff", type=int, default=12)
     sweep.add_argument("--out", help="output directory (or $BSE_OUT_DIR)")
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # looked up per call, not bound into the shared parser, so that a command
+    # rebound after the first call (a tracer's wrapper) is the one that runs
+    command = {"demo": cmd_demo, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
     try:
         with single_threaded_blas():
-            return args.func(args)
+            return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -167,7 +167,11 @@ def _sector_blocks(matrix: np.ndarray, top: int, row_cutoff: int | None = None,
         parents = np.take(block, parent, axis=-1)
         coef = conj_t[..., mode] * inv_sqrt_t
         sqrt_s = sqrt_s.reshape(sqrt_s.shape + (1,) * (len(lead) + 1))
-        block = sum(s * parents[r] * c for r, s, c in zip(rows, sqrt_s, coef))
+        block = np.zeros((len(occ),) + parents.shape[1:], dtype=complex)
+        for r, s, c in zip(rows, sqrt_s, coef):  # sum of s * parents[r] * c, in place
+            term = np.multiply(s, parents[r])
+            term *= c
+            block += term
         yield occ, cols, block.transpose(rows_last)
 
 

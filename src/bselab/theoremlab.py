@@ -41,14 +41,15 @@ from .states import (
     coherent_leakage,
     fock,
 )
-from .witnesses import PPT_TOL, EntanglementReport, mandel_q, negativity_report
+from .witnesses import PPT_TOL, EntanglementReport, _negativity_reports, mandel_q
 
 #: cross-pipeline agreement tolerance (max-norm between the two routes)
 CROSS_PIPELINE_TOL = 1e-7
 #: truncation-overflow retry policy
 RETRY_BUDGET = 2
 CUTOFF_STEP = 4
-#: the stages a trial times, in order (``pt_spectrum`` once per bipartition)
+#: the stages a trial times, in order (``pt_spectrum`` once, over every
+#: bipartition: their spectra share one stacked pass)
 TRIAL_STAGES = ("route1_closed_form", "route2_transform", "pt_spectrum",
                 "cross_check", "route3_gaussian")
 
@@ -192,10 +193,9 @@ def run_theorem_trial(
     amps = transform_coherent_exact(m, ens.alphas, arena)
     rho_out = Mixture(arena, ens.weights, amps, leak_tol=leak_tol)
     lap("route2_transform")
-    reports = []
-    for bp in bipartitions(arena.n_modes):
-        reports.append(negativity_report(rho_out, bp, ppt_tol=ppt_tol))
-        lap("pt_spectrum")
+    reports = _negativity_reports(
+        [(rho_out, bp) for bp in bipartitions(arena.n_modes)], ppt_tol)
+    lap("pt_spectrum")
     ppt_min = min(r.min_pt_eigenvalue for r in reports)
     headroom = min(r.min_pt_eigenvalue - r.pt_bound for r in reports) + ppt_tol
 
@@ -465,10 +465,9 @@ def non_sufficiency_demo(
     q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).photon_distributions()[0])
 
     psi_fwd = _lift_rows(m.matrix, psi_in, arena)
-    forward = negativity_report(Mixture(arena, [1.0], [psi_fwd]), ((0,), (1,)))
-
     psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)
-    inverse = negativity_report(Mixture(arena, [1.0], [psi_back]), ((0,), (1,)))
+    forward, inverse = _negativity_reports(
+        [(Mixture(arena, [1.0], [psi]), ((0,), (1,))) for psi in (psi_fwd, psi_back)])
     fidelity = float(abs(np.vdot(psi_in, psi_back)) ** 2)
 
     return NonSufficiencyRecord(

@@ -10,7 +10,8 @@ low-rank compression: across a cut A|B each side projects its weighted
 stacked rows on a randomized range basis, K wide to start and doubled until
 the residual mass it leaves out, measured, fits a budget; the report
 carries a certified bound b on how far that moved the least eigenvalue
-(see ``_pt_spectrum``).
+(see ``_pt_spectra``).  ``_negativity_reports`` stacks the LAPACK calls of
+many (state, cut) pairs; ``negativity_report`` is its one-pair call.
 
 A negative partial-transpose eigenvalue certifies entanglement; the
 converse is not claimed, so the separable-side verdict is named
@@ -73,10 +74,10 @@ def _residual_mass(s: np.ndarray, q: np.ndarray) -> float:
     return float(np.vdot(residual, residual).real)
 
 
-def _range_basis(s: np.ndarray, r: int, budget: float) -> tuple[np.ndarray, float]:
-    """An orthonormal basis Q (d x r') of most of the range of ``s`` (d x n)
-    and the mass eps = ||s - Q Q^dag s||_F^2 it leaves out, with
-    eps <= ``budget`` unless Q spans the whole range.
+def _range_bases(s: np.ndarray, r: int, budget: float) -> list[tuple[np.ndarray, float]]:
+    """For each matrix of a stack ``s`` (G x d x n), an orthonormal basis Q
+    (d x r') of most of its range and the mass eps = ||s - Q Q^dag s||_F^2
+    it leaves out, with eps <= ``budget`` unless Q spans the whole range.
 
     Q starts at most ``r`` wide: a randomized range finder with one power
     step (Halko, Martinsson and Tropp, SIAM Rev. 53, 217, 2011, §4), the
@@ -88,33 +89,47 @@ def _range_basis(s: np.ndarray, r: int, budget: float) -> tuple[np.ndarray, floa
     (a duplicate row, a row of weight 0, a rank below r) is dropped.  eps is
     measured, so the sketch only has to be good, not certified: where eps
     misses the budget the width doubles, and at min(d, n) Q is the exact
-    range (the identity, or a QR of ``s`` when it is tall).
+    range (the identity, or a QR of ``s`` when it is tall).  The stack
+    shares Omega and each QR call, the second only where every matrix keeps
+    all its columns; eps is measured, and a width doubled, matrix by matrix.
     """
-    d, n = s.shape
-    while r < min(d, n):
-        w, tri = np.linalg.qr(s.conj().T @ _sketch(d, r))
-        keep = np.abs(tri.diagonal()) ** 2 > budget
-        keep[0] = True
-        q = np.linalg.qr(s @ w[:, keep])[0]
-        eps = _residual_mass(s, q)
-        if eps <= budget:
-            return q, eps
-        r *= 2
-    if n >= d:
-        return np.eye(d), 0.0
-    q = np.linalg.qr(s)[0]
-    return q, _residual_mass(s, q)
+    d, n = s.shape[1:]
+    if r >= min(d, n):
+        if n >= d:
+            return [(np.eye(d), 0.0)] * len(s)
+        return [(q, _residual_mass(m, q)) for m, q in zip(s, np.linalg.qr(s)[0])]
+    w, tri = np.linalg.qr(s.conj().swapaxes(1, 2) @ _sketch(d, r))
+    keep = np.abs(np.diagonal(tri, axis1=1, axis2=2)) ** 2 > budget
+    keep[:, 0] = True
+    if keep.all():
+        qs = np.linalg.qr(s @ w)[0]
+    else:
+        qs = [np.linalg.qr(m @ wm[:, km])[0] for m, wm, km in zip(s, w, keep)]
+    fits = [(q, _residual_mass(m, q)) for m, q in zip(s, qs)]
+    return [(q, eps) if eps <= budget else _range_bases(m[None], 2 * r, budget)[0]
+            for m, (q, eps) in zip(s, fits)]
 
 
-def _pt_spectrum(weights, rows, cutoff: int, part_a, part_b, budget: float):
-    """Spectrum of the partial transpose over ``part_a`` of the compressed
-    state P rho P, P = P_A ⊗ P_B, with rho = sum_i w_i |psi_i><psi_i|;
-    whether P is a proper projection; and the bound b = 2 sqrt(eps) on the
-    shift of the least eigenvalue, with eps <= ``budget``.
+def _grouped(fn, items: list, keys: list) -> list:
+    """fn(key, stack) -> one result per stacked item, called once per
+    distinct key on the items of that key; the results in item order."""
+    out = {}
+    for key in dict.fromkeys(keys):
+        members = [i for i, k in enumerate(keys) if k == key]
+        out.update(zip(members, fn(key, np.stack([items[i] for i in members]))))
+    return [out[i] for i in range(len(items))]
+
+
+def _pt_spectra(problems, budget: float) -> list:
+    """Per problem (weights, rows, cutoff, part_a, part_b): the spectrum of
+    the partial transpose over ``part_a`` of the compressed state P rho P,
+    P = P_A ⊗ P_B, with rho = sum_i w_i |psi_i><psi_i|; whether P is a
+    proper projection; and the bound b = 2 sqrt(eps) on the shift of the
+    least eigenvalue, with eps <= ``budget``.
 
     Psi_i is psi_i reshaped to d_A x d_B.  P_A projects on a basis Q_A of
     the range of S_A = [sqrt(w_1) Psi_1 ... sqrt(w_K) Psi_K] and P_B on one
-    of S_B = [sqrt(w_i) Psi_i^T ...], each from ``_range_basis`` with half
+    of S_B = [sqrt(w_i) Psi_i^T ...], each from ``_range_bases`` with half
     the budget: eps = eps_A + eps_B, eps_A = ||(1 - P_A) S_A||_F^2 measured.
     With X_i = Q_A^dag Psi_i conj(Q_B) the partial transpose of P rho P is
     (conj(Q_A) ⊗ Q_B) (sum_i w_i x_i x_i^dag)^{T_A} (conj(Q_A) ⊗ Q_B)^dag,
@@ -136,23 +151,61 @@ def _pt_spectrum(weights, rows, cutoff: int, part_a, part_b, budget: float):
     eigenvalues sigma^2 would be resolved only to about 1e-16.  For K
     coherent-state rows each side has numerical rank K, so the bases start,
     and stay, K wide and the eigensolve is at most K^2 wide.
+
+    The problems share their LAPACK calls: the sides of one shape and K form
+    one ``_range_bases`` stack, the compressed matrices of one width one
+    eigensolve, and each matrix of a stack runs the arithmetic of its own call.
     """
-    n = len(part_a) + len(part_b)
-    d_a, d_b = cutoff ** len(part_a), cutoff ** len(part_b)
-    k = rows.shape[0]
-    order = (0,) + tuple(1 + m for m in part_a + part_b)
-    psi = rows.reshape((k,) + (cutoff,) * n).transpose(order).reshape(k, d_a, d_b)
-    psi = np.sqrt(weights)[:, None, None] * psi
-    q_a, eps_a = _range_basis(psi.transpose(1, 0, 2).reshape(d_a, k * d_b), k, budget / 2.0)
-    q_b, eps_b = _range_basis(psi.transpose(2, 0, 1).reshape(d_b, k * d_a), k, budget / 2.0)
-    r_a, r_b = q_a.shape[1], q_b.shape[1]
-    x = (q_a.conj().T @ psi @ q_b.conj()).reshape(k, r_a * r_b)
-    # the weights ride in x; the partial transpose only permutes entries,
-    # so it keeps sigma exactly Hermitian
-    sigma = x.T @ x.conj()
-    tensor = ((sigma + sigma.conj().T) / 2.0).reshape(r_a, r_b, r_a, r_b)
-    eigs = np.linalg.eigvalsh(tensor.swapaxes(0, 2).reshape(sigma.shape))
-    return eigs, r_a * r_b < d_a * d_b, 2.0 * math.sqrt(eps_a + eps_b)
+    psis, sides, keys = [], [], []
+    for weights, rows, cutoff, part_a, part_b in problems:
+        n, k = len(part_a) + len(part_b), rows.shape[0]
+        d_a, d_b = cutoff ** len(part_a), cutoff ** len(part_b)
+        order = (0,) + tuple(1 + m for m in part_a + part_b)
+        psi = rows.reshape((k,) + (cutoff,) * n).transpose(order).reshape(k, d_a, d_b)
+        psi = np.sqrt(weights)[:, None, None] * psi
+        psis.append(psi)
+        sides += [psi.transpose(1, 0, 2).reshape(d_a, k * d_b),
+                  psi.transpose(2, 0, 1).reshape(d_b, k * d_a)]
+        keys += [(d_a, k * d_b, k), (d_b, k * d_a, k)]
+    bases = _grouped(lambda key, s: _range_bases(s, key[2], budget / 2.0), sides, keys)
+    mats, facts = [], []
+    for psi, (q_a, eps_a), (q_b, eps_b) in zip(psis, bases[::2], bases[1::2]):
+        k, d_a, d_b = psi.shape
+        r_a, r_b = q_a.shape[1], q_b.shape[1]
+        x = (q_a.conj().T @ psi @ q_b.conj()).reshape(k, r_a * r_b)
+        # the weights ride in x; the partial transpose only permutes entries,
+        # so it keeps sigma exactly Hermitian
+        sigma = x.T @ x.conj()
+        tensor = ((sigma + sigma.conj().T) / 2.0).reshape(r_a, r_b, r_a, r_b)
+        mats.append(tensor.swapaxes(0, 2).reshape(sigma.shape))
+        facts.append((r_a * r_b < d_a * d_b, 2.0 * math.sqrt(eps_a + eps_b)))
+    spectra = _grouped(lambda _, m: np.linalg.eigvalsh(m), mats, [len(m) for m in mats])
+    return [(eigs, *fact) for eigs, fact in zip(spectra, facts)]
+
+
+def _negativity_reports(pairs, ppt_tol: float = PPT_TOL) -> list[EntanglementReport]:
+    """``negativity_report`` for each (Mixture, bipartition) pair, the
+    partial-transpose spectra of all pairs taken together by ``_pt_spectra``."""
+    cuts = []
+    for state, bipartition in pairs:
+        part_a, part_b = (tuple(sorted(set(side))) for side in bipartition)
+        if sorted(part_a + part_b) != list(range(state.arena.n_modes)):
+            raise ValueError("bipartition must partition the mode set")
+        if not part_a or not part_b:
+            raise ValueError("both sides of the bipartition must be non-empty")
+        cuts.append((state.weights, state.rows, state.arena.cutoff, part_a, part_b))
+
+    budget = (PT_BOUND_SHARE * ppt_tol / 2.0) ** 2
+    reports = []
+    for cut, (eigs, proper, bound) in zip(cuts, _pt_spectra(cuts, budget)):
+        # outside the compressed space the partial transpose is exactly 0
+        min_eig = min(float(eigs[0]), 0.0) if proper else float(eigs[0])
+        negativity = float(max(0.0, -eigs[eigs < 0].sum()))
+        verdict = "entangled" if min_eig - bound < -ppt_tol else "separable_by_ppt_nonviolation"
+        reports.append(EntanglementReport(
+            bipartition=cut[3:], min_pt_eigenvalue=min_eig, negativity=negativity,
+            log_negativity=math.log2(1.0 + 2.0 * negativity), verdict=verdict, pt_bound=bound))
+    return reports
 
 
 def negativity_report(
@@ -160,32 +213,11 @@ def negativity_report(
 ) -> EntanglementReport:
     """PPT diagnostics across a bipartition of the modes (Peres criterion;
     negativity as in Vidal and Werner, PRA 65, 032314, 2002), on the
-    rank-cut state of ``_pt_spectrum`` with its bound b <= PT_BOUND_SHARE *
+    rank-cut state of ``_pt_spectra`` with its bound b <= PT_BOUND_SHARE *
     ``ppt_tol``.  The verdict reads min_pt_eigenvalue - b against
-    -``ppt_tol``, so the cut can only make the separability check stricter."""
-    part_a = tuple(sorted(set(bipartition[0])))
-    part_b = tuple(sorted(set(bipartition[1])))
-    n, d = state.arena.n_modes, state.arena.cutoff
-    if set(part_a) | set(part_b) != set(range(n)) or set(part_a) & set(part_b):
-        raise ValueError("bipartition must partition the mode set")
-    if not part_a or not part_b:
-        raise ValueError("both sides of the bipartition must be non-empty")
-
-    budget = (PT_BOUND_SHARE * ppt_tol / 2.0) ** 2
-    eigs, proper, bound = _pt_spectrum(state.weights, state.rows, d, part_a, part_b, budget)
-    # outside the compressed space the partial transpose is exactly 0
-    min_eig = min(float(eigs[0]), 0.0) if proper else float(eigs[0])
-    negativity = float(max(0.0, -eigs[eigs < 0].sum()))
-    log_negativity = math.log2(1.0 + 2.0 * negativity)
-    entangled = min_eig - bound < -ppt_tol
-    return EntanglementReport(
-        bipartition=(part_a, part_b),
-        min_pt_eigenvalue=min_eig,
-        negativity=negativity,
-        log_negativity=log_negativity,
-        verdict="entangled" if entangled else "separable_by_ppt_nonviolation",
-        pt_bound=bound,
-    )
+    -``ppt_tol``, so the cut can only make the separability check stricter.
+    The one-pair call of ``_negativity_reports``."""
+    return _negativity_reports([(state, bipartition)], ppt_tol)[0]
 
 
 def mandel_q(probs) -> float:

@@ -23,6 +23,7 @@ from bselab.passive import (
 )
 from bselab.states import CoherentEnsemble, fock
 from bselab.witnesses import PPT_TOL, mandel_q, negativity_report
+from reference import dense_pt_eigenvalues
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -489,12 +490,105 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
     stages = timings["stages"]
     assert stages["density_assembly"] is stages["density_validation"] is None
     assert stages["sector_exponential"] is None
-    assert stages["pt_spectrum"]["count"] == 3 * stages["route2_transform"]["count"] == 24
+    # one pt_spectrum sample per trial, covering all three cuts
+    assert stages["pt_spectrum"]["count"] == stages["route2_transform"]["count"] == 8
     n_single = sum(len(r["input"]["weights"]) == 1 for r in records)
     assert stages["route3_gaussian"]["count"] == n_single
     timed = [v for v in stages.values() if v is not None and v["count"]]
     assert all(0.0 < v["p50"] <= v["max"] <= v["total"] for v in timed)
     assert sum(v["total"] for v in timed) <= trials["total"]
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(2, 10), (3, 6)])
+def test_entangled_rows_at_the_pt_stage_are_ppt_violations(tmp_path, monkeypatch,
+                                                           n_modes, cutoff):
+    # the PT stage of each trial sees a splitter's output for |1,0,...> in
+    # place of route 2's rows (the cross-check still reads route 2's
+    # amplitudes): the stacked pass must report it entangled on every cut
+    m = (beam_splitter_matrix(np.pi / 4) if n_modes == 2
+         else theoremlab.haar_unitary(3, np.random.default_rng(3)))
+    seen = []
+
+    def substituted(arena, weights, rows, leak_tol):
+        Mixture(arena, weights, rows, leak_tol=leak_tol)  # route 2's leak check
+        occ = (1,) + (0,) * (arena.n_modes - 1)
+        psi = passive._lift_rows(m.matrix, fock(arena, occ).amplitudes, arena)
+        seen.append(Mixture(arena, [1.0], [psi]))
+        return seen[-1]
+
+    monkeypatch.setattr(theoremlab, "Mixture", substituted)
+    cfg = _write_config(tmp_path, n_trials=3, seed=5, n_modes=n_modes, cutoff=cutoff,
+                        amplitude_bound=0.3)
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FINDING
+    report = json.loads((out / "report.json").read_text())
+    assert [(f["trial"], f["kind"]) for f in report["findings"]] == [
+        (i, "ppt_violation") for i in range(3)]
+    records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+    assert len(seen) == len(records) == 3
+    for state, record in zip(seen, records):
+        assert len(record["bipartitions"]) == len(theoremlab.bipartitions(n_modes))
+        for cut in record["bipartitions"]:
+            dense = dense_pt_eigenvalues(state.weights, state.rows, state.arena,
+                                         cut["modes_a"])
+            assert abs(cut["min_pt_eigenvalue"] - dense[0]) <= cut["pt_bound"] + 1e-13
+            assert cut["verdict"] == "entangled"
+
+
+def test_parser_is_built_once_across_calls(tmp_path, monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    assert cli.main(["--version"]) == 0
+    assert cli.main(["demo", "nosuch", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert cli.main(["demo", "vacuum", "--out", str(tmp_path)]) == 0
+    # the parser binds no command: one rebound after it was built still runs
+    monkeypatch.setattr(cli, "cmd_demo", lambda args: cli.EXIT_FINDING)
+    assert cli.main(["demo", "vacuum", "--out", str(tmp_path)]) == cli.EXIT_FINDING
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    capsys.readouterr()
+
+
+def test_reused_parser_leaks_no_state(tmp_path):
+    # one process through a usage error, --version, a verify, a sweep off
+    # the default --phi0 and a bad config answers each call as a fresh
+    # process does: same exit code, stdout, stderr and report bytes
+    cfg = _write_config(tmp_path, n_trials=1, cutoff=6, amplitude_bound=0.5)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    runs = [["verify"],
+            ["--version"],
+            ["verify", "--config", str(cfg), "--out", "verify"],
+            ["sweep", "--thetas", "0.3,0.9", "--phi0", "0.4", "--out", "sweep"],
+            ["verify", "--config", str(bad), "--out", "bad"]]
+    # the parser is built on the first call, not at import
+    probe = ("import contextlib, io, json, sys; from bselab import cli\n"
+             "assert cli.build_parser.cache_info().currsize == 0\n"
+             "results = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    out, err = io.StringIO(), io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "        code = cli.main(argv)\n"
+             "    results.append([code, out.getvalue(), err.getvalue()])\n"
+             "print(json.dumps(results))")
+
+    def run(argvs, cwd):
+        cwd.mkdir()
+        result = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], cwd=cwd,
+                                env=_child_env(), capture_output=True, text=True,
+                                timeout=120, check=True)
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def reports(cwd):
+        return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
+                if p.is_file() and p.name != "manifest.json"}
+
+    reused = run(runs, tmp_path / "reused")
+    fresh = [run([argv], tmp_path / f"fresh{i}")[0] for i, argv in enumerate(runs)]
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 2]
+    assert reused == fresh
+    assert reports(tmp_path / "reused") == {
+        name: data for i in range(len(runs))
+        for name, data in reports(tmp_path / f"fresh{i}").items()}
 
 
 def _child_env(**extra) -> dict:

@@ -68,14 +68,14 @@ def test_trial_pt_eigensolves_are_at_most_k_squared_wide(monkeypatch, shape):
     # wider than K^2
     n_modes, cutoff, bound, seed = shape
     widths = []
-    spectrum = witnesses._pt_spectrum
+    spectra = witnesses._pt_spectra
 
-    def recording(*args):
-        out = spectrum(*args)
-        widths.append(out[0].size)
+    def recording(problems, budget):
+        out = spectra(problems, budget)
+        widths.extend(eigs.size for eigs, _, _ in out)
         return out
 
-    monkeypatch.setattr(witnesses, "_pt_spectrum", recording)
+    monkeypatch.setattr(witnesses, "_pt_spectra", recording)
     summary = run_campaign(CampaignConfig(
         n_trials=100, seed=seed, n_modes=n_modes, max_ensemble_components=4,
         amplitude_bound=bound, cutoff=cutoff))

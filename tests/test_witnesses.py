@@ -1,9 +1,12 @@
+import json
+import types
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bselab import witnesses
+from bselab import cli, witnesses
 from bselab.hilbert import FockArena, Mixture
 from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
 from bselab.states import (
@@ -14,7 +17,13 @@ from bselab.states import (
     thermal,
     vacuum,
 )
-from bselab.theoremlab import CampaignConfig, bipartitions, haar_unitary
+from bselab.theoremlab import (
+    CampaignConfig,
+    bipartitions,
+    haar_unitary,
+    random_classical_ensemble,
+    run_theorem_trial,
+)
 from bselab.witnesses import (
     PPT_TOL,
     PT_BOUND_SHARE,
@@ -244,7 +253,7 @@ def test_range_basis_residual_is_measured(case):
     s_a, s_b, _ = weighted_sides(state.weights, state.rows, state.arena.cutoff,
                                  part_a, part_b)
     for s in (s_a, s_b):
-        q, eps = witnesses._range_basis(s, state.weights.size, BUDGET / 2.0)
+        q, eps = witnesses._range_bases(s[None], state.weights.size, BUDGET / 2.0)[0]
         assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-12
         assert 0.0 <= eps <= BUDGET / 2.0
         sv = np.linalg.svd(s, compute_uv=False)
@@ -262,7 +271,7 @@ def test_classical_widths_match_the_svd_cut(case):
     state, _ = case
     args = (state.weights, state.rows, state.arena.cutoff)
     for a, b in bipartitions(state.arena.n_modes):
-        eigs, _, bound = witnesses._pt_spectrum(*args, a, b, BUDGET)
+        eigs, _, bound = witnesses._pt_spectra([(*args, a, b)], BUDGET)[0]
         ref, _, ref_bound = svd_pt_spectrum(*args, a, b, BUDGET)
         assert eigs.size == ref.size
         assert abs(eigs[0] - ref[0]) <= bound + ref_bound + 1e-13
@@ -288,33 +297,95 @@ def _classical_k4(arena):
 ], ids=["bell", "fock33", "classical-k4"])
 def test_certificate_not_sketch_carries_correctness(monkeypatch, sketch, make, arena):
     # a sketch that sees nothing of the range: the measured residual still
-    # sends the basis to the exact range, and the reports stay correct
+    # sends the basis to the exact range, and the reports stay correct.  All
+    # cuts run in one call, so the sides of one shape share a stack and the
+    # sketch is blind to every matrix stacked with it
     current = {}
-    range_basis = witnesses._range_basis
+    range_bases = witnesses._range_bases
 
     def recording(s, r, budget):
         current["s"] = s
-        return range_basis(s, r, budget)
+        return range_bases(s, r, budget)
 
     def blind(d, r):
         current["sketches"] = current.get("sketches", 0) + 1
         if sketch == "zeros":
             return np.zeros((d, r), complex)
-        # columns orthogonal to the range of s, so that s^dag omega = 0
-        u, sv = np.linalg.svd(current["s"])[:2]
+        # columns orthogonal to the range of every stacked s, so that
+        # s^dag omega = 0 for each
+        u, sv = np.linalg.svd(np.hstack(tuple(current["s"])))[:2]
         null = u[:, int(np.sum(sv > 1e-13)):][:, :r]
         return np.hstack((null, np.zeros((d, r - null.shape[1]), complex)))
 
     state = make(arena)
-    monkeypatch.setattr(witnesses, "_range_basis", recording)
+    monkeypatch.setattr(witnesses, "_range_bases", recording)
     monkeypatch.setattr(witnesses, "_sketch", blind)
-    for bp in bipartitions(arena.n_modes):
-        report = negativity_report(state, bp)
+    cuts = bipartitions(arena.n_modes)
+    for bp, report in zip(cuts, witnesses._negativity_reports([(state, bp) for bp in cuts])):
         dense = dense_pt_eigenvalues(state.weights, state.rows, arena, bp[0])
         assert abs(report.min_pt_eigenvalue - dense[0]) <= report.pt_bound + 1e-13
         dense_verdict = "entangled" if dense[0] < -PPT_TOL else "separable_by_ppt_nonviolation"
         assert report.verdict == dense_verdict
     assert current["sketches"] > 0
+
+
+class _LapackCount:
+    """numpy as ``witnesses`` sees it, with its np.linalg.qr and eigvalsh
+    calls counted."""
+
+    def __init__(self):
+        self.calls = {"qr": 0, "eigvalsh": 0}
+        self.linalg = types.SimpleNamespace(
+            **{name: self._counted(name) for name in self.calls})
+
+    def _counted(self, name):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("n_modes, cutoff, bound, n_qr", [
+    (3, 8, 0.5, 4),
+    (2, 14, 1.0, 2),
+], ids=["campaign5", "campaign4"])
+def test_trial_pt_stage_stacks_its_lapack_calls(monkeypatch, n_modes, cutoff, bound, n_qr):
+    # the sides of all cuts of one shape share each QR step, and the K^2-wide
+    # compressed matrices of all cuts one eigensolve: 3 modes have two side
+    # shapes (8 x 64K and 64 x 8K), 2 modes one
+    count = _LapackCount()
+    monkeypatch.setattr(witnesses, "np", count)
+    rng = np.random.default_rng(505)
+    ks = set()
+    for _ in range(12):
+        ens = random_classical_ensemble(rng, n_modes, 4, bound)
+        m = haar_unitary(n_modes, rng)
+        count.calls = dict.fromkeys(count.calls, 0)
+        run_theorem_trial(ens, m, FockArena(n_modes, cutoff))
+        assert count.calls == {"qr": n_qr, "eigvalsh": 1}
+        ks.add(ens.n_components)
+    assert ks == {1, 2, 3, 4}
+
+
+def test_sweep_pt_stage_stacks_its_lapack_calls(monkeypatch, tmp_path):
+    # a 5-angle ensemble sweep: both sides of all five angles in one stack
+    count = _LapackCount()
+    monkeypatch.setattr(witnesses, "np", count)
+    rng = np.random.default_rng(6)
+    ensemble = [{"weight": float(w), "alphas": [[a.real, a.imag] for a in row]}
+                for w, row in zip(rng.dirichlet(np.ones(4)),
+                                  np.exp(2j * np.pi * rng.uniform(size=(4, 2))))]
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": ensemble}))
+    thetas = ",".join(repr(float(t)) for t in np.linspace(0.0, np.pi / 2.0, 5))
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg), "--cutoff", "22",
+                     "--thetas", thetas, "--out", str(tmp_path / "sweep")]) == 0
+    assert count.calls == {"qr": 2, "eigvalsh": 1}
 
 
 # roundoff allowed below the truncation floor of Mandel Q
