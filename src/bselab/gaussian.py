@@ -1,6 +1,6 @@
 """Independent Gaussian-state oracle: mean/covariance representation,
-symplectic action of passive unitaries, classicality test, and the Simon
-separability criterion for two-mode states.
+symplectic action of passive unitaries, classicality test, and the
+covariance PPT test across any bipartition of the modes.
 
 Conventions (fixed once, shared with the Fock pipeline): hbar = 1,
 quadratures interleaved (x1, p1, ..., xn, pn), vacuum variance 1/2, and
@@ -25,12 +25,15 @@ UNCERTAINTY_TOL = 1e-10
 #: (vacuum) classify deterministically as classical / separable
 VERDICT_TOL = 1e-10
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form in interleaved (x, p) ordering."""
-    return np.kron(np.eye(n_modes), _J)
+    """Standard symplectic form in interleaved (x, p) ordering: one
+    [[0, 1], [-1, 0]] block per mode."""
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    x = np.arange(0, 2 * n_modes, 2)
+    omega[x, x + 1] = 1.0
+    omega[x + 1, x] = -1.0
+    return omega
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,10 @@ def gaussian_from_spec(specs: Sequence[GaussianSpec]) -> GaussianState:
 def symplectic_image(matrix: np.ndarray) -> np.ndarray:
     """Real 2n x 2n image of a complex matrix N acting on amplitudes,
     alpha -> N alpha, with 2x2 blocks [[X_jk, -Y_jk], [Y_jk, X_jk]] for
-    N = X + iY.  Verified orthogonal-symplectic for unitary N."""
+    N = X + iY; orthogonal-symplectic when N is unitary."""
     n = matrix.shape[0]
-    s = np.zeros((2 * n, 2 * n))
     x, y = matrix.real, matrix.imag
-    for j in range(n):
-        for k in range(n):
-            s[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = [
-                [x[j, k], -y[j, k]],
-                [y[j, k], x[j, k]],
-            ]
-    if float(np.abs(s @ s.T - np.eye(2 * n)).max()) > 1e-10:
-        raise ValueError("symplectic image is not orthogonal (matrix not unitary?)")
-    return s
+    return np.array([[x, -y], [y, x]]).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
 
 
 def apply_passive(g: GaussianState, m: ModeUnitary) -> GaussianState:
@@ -140,28 +134,29 @@ def is_classical(g: GaussianState) -> GaussianVerdict:
     return GaussianVerdict(label, margin)
 
 
-def simon_separable(g: GaussianState) -> GaussianVerdict:
-    """Simon's separability criterion for two-mode Gaussian states.
+def _ppt_verdicts(g: GaussianState, sides: Sequence[Sequence[int]]) -> list[GaussianVerdict]:
+    """Covariance PPT test of each bipartition, named by its side A.
 
-    With cov = [[A, C], [C^T, B]] in 2x2 blocks, separability is equivalent
-    (for two modes) to
-
-        det A det B + (1/4 - |det C|)^2 - tr(A J C J B J C^T J)
-            >= (det A + det B)/4,
-
-    J = [[0, 1], [-1, 0]].  margin is the inequality slack.
+    Partial transposition flips side A's momenta, V -> L_A V L_A; a
+    separable state keeps the uncertainty relation after it (Simon, PRL 84,
+    2726 (2000); any bipartition of n modes: Werner and Wolf, PRL 86, 3658
+    (2001)).  margin is the least eigenvalue of L_A V L_A + (i/2) Omega;
+    all cuts share one stacked eigensolve.
     """
+    flips = np.ones((len(sides), 2 * g.n_modes))
+    for row, side in zip(flips, sides):
+        row[2 * np.asarray(side, dtype=int) + 1] = -1.0
+    herm = g.cov * (flips[:, :, None] * flips[:, None, :]) + 0.5j * symplectic_form(g.n_modes)
+    margins = np.linalg.eigvalsh(herm)[:, 0]
+    return [GaussianVerdict("separable" if m >= -VERDICT_TOL else "entangled", float(m))
+            for m in margins]
+
+
+def simon_separable(g: GaussianState) -> GaussianVerdict:
+    """Simon's separability criterion for two-mode states: the covariance
+    PPT test of the cut 0|1.  Necessary and sufficient for two-mode Gaussian
+    states; margin is the least eigenvalue of the partially transposed
+    covariance plus (i/2) Omega."""
     if g.n_modes != 2:
         raise ValueError("Simon criterion is defined for two-mode states")
-    a = g.cov[0:2, 0:2]
-    b = g.cov[2:4, 2:4]
-    c = g.cov[0:2, 2:4]
-    det_a, det_b, det_c = map(np.linalg.det, (a, b, c))
-    lhs = (
-        det_a * det_b
-        + (0.25 - abs(det_c)) ** 2
-        - np.trace(a @ _J @ c @ _J @ b @ _J @ c.T @ _J)
-    )
-    margin = float(lhs - (det_a + det_b) / 4.0)
-    label = "separable" if margin >= -VERDICT_TOL else "entangled"
-    return GaussianVerdict(label, margin)
+    return _ppt_verdicts(g, [(0,)])[0]

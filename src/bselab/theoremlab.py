@@ -6,7 +6,9 @@ Each trial runs three routes over the same input and mode unitary:
      certificate: output weights stay the input weights, hence >= 0);
   2. the truncated Fock route (transform each coherent component sector by
      sector, PPT diagnostics on the weighted output rows);
-  3. for Gaussian-expressible inputs, the covariance-matrix oracle.
+  3. for single-component inputs (a coherent product, hence Gaussian), the
+     covariance-matrix oracle: a classicality margin and the covariance PPT
+     test of every bipartition.
 
 Route 2 disagreeing with route 1 beyond tolerance is a finding; an exact
 closure breach in route 1 would falsify the implementation itself and is
@@ -25,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ._blas import single_threaded_blas
-from .gaussian import apply_passive, gaussian_from_spec, is_classical, simon_separable
+from .gaussian import _ppt_verdicts, apply_passive, gaussian_from_spec, is_classical
 from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import (
     ModeUnitary,
@@ -193,8 +195,8 @@ def run_theorem_trial(
     amps = transform_coherent_exact(m, ens.alphas, arena)
     rho_out = Mixture(arena, ens.weights, amps, leak_tol=leak_tol)
     lap("route2_transform")
-    reports = _negativity_reports(
-        [(rho_out, bp) for bp in bipartitions(arena.n_modes)], ppt_tol)
+    cuts = bipartitions(arena.n_modes)
+    reports = _negativity_reports([(rho_out, bp) for bp in cuts], ppt_tol)
     lap("pt_spectrum")
     ppt_min = min(r.min_pt_eigenvalue for r in reports)
     headroom = min(r.min_pt_eigenvalue - r.pt_bound for r in reports) + ppt_tol
@@ -210,13 +212,16 @@ def run_theorem_trial(
         specs = [GaussianSpec("coherent", alpha=complex(a)) for a in ens.alphas[0]]
         g_out = apply_passive(gaussian_from_spec(specs), m)
         classical = is_classical(g_out)
-        verdict = {"is_classical": classical.label,
-                   "classicality_margin": classical.margin}
-        if arena.n_modes == 2:
-            sep = simon_separable(g_out)
-            verdict["simon"] = sep.label
-            verdict["simon_margin"] = sep.margin
-        gaussian_verdict = verdict
+        ppt = _ppt_verdicts(g_out, [a for a, _ in cuts])
+        gaussian_verdict = {
+            "is_classical": classical.label,
+            "classicality_margin": classical.margin,
+            "bipartitions": [
+                {"modes_a": list(a), "modes_b": list(b), "ppt_margin": v.margin,
+                 "verdict": v.label}
+                for (a, b), v in zip(cuts, ppt)
+            ],
+        }
         lap("route3_gaussian")
 
     return TrialRecord(
@@ -412,7 +417,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
             if record.gaussian_verdict["is_classical"] != "classical":
                 findings.append({"trial": i, "kind": "gaussian_classicality_lost",
                                  "detail": record.gaussian_verdict})
-            if record.gaussian_verdict.get("simon", "separable") != "separable":
+            if any(cut["verdict"] != "separable"
+                   for cut in record.gaussian_verdict["bipartitions"]):
                 findings.append({"trial": i, "kind": "gaussian_simon_entangled",
                                  "detail": record.gaussian_verdict})
 

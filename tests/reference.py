@@ -7,7 +7,9 @@ compression, and route 2 builds only the arena rows of each sector block.
 Each helper here builds the dense object, or reads a quantity off it, so
 that a test can compare the package's result with the textbook one.  The
 SVD rank cut that the package's randomized range bases replaced is kept
-here too (``svd_pt_spectrum``).
+here too (``svd_pt_spectrum``), and so is Simon's two-mode determinant
+formula, which the package's covariance PPT test replaced
+(``simon_determinant_margin``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from bselab.gaussian import GaussianState, symplectic_form
+from bselab.gaussian import GaussianState
 from bselab.hilbert import LEAK_TOL, FockArena, Mixture, StateVector, _check_leak
 from bselab.passive import (
     SECTOR_TAIL_EPS,
@@ -377,13 +379,22 @@ def permanent_block(matrix: np.ndarray, occupations: np.ndarray) -> np.ndarray:
     return out
 
 
-def ppt_uncertainty_margin(g: GaussianState) -> float:
-    """Min eigenvalue of PT(cov) + (i/2) Omega for a two-mode state, where
-    PT flips the momentum of mode 1.  Non-negative iff PPT holds; the
-    eigenvalue form of the Simon criterion, an independent cross-check of
-    ``gaussian.simon_separable``."""
+def simon_determinant_margin(g: GaussianState) -> float:
+    """Simon's two-mode separability criterion in its determinant form.
+
+    With cov = [[A, C], [C^T, B]] in 2x2 blocks and J = [[0, 1], [-1, 0]],
+    a two-mode state is PPT iff
+
+        det A det B + (1/4 - |det C|)^2 - tr(A J C J B J C^T J)
+            >= (det A + det B)/4.
+
+    Returns the slack of that inequality: an independent two-mode
+    cross-check of the sign of ``gaussian.simon_separable``'s eigenvalue
+    margin (Simon, PRL 84, 2726 (2000))."""
     if g.n_modes != 2:
-        raise ValueError("PPT margin is defined for two-mode states")
-    p = np.diag([1.0, 1.0, 1.0, -1.0])
-    herm = (p @ g.cov @ p).astype(complex) + 0.5j * symplectic_form(2)
-    return float(np.linalg.eigvalsh(herm)[0])
+        raise ValueError("Simon criterion is defined for two-mode states")
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    a, b, c = g.cov[0:2, 0:2], g.cov[2:4, 2:4], g.cov[0:2, 2:4]
+    det_a, det_b, det_c = map(np.linalg.det, (a, b, c))
+    lhs = det_a * det_b + (0.25 - abs(det_c)) ** 2 - np.trace(a @ j @ c @ j @ b @ j @ c.T @ j)
+    return float(lhs - (det_a + det_b) / 4.0)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bselab import cli, passive, theoremlab
+from bselab.gaussian import gaussian_from_spec
 from bselab.hilbert import LEAK_TOL, FockArena, Mixture
 from bselab.passive import (
     ModeUnitary,
@@ -21,7 +22,7 @@ from bselab.passive import (
     lift_unitary,
     transform_coherent_exact,
 )
-from bselab.states import CoherentEnsemble, fock
+from bselab.states import CoherentEnsemble, GaussianSpec, fock
 from bselab.witnesses import PPT_TOL, mandel_q, negativity_report
 from reference import dense_pt_eigenvalues
 
@@ -156,6 +157,96 @@ def test_verify_reports_closure_breach_as_finding(tmp_path, monkeypatch):
     assert [f["kind"] for f in report["findings"]] == ["closure_breach_critical"]
     record = json.loads((out / "trials.jsonl").read_text())
     assert record["ensemble_closure"] == "fail"
+
+
+@pytest.mark.parametrize("n_modes, mixed", [(2, True), (3, True), (3, False)],
+                         ids=["2-modes", "3-modes", "3-modes-identity"])
+def test_verify_reports_route_three_findings_by_name(tmp_path, monkeypatch, n_modes,
+                                                     mixed):
+    # route 3 sees squeezed vacuum (r = 0.5) on mode 0 and vacuum elsewhere
+    # in place of the coherent input (routes 1 and 2 still see the classical
+    # input). A splitter that mixes modes 0 and 1 entangles every cut
+    # through that pair; the identity leaves a nonclassical product state
+    squeezed = [GaussianSpec("squeezed_vacuum", r=0.5)] + [GaussianSpec("coherent")] * (n_modes - 1)
+    monkeypatch.setattr(theoremlab, "gaussian_from_spec",
+                        lambda specs: gaussian_from_spec(squeezed))
+    if n_modes == 2:
+        source = "beam_splitter_grid"
+    else:
+        source = "random_haar"
+        splitter = np.eye(3, dtype=complex)
+        if mixed:
+            splitter[:2, :2] = beam_splitter_matrix(np.pi / 4).matrix
+        monkeypatch.setattr(theoremlab, "haar_unitary",
+                            lambda n, rng: ModeUnitary(splitter))
+    cfg = _write_config(
+        tmp_path, n_trials=2, n_modes=n_modes, cutoff=10, unitary_source=source,
+        ensemble=[{"weight": 1.0, "alphas": [[0.3, 0.1]] + [[0.0, 0.2]] * (n_modes - 1)}])
+    out = tmp_path / "route3"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FINDING
+    report = json.loads((out / "report.json").read_text())
+    kinds = ("gaussian_classicality_lost", "gaussian_simon_entangled")[:1 + mixed]
+    assert [(f["trial"], f["kind"]) for f in report["findings"]] == [
+        (i, kind) for i in range(2) for kind in kinds]
+    for line in (out / "trials.jsonl").read_text().splitlines():
+        cuts = json.loads(line)["gaussian"]["bipartitions"]
+        assert len(cuts) == len(theoremlab.bipartitions(n_modes))
+        for cut in cuts:
+            entangled = mixed and (0 in cut["modes_a"]) != (1 in cut["modes_a"])
+            assert cut["verdict"] == ("entangled" if entangled else "separable")
+            if entangled and n_modes == 3:
+                assert cut["ppt_margin"] == pytest.approx(-0.1824, abs=1e-4)
+
+
+def _conjugate_route_two(monkeypatch):
+    # route 2 applies M where it should apply conj(M): the exact lift is
+    # built from conj(M), so handing it conj(M) makes it apply M
+    exact = theoremlab.transform_coherent_exact
+
+    def unconjugated(m, alphas, arena):
+        return exact(ModeUnitary(m.matrix.conj()), alphas, arena)
+
+    monkeypatch.setattr(theoremlab, "transform_coherent_exact", unconjugated)
+
+
+def test_verify_reports_cross_pipeline_disagreement_alone(tmp_path, monkeypatch):
+    _conjugate_route_two(monkeypatch)
+    cfg = _write_config(tmp_path, n_trials=3, seed=7, cutoff=14)
+    out = tmp_path / "conj"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FINDING
+    report = json.loads((out / "report.json").read_text())
+    assert [(f["trial"], f["kind"]) for f in report["findings"]] == [
+        (i, "cross_pipeline_disagreement") for i in range(3)]
+
+
+def test_conjugation_fault_is_invisible_for_a_real_splitter(tmp_path, monkeypatch):
+    # the same fault is invisible when M is real: a one-trial grid draws the
+    # splitter at phi0 = phi1 = 0, where conj(M) = M, so the run stays clean
+    _conjugate_route_two(monkeypatch)
+    cfg = _write_config(tmp_path, n_trials=1, cutoff=14, unitary_source="beam_splitter_grid")
+    out = tmp_path / "real"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["findings"] == []
+    matrix = np.array(json.loads((out / "trials.jsonl").read_text())["unitary"]["matrix"])
+    assert np.all(matrix[..., 1] == 0.0)
+
+
+def test_verify_reports_truncation_overflow_by_name(tmp_path, monkeypatch):
+    # the retrying config of test_verify_trials_record_their_cutoff_and_retries
+    # with no retry budget: its overflowing trials become findings
+    monkeypatch.setattr(theoremlab, "RETRY_BUDGET", 0)
+    cfg = _write_config(tmp_path, n_trials=8, seed=0, n_modes=3, cutoff=6,
+                        amplitude_bound=0.5)
+    out = tmp_path / "overflow"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
+    report = json.loads((out / "report.json").read_text())
+    kinds = [f["kind"] for f in report["findings"]]
+    assert kinds and set(kinds) == {"truncation_overflow"}
+    assert report["n_overflow_failures"] == len(kinds)
+    assert report["n_retried"] == 0
+    records = (out / "trials.jsonl").read_text().splitlines()
+    assert len(records) == report["n_completed"] == 8 - len(kinds)
 
 
 def test_verify_rejects_negative_weight(tmp_path, capsys):

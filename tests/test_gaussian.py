@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bselab.gaussian import (
     GaussianState,
+    _ppt_verdicts,
     apply_passive,
     gaussian_from_spec,
     is_classical,
@@ -21,7 +22,7 @@ from bselab.passive import (
 )
 from bselab.states import CoherentEnsemble, GaussianSpec, coherent_leakage
 from bselab.theoremlab import haar_unitary
-from reference import dense_moments, marginals, min_quadrature_variance, ppt_uncertainty_margin
+from reference import dense_moments, marginals, min_quadrature_variance, simon_determinant_margin
 
 
 def _vacuum(n=2):
@@ -45,6 +46,24 @@ def test_thermal_and_squeezed_covariances():
 def test_uncertainty_relation_enforced():
     with pytest.raises(ValueError):
         GaussianState(1, np.zeros(2), np.eye(2) / 4)  # below vacuum both quadratures
+
+
+def test_symplectic_form_is_one_block_per_mode():
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for n in range(1, 5):
+        assert np.array_equal(symplectic_form(n), np.kron(np.eye(n), j))
+
+
+def test_symplectic_image_matches_its_block_loop():
+    rng = np.random.default_rng(3)
+    for n in range(1, 5):
+        m = haar_unitary(n, rng).matrix
+        loop = np.zeros((2 * n, 2 * n))
+        for j in range(n):
+            for k in range(n):
+                x, y = m[j, k].real, m[j, k].imag
+                loop[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = [[x, -y], [y, x]]
+        assert np.array_equal(symplectic_image(m), loop)
 
 
 def test_symplectic_image_is_orthogonal_symplectic():
@@ -97,8 +116,10 @@ def test_simon_product_state_separable():
     g = gaussian_from_spec(
         [GaussianSpec("thermal", nbar=0.3), GaussianSpec("squeezed_vacuum", r=0.7)]
     )
-    assert simon_separable(g).label == "separable"
-    assert ppt_uncertainty_margin(g) >= -1e-12
+    verdict = simon_separable(g)
+    assert verdict.label == "separable"
+    assert verdict.margin >= -1e-12
+    assert simon_determinant_margin(g) >= -1e-12
 
 
 def test_simon_two_mode_squeezed_entangled():
@@ -112,22 +133,59 @@ def test_simon_two_mode_squeezed_entangled():
     verdict = simon_separable(out)
     assert verdict.label == "entangled"
     assert verdict.margin < -1e-3
-    assert ppt_uncertainty_margin(out) < -1e-3
+    assert simon_determinant_margin(out) < -1e-3
 
 
 def test_simon_agrees_with_ppt_margin_sign():
+    # the determinant form (tests/reference.py) and the eigenvalue form
+    # (src) of Simon's criterion agree in sign, squeezed states included.
+    # Isotropic noise on the squeezed mode leaves no pure symplectic mode,
+    # where the determinant slack of a separable state reads 0
     rng = np.random.default_rng(8)
+    signs = set()
     for _ in range(200):
         r = rng.uniform(0, 0.8)
         specs = [
             GaussianSpec("squeezed_vacuum", r=r, theta_s=rng.uniform(0, 2 * np.pi)),
             GaussianSpec("thermal", nbar=rng.uniform(0, 1.0)),
         ]
-        out = apply_passive(gaussian_from_spec(specs), haar_unitary(2, rng))
-        simon = simon_separable(out).margin
-        ppt = ppt_uncertainty_margin(out)
+        g = gaussian_from_spec(specs)
+        noisy = GaussianState(2, g.mean, g.cov + np.diag([1.0, 1.0, 0.0, 0.0]) * rng.uniform(0, 0.3))
+        out = apply_passive(noisy, haar_unitary(2, rng))
+        simon = simon_determinant_margin(out)
+        ppt = simon_separable(out).margin
         if abs(simon) > 1e-9 and abs(ppt) > 1e-9:
             assert np.sign(simon) == np.sign(ppt)
+            signs.add(np.sign(ppt))
+    assert signs == {-1.0, 1.0}
+
+
+def _squeezed_through_splitter(n_modes):
+    # squeezed vacuum (r = 0.5) on mode 0, vacuum elsewhere, and a 50:50
+    # splitter on modes 0 and 1
+    specs = [GaussianSpec("squeezed_vacuum", r=0.5)] + [GaussianSpec("coherent")] * (n_modes - 1)
+    m = np.eye(n_modes, dtype=complex)
+    m[:2, :2] = beam_splitter_matrix(np.pi / 4).matrix
+    return apply_passive(gaussian_from_spec(specs), ModeUnitary(m))
+
+
+def test_ppt_verdicts_of_every_three_mode_cut():
+    g3 = _squeezed_through_splitter(3)
+    two_mode = simon_separable(_squeezed_through_splitter(2))
+    assert two_mode.margin == pytest.approx(-0.1824, abs=1e-4)
+    cuts = [(0,), (1,), (0, 1)]
+    verdicts = _ppt_verdicts(g3, cuts)
+    assert [v.label for v in verdicts] == ["entangled", "entangled", "separable"]
+    # the vacuum mode 2 only adds the eigenvalues 0 and 1 to a cut through
+    # the entangled pair
+    for v in verdicts[:2]:
+        assert v.margin == pytest.approx(two_mode.margin, abs=1e-12)
+    assert abs(verdicts[2].margin) <= 1e-12
+    # transposing side B instead gives the complex-conjugate matrix: same margin
+    complements = _ppt_verdicts(g3, [(1, 2), (0, 2), (2,)])
+    for v, w in zip(verdicts, complements):
+        assert v.label == w.label
+        assert v.margin == pytest.approx(w.margin, abs=1e-12)
 
 
 def test_classical_states_stay_classical_and_separable():

@@ -93,7 +93,21 @@ def test_trial_single_component_runs_gaussian_oracle():
     record = run_theorem_trial(ens, beam_splitter_matrix(np.pi / 4), arena)
     assert record.gaussian_verdict is not None
     assert record.gaussian_verdict["is_classical"] == "classical"
-    assert record.gaussian_verdict["simon"] == "separable"
+    assert record.gaussian_verdict["bipartitions"] == [
+        {"modes_a": [0], "modes_b": [1], "verdict": "separable",
+         "ppt_margin": record.gaussian_verdict["bipartitions"][0]["ppt_margin"]}]
+    assert abs(record.gaussian_verdict["bipartitions"][0]["ppt_margin"]) <= 1e-12
+
+
+def test_trial_single_component_checks_every_cut_in_route_three():
+    arena = FockArena(3, 6)
+    ens = CoherentEnsemble(3, np.array([1.0]), np.array([[0.3, 0.2j, -0.1]], complex))
+    record = run_theorem_trial(ens, haar_unitary(3, np.random.default_rng(2)), arena)
+    cuts = record.gaussian_verdict["bipartitions"]
+    assert [(c["modes_a"], c["modes_b"]) for c in cuts] == [
+        (list(a), list(b)) for a, b in bipartitions(3)]
+    assert all(c["verdict"] == "separable" for c in cuts)
+    assert [name for name, _ in record.stage_times][-1] == "route3_gaussian"
 
 
 def test_trial_record_serialization_omits_wall_time():
