@@ -24,10 +24,8 @@ from .hilbert import (
     TruncationError,
 )
 from .passive import (
-    LiftedUnitary,
     ModeUnitary,
     beam_splitter_matrix,
-    lift_unitary,
     transform_coherent_exact,
     transform_ensemble,
 )

@@ -8,15 +8,16 @@ sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 
 One builder, ``_sector_blocks``, forms those blocks column by column from
 U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
-to choose at eigenphases +-pi), no exponential.  It builds whole blocks, or
-only the rows (and columns) whose tuples fit a cutoff, for one mode matrix
-or for a stack of them at once (a leading batch axis).
-``transform_coherent_exact`` applies the arena rows of full-column blocks to
-coherent states, which is the projection of the exact transform; given a
-sequence of unitaries (a sweep's angles) it transforms its input once and
-builds every block for the whole sequence.  P U P, the exact lift projected
-onto the arena, is ``_lift_rows`` on amplitude rows and ``lift_unitary`` as
-a dim x dim matrix.
+to choose at eigenphases +-pi), no exponential.  It builds one shape, the
+rows whose tuples fit a cutoff against every column of the sector, for one
+mode matrix or for a stack of them at once (a leading batch axis), and one
+applier, ``_apply_sectors``, applies those blocks to amplitudes sector by
+sector.  ``transform_coherent_exact`` feeds it coherent states, which gives
+the projection of the exact transform; given a sequence of unitaries (a
+sweep's angles) it transforms its input once and builds every block for the
+whole sequence.  ``_lift_rows`` feeds it arena amplitude rows, which gives
+P U P, the exact lift projected onto the arena; no code here forms that
+dim x dim matrix.
 
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
@@ -85,39 +86,26 @@ def beam_splitter_matrix(theta: float, phi0: float = 0.0, phi1: float = 0.0) -> 
     return ModeUnitary(m)
 
 
-@dataclass(frozen=True)
-class LiftedUnitary:
-    """P U P: a ModeUnitary's Fock-space operator projected onto an arena."""
-
-    arena: FockArena
-    matrix: np.ndarray
-
-    def apply_to_vector(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix @ amplitudes
-
-
 @functools.lru_cache(maxsize=None)
-def _sector_plan(n_modes: int, top: int, row_cutoff: int | None = None,
-                 col_cutoff: int | None = None) -> tuple:
+def _sector_plan(n_modes: int, top: int, cutoff: int) -> tuple:
     """The vacuum tuple, and (occ, cols, rows, sqrt_s, parent, mode,
-    inv_sqrt_t) per sector 1..top: ``occ`` are the row tuples and ``cols``
-    the column tuples; ``rows[k]`` is the position of row s - e_k in the
-    sector below (0 where s_k = 0); column t lowers its most occupied mode j
-    (first on ties), which keeps the blocks unitary to roundoff (1e-14 at
-    2-mode sector 60, where lowering the first occupied mode drifts to 3e-9).
+    inv_sqrt_t) per sector 1..top: ``occ`` are the row tuples, those of a
+    FockArena with ``cutoff``, and ``cols`` the column tuples, the whole
+    sector; ``rows[k]`` is the position of row s - e_k in the sector below
+    (0 where s_k = 0); column t lowers its most occupied mode j (first on
+    ties), which keeps the blocks unitary to roundoff (1e-14 at 2-mode
+    sector 60, where lowering the first occupied mode drifts to 3e-9).
 
-    A cutoff keeps only the tuples of a FockArena with that cutoff, on the
-    rows or on the columns; None keeps whole sectors.  The recursion is
-    closed either way: s - e_k of a row is a row and t - e_j of a column is a
-    column.  The lift uses arena rows and columns, the exact coherent
-    transform arena rows and full columns.
+    The recursion is closed on this shape: s - e_k of an arena row is an
+    arena row, and t - e_j of a column is a column.  A cutoff above ``top``
+    keeps every row, so the blocks are whole.
     """
-    def sectors(cutoff):
-        table = FockArena(n_modes, top + 1 if cutoff is None else cutoff).occupation_table()
+    def sectors(d):
+        table = FockArena(n_modes, d).occupation_table()
         return [table[table.sum(axis=1) == n] for n in range(top + 1)]
 
-    row_sectors = sectors(row_cutoff)
-    col_sectors = row_sectors if col_cutoff == row_cutoff else sectors(col_cutoff)
+    col_sectors = sectors(top + 1)
+    row_sectors = col_sectors if cutoff > top else sectors(cutoff)
     eye = np.eye(n_modes, dtype=int)
     steps = []
     for n in range(1, top + 1):
@@ -134,15 +122,15 @@ def _sector_plan(n_modes: int, top: int, row_cutoff: int | None = None,
     return row_sectors[0], tuple(steps)
 
 
-def _sector_blocks(matrix: np.ndarray, top: int, row_cutoff: int | None = None,
-                   col_cutoff: int | None = None) -> Iterator[tuple]:
+def _sector_blocks(matrix: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
     """Sectors 0..top of the Fock-space lift of the mode matrix, in order and
     one at a time (each is built from the one below), each as its
     row and column occupation tuples (lexicographic, as a FockArena lists
     them) and its block <s|U|t>, built from U|0> = |0> by
         U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
-    Blocks are full; a row or column cutoff keeps the sub-block on the
-    tuples of a FockArena with that cutoff (both: the P U P blocks).
+    The rows are the tuples of a FockArena with ``cutoff`` and the columns
+    the whole sector: the arena rows of the full blocks, and the full blocks
+    themselves for a cutoff above ``top``.
 
     ``matrix`` may be a stack ``(..., n, n)``; every block then carries the
     same leading axes.  The recursion keeps the rows first and the stack
@@ -156,7 +144,7 @@ def _sector_blocks(matrix: np.ndarray, top: int, row_cutoff: int | None = None,
     lead = conj_t.shape[1:-1]
     # the recursion's (rows, ..., cols) to the caller's (..., rows, cols)
     rows_last = (*range(1, len(lead) + 1), 0, len(lead) + 1)
-    vacuum, steps = _sector_plan(conj_t.shape[0], top, row_cutoff, col_cutoff)
+    vacuum, steps = _sector_plan(conj_t.shape[0], top, cutoff)
     block = np.ones((1,) + lead + (1,), dtype=complex)
     yield vacuum, vacuum, block.transpose(rows_last)
     for occ, cols, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
@@ -172,45 +160,9 @@ def _sector_blocks(matrix: np.ndarray, top: int, row_cutoff: int | None = None,
         yield occ, cols, block.transpose(rows_last)
 
 
-def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
-    """P U P: the sector blocks up to n_modes*(cutoff-1) on the arena's
-    occupation tuples alone.  Sectors below the cutoff fit whole and stay
-    unitary; the clipped ones above it are contractions, so a row loses at
-    most its own weight there."""
-    if m.n_modes != arena.n_modes:
-        raise ValueError("mode count mismatch between unitary and arena")
-    dim = arena.total_dim
-    shape = (arena.cutoff,) * arena.n_modes
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for occ, _, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1),
-                                        arena.cutoff, arena.cutoff):
-        index = np.ravel_multi_index(occ.T, shape)
-        matrix[np.ix_(index, index)] = block
-    return LiftedUnitary(arena, matrix)
-
-
-def _lift_rows(matrix: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndarray:
-    """P U P on arena amplitude rows, sector by sector, without the dim x dim
-    matrix: ``matrix`` is one mode matrix or a stack ``(T, n, n)``, ``rows``
-    ``(dim,)`` or ``(K, dim)``, the result ``(T, K, dim)``.  Only the sectors
-    up to the rows' top occupied one are built.  On a basis row it is
-    ``lift_unitary``'s matrix bit for bit; a stack is T single calls bit for
-    bit but in the arena corner's 1 x 1 block, whose lone complex products a
-    single call rounds without a fused multiply-add.
-    """
-    shape = (arena.cutoff,) * arena.n_modes
-    occupied = np.any(rows.reshape(-1, arena.total_dim) != 0, axis=0)
-    top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
-    out = np.zeros(matrix.shape[:-2] + rows.shape, dtype=complex)
-    for occ, _, block in _sector_blocks(matrix, top, arena.cutoff, arena.cutoff):
-        index = np.ravel_multi_index(occ.T, shape)
-        out[..., index] = rows[..., index] @ np.swapaxes(block, -1, -2)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _column_plan(n_modes: int, top: int, cutoff: int) -> tuple:
-    """The arena-row plan of sectors 0..top flattened for one gather: every
+    """The sector plan of sectors 0..top flattened for one gather: every
     column tuple in sector order and the sector of each column; and per
     sector, the slice of its columns in that order and the arena index of
     each of its rows, where the sector's block scatters."""
@@ -225,6 +177,41 @@ def _column_plan(n_modes: int, top: int, cutoff: int) -> tuple:
     for array in (flat, sector, *(index for _, index in sectors)):
         array.setflags(write=False)
     return flat, sector, sectors
+
+
+def _apply_sectors(matrix: np.ndarray, amps: np.ndarray, top: int,
+                   arena: FockArena) -> np.ndarray:
+    """The one sector applier: P U on amplitudes given on ``_column_plan``'s
+    columns of sectors 0..top, ``amps`` of shape ``(..., n_columns)``, for
+    one mode matrix or a stack ``(T, n, n)``; the result, on the arena, has
+    shape ``matrix.shape[:-2] + amps.shape[:-1] + (total_dim,)``.  Each
+    sector's block is applied to that sector's columns and scattered to the
+    arena's rows."""
+    _, _, sectors = _column_plan(arena.n_modes, top, arena.cutoff)
+    out = np.zeros(matrix.shape[:-2] + amps.shape[:-1] + (arena.total_dim,), dtype=complex)
+    blocks = _sector_blocks(matrix, top, arena.cutoff)
+    for (columns, index), (_, _, block) in zip(sectors, blocks):
+        out[..., index] = amps[..., columns] @ np.swapaxes(block, -1, -2)
+    return out
+
+
+def _lift_rows(matrix: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndarray:
+    """P U P on arena amplitude rows, sector by sector, without the dim x dim
+    matrix: ``matrix`` is one mode matrix or a stack ``(T, n, n)``, ``rows``
+    ``(dim,)`` or ``(K, dim)``, the result ``(T, K, dim)``.  Only the sectors
+    up to the rows' top occupied one are built.  An arena row is 0 on every
+    tuple outside the arena, so P U P psi = P U psi: the rows are read on the
+    sectors' full columns, with 0 on the columns outside the arena.  From two
+    modes up a stack is T single calls bit for bit.
+    """
+    occupied = np.any(rows.reshape(-1, arena.total_dim) != 0, axis=0)
+    top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
+    cols, _, _ = _column_plan(arena.n_modes, top, arena.cutoff)
+    inside = cols.max(axis=1) < arena.cutoff
+    index = np.ravel_multi_index(cols[inside].T, (arena.cutoff,) * arena.n_modes)
+    amps = np.zeros(rows.shape[:-1] + cols.shape[:1], dtype=complex)
+    amps[..., inside] = rows[..., index]
+    return _apply_sectors(matrix, amps, top, arena)
 
 
 def _sector_tail_bound(mean: float) -> int:
@@ -286,15 +273,12 @@ def transform_coherent_exact(m, alphas, arena: FockArena) -> np.ndarray:
     means = np.sum(np.abs(rows) ** 2, axis=1)
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
-    cols, sector, sectors = _column_plan(arena.n_modes, top, arena.cutoff)
+    cols, sector, _ = _column_plan(arena.n_modes, top, arena.cutoff)
     amps = _coherent_column(rows, top + 1)[:, np.arange(arena.n_modes), cols].prod(axis=-1)
     amps[sector > n_max[:, None]] = 0.0
 
     matrices = np.array([u.matrix for u in unitaries]).reshape((-1,) + (arena.n_modes,) * 2)
-    out = np.zeros((len(unitaries), len(rows), arena.total_dim), dtype=complex)
-    blocks = _sector_blocks(matrices, top, arena.cutoff)
-    for (columns, index), (_, _, block) in zip(sectors, blocks):
-        out[..., index] = amps[:, columns] @ np.swapaxes(block, -1, -2)
+    out = _apply_sectors(matrices, amps, top, arena)
     out = out.reshape(out.shape[:1] + alphas.shape[:-1] + out.shape[-1:])
     return out[0] if isinstance(m, ModeUnitary) else out
 

@@ -397,10 +397,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 outcomes = list(pool.map(work, range(cfg.n_trials)))
 
     findings = []
+    cutoffs = ", ".join(str(cfg.cutoff + a * CUTOFF_STEP) for a in range(RETRY_BUDGET + 1))
     for i, record in enumerate(outcomes):
         if isinstance(record, TruncationError):
             overflow_failures.append({"trial": i, "kind": "truncation_overflow",
-                                      "detail": str(record)})
+                                      "detail": f"cutoff {cutoffs}: {record}"})
             continue
         retried += 1 if record.attempts else 0
         results[i] = record

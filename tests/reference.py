@@ -5,7 +5,9 @@ amplitude rows, Mandel Q reads a photon-number distribution, not a
 single-mode density, a trial's PT spectrum is taken on a certified low-rank
 compression, and route 2 builds only the arena rows of each sector block.
 Each helper here builds the dense object, or reads a quantity off it, so
-that a test can compare the package's result with the textbook one.  The
+that a test can compare the package's result with the textbook one: among
+them the dense lift P U P (``lift_unitary``), which the package applies
+sector by sector and never forms.  The
 SVD rank cut that the package's randomized range bases replaced is kept
 here too (``svd_pt_spectrum``), and so is Simon's two-mode determinant
 formula, which the package's covariance PPT test replaced
@@ -25,7 +27,6 @@ from bselab.gaussian import GaussianState
 from bselab.hilbert import LEAK_TOL, FockArena, Mixture, StateVector, _check_leak
 from bselab.passive import (
     SECTOR_TAIL_EPS,
-    LiftedUnitary,
     ModeUnitary,
     _sector_blocks,
     _sector_tail_bound,
@@ -210,6 +211,35 @@ def quadrature_variance(rho: DensityOperator, mode: int, theta_q: float) -> floa
     )
 
 
+@dataclass(frozen=True)
+class LiftedUnitary:
+    """P U P: a ModeUnitary's Fock-space operator projected onto an arena."""
+
+    arena: FockArena
+    matrix: np.ndarray
+
+    def apply_to_vector(self, amplitudes: np.ndarray) -> np.ndarray:
+        return self.matrix @ amplitudes
+
+
+def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
+    """P U P as a dim x dim matrix: the arena-row sector blocks up to
+    n_modes*(cutoff-1), on the columns whose tuples fit the arena.  Sectors
+    below the cutoff fit whole and stay unitary; the clipped ones above it
+    are contractions, so a row loses at most its own weight there."""
+    if m.n_modes != arena.n_modes:
+        raise ValueError("mode count mismatch between unitary and arena")
+    dim = arena.total_dim
+    shape = (arena.cutoff,) * arena.n_modes
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for occ, cols, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1),
+                                           arena.cutoff):
+        kept = cols.max(axis=1) < arena.cutoff
+        rows = np.ravel_multi_index(occ.T, shape)
+        matrix[np.ix_(rows, np.ravel_multi_index(cols[kept].T, shape))] = block[:, kept]
+    return LiftedUnitary(arena, matrix)
+
+
 def conjugation_residual(u: LiftedUnitary, m: ModeUnitary, mode: int) -> float:
     """Max-norm of U c_mode U^dag - sum_k M_{mode,k} c_k on the protected
     (total photon <= cutoff/2) subspace."""
@@ -324,7 +354,7 @@ def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarra
     top = int(n_max.max())
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
     out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
-    for n, (occ, _, block) in enumerate(_sector_blocks(m.matrix, top)):
+    for n, (occ, _, block) in enumerate(_sector_blocks(m.matrix, top, top + 1)):
         amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
         amps[n_max < n] = 0.0
         transformed = amps @ block.T

@@ -18,7 +18,7 @@ from bselab.gaussian import (
     simon_separable,
 )
 from bselab.hilbert import FockArena, Mixture
-from bselab.passive import beam_splitter_matrix, lift_unitary
+from bselab.passive import beam_splitter_matrix
 from bselab.states import GaussianSpec, coherent, squeezed_vacuum, thermal, vacuum
 from bselab.theoremlab import (
     CampaignConfig,
@@ -28,7 +28,7 @@ from bselab.theoremlab import (
     run_campaign,
 )
 from bselab.witnesses import negativity_report
-from reference import conjugation_residual
+from reference import conjugation_residual, lift_unitary
 
 
 def _verdict(n: int, name: str, ok: bool) -> None:

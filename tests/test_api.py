@@ -13,7 +13,6 @@ PUBLIC_API = [
     "FockArena",
     "GaussianSpec",
     "GaussianState",
-    "LiftedUnitary",
     "Mixture",
     "ModeUnitary",
     "StateVector",
@@ -28,7 +27,6 @@ PUBLIC_API = [
     "haar_unitary",
     "hilbert",
     "is_classical",
-    "lift_unitary",
     "mandel_q",
     "negativity_report",
     "non_sufficiency_demo",

@@ -19,12 +19,11 @@ from bselab.hilbert import LEAK_TOL, FockArena, Mixture
 from bselab.passive import (
     ModeUnitary,
     beam_splitter_matrix,
-    lift_unitary,
     transform_coherent_exact,
 )
-from bselab.states import CoherentEnsemble, GaussianSpec, fock
+from bselab.states import CoherentEnsemble, GaussianSpec, coherent, fock
 from bselab.witnesses import PPT_TOL, mandel_q, negativity_report
-from reference import dense_pt_eigenvalues
+from reference import dense_pt_eigenvalues, lift_unitary
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -242,8 +241,11 @@ def test_verify_reports_truncation_overflow_by_name(tmp_path, monkeypatch):
     assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
     report = json.loads((out / "report.json").read_text())
     kinds = [f["kind"] for f in report["findings"]]
-    assert kinds and set(kinds) == {"truncation_overflow"}
+    assert kinds == ["truncation_overflow"] * 3
     assert report["n_overflow_failures"] == len(kinds)
+    # each detail names the cutoffs its attempts ran at, then the leak
+    assert all(f["detail"].startswith("cutoff 6: truncation leakage ")
+               for f in report["findings"])
     assert report["n_retried"] == 0
     records = (out / "trials.jsonl").read_text().splitlines()
     assert len(records) == report["n_completed"] == 8 - len(kinds)
@@ -420,14 +422,10 @@ def test_pt_spectra_take_no_svd(tmp_path, monkeypatch):
     assert len((out / "sweep.csv").read_text().splitlines()) == 6
 
 
-def test_fock_paths_build_no_dense_lift(tmp_path, monkeypatch):
-    # the Fock sweep and the demos map their rows sector by sector; only
-    # lift_unitary forms the dim x dim P U P, and only passive calls it
-    # (the package __init__ re-exports it)
-    def refused(*args, **kwargs):
-        raise AssertionError("lift_unitary was called")
-
-    monkeypatch.setattr(passive, "lift_unitary", refused)
+def test_fock_paths_build_no_dense_lift(tmp_path):
+    # the Fock sweep and the demos map their rows sector by sector; the dim x
+    # dim P U P, lift_unitary, is the tests' reference and no src module
+    # names it
     thetas = ",".join(repr(float(t)) for t in np.linspace(0.0, np.pi / 2.0, 5))
     assert cli.main(["sweep", "--input", "fock", "--occupations", "3,3", "--phi0", "0.3",
                      "--thetas", thetas, "--out", str(tmp_path / "sweep")]) == 0
@@ -435,8 +433,7 @@ def test_fock_paths_build_no_dense_lift(tmp_path, monkeypatch):
         assert cli.main(["demo", name, "--out", str(tmp_path / name)]) == 0
     src = Path(passive.__file__).parent
     assert [path.name for path in sorted(src.glob("*.py"))
-            if path.name not in ("passive.py", "__init__.py")
-            and "lift_unitary" in path.read_text()] == []
+            if "lift_unitary" in path.read_text()] == []
 
 
 def test_sweep_fock_row_clipped_by_the_arena_is_numeric_failure(tmp_path, capsys):
@@ -590,20 +587,28 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
     assert sum(v["total"] for v in timed) <= trials["total"]
 
 
-@pytest.mark.parametrize("n_modes, cutoff", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("n_modes, cutoff, cat", [
+    (2, 10, None), (3, 6, None), (2, 10, 1.0), (3, 6, 0.5)],
+    ids=["2-10", "3-6", "2-10-cat", "3-6-cat"])
 def test_entangled_rows_at_the_pt_stage_are_ppt_violations(tmp_path, monkeypatch,
-                                                           n_modes, cutoff):
-    # the PT stage of each trial sees a splitter's output for |1,0,...> in
-    # place of route 2's rows (the cross-check still reads route 2's
-    # amplitudes): the stacked pass must report it entangled on every cut
+                                                           n_modes, cutoff, cat):
+    # the PT stage of each trial sees a splitter's output for |1,0,...>, or
+    # for the cat (|cat,0,...> + |-cat,0,...>)/N, in place of route 2's rows
+    # (the cross-check still reads route 2's amplitudes): the stacked pass
+    # must report it entangled on every cut
     m = (beam_splitter_matrix(np.pi / 4) if n_modes == 2
          else theoremlab.haar_unitary(3, np.random.default_rng(3)))
     seen = []
 
     def substituted(arena, weights, rows, leak_tol):
         Mixture(arena, weights, rows, leak_tol=leak_tol)  # route 2's leak check
-        occ = (1,) + (0,) * (arena.n_modes - 1)
-        psi = passive._lift_rows(m.matrix, fock(arena, occ).amplitudes, arena)
+        if cat is None:
+            row = fock(arena, (1,) + (0,) * (arena.n_modes - 1)).amplitudes
+        else:
+            row = sum(coherent(arena, [sign * cat] + [0.0] * (arena.n_modes - 1)).amplitudes
+                      for sign in (1.0, -1.0))
+            row = row / np.linalg.norm(row)
+        psi = passive._lift_rows(m.matrix, row, arena)
         seen.append(Mixture(arena, [1.0], [psi]))
         return seen[-1]
 

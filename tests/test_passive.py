@@ -10,7 +10,6 @@ from bselab.passive import (
     ModeUnitary,
     _sector_tail_bound,
     beam_splitter_matrix,
-    lift_unitary,
     transform_coherent_exact,
     transform_ensemble,
 )
@@ -20,6 +19,7 @@ from reference import (
     annihilation_matrix,
     conjugation_residual,
     ensemble_to_density,
+    lift_unitary,
     linear_sector_tail_bound,
     norm,
 )

@@ -1,6 +1,8 @@
-"""Property tests for the photon-number-sector builder shared by the Fock
-lift (`lift_unitary`), its applier on amplitude rows (`_lift_rows`) and the
-exact coherent transform (`transform_coherent_exact`).
+"""Property tests for the photon-number-sector builder (`_sector_blocks`,
+arena rows against full columns) and its one applier, through both callers:
+P U P on amplitude rows (`_lift_rows`) and the exact coherent transform
+(`transform_coherent_exact`).  The dense lift they are checked against
+(`lift_unitary`) is the tests' reference.
 
 Unitaries are Haar draws and degenerate cases: +-I, mode permutations and
 eigenphases at +-pi, each also in a rotated eigenbasis.
@@ -17,7 +19,6 @@ from bselab.passive import (
     ModeUnitary,
     _lift_rows,
     _sector_blocks,
-    lift_unitary,
     transform_coherent_exact,
 )
 from bselab.states import coherent, vacuum
@@ -27,6 +28,7 @@ from reference import (
     VACUUM_TOL,
     conjugation_residual,
     full_sector_transform,
+    lift_unitary,
     permanent_block,
 )
 
@@ -72,7 +74,7 @@ def _unitarity_dev(block: np.ndarray) -> float:
 @given(st.sampled_from([2, 3]).flatmap(unitaries))
 def test_sector_blocks_match_permanent_reference(m):
     table = FockArena(m.n_modes, 6).occupation_table()
-    for n, (occ, cols, block) in enumerate(_sector_blocks(m.matrix, 5)):
+    for n, (occ, cols, block) in enumerate(_sector_blocks(m.matrix, 5, 6)):
         assert np.array_equal(occ, table[table.sum(axis=1) == n])
         assert np.array_equal(cols, occ)
         assert np.abs(block - permanent_block(m.matrix, occ)).max() <= 1e-12
@@ -85,7 +87,7 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
     # the column recursion lowers the most occupied mode; lowering the first
     # occupied one instead drifts past 1e-12 on sectors this big
     top, m = case
-    for _, _, block in _sector_blocks(m.matrix, top):
+    for _, _, block in _sector_blocks(m.matrix, top, top + 1):
         assert _unitarity_dev(block) <= 1e-12
 
 
@@ -93,19 +95,20 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
 @given(st.sampled_from([(2, 12), (3, 8), (4, 4)]).flatmap(
     lambda shape: st.tuples(st.just(shape), unitaries(shape[0]))))
 def test_arena_sector_blocks_are_full_sub_blocks(case):
-    # the recursion closed on the arena's tuples gives P U P directly, and
-    # closed on arena rows alone the arena rows of the full blocks
+    # the recursion closed on arena rows gives the arena rows of the full
+    # blocks: bit for bit on the sectors the arena holds whole, and within
+    # the roundoff of a wider elementwise loop on the clipped ones above
     (n_modes, cutoff), m = case
     top = n_modes * (cutoff - 1)
-    arena_blocks = _sector_blocks(m.matrix, top, cutoff, cutoff)
-    row_blocks = _sector_blocks(m.matrix, top, cutoff)
-    for (occ, cols, block), (row_occ, row_cols, rows), (full_occ, _, full) in zip(
-            arena_blocks, row_blocks, _sector_blocks(m.matrix, top)):
+    for n, ((occ, cols, rows), (full_occ, full_cols, full)) in enumerate(zip(
+            _sector_blocks(m.matrix, top, cutoff), _sector_blocks(m.matrix, top, top + 1))):
         kept = full_occ.max(axis=1) < cutoff
-        assert np.array_equal(occ, full_occ[kept]) and np.array_equal(cols, occ)
-        assert np.abs(block - full[np.ix_(kept, kept)]).max() <= 1e-15
-        assert np.array_equal(row_occ, occ) and np.array_equal(row_cols, full_occ)
-        assert np.abs(rows - full[kept]).max() <= 1e-15
+        assert np.array_equal(full_cols, full_occ) and np.array_equal(cols, full_cols)
+        assert np.array_equal(occ, full_occ[kept])
+        if n <= cutoff - 1:
+            assert np.array_equal(rows, full)
+        else:
+            assert np.abs(rows - full[kept]).max() <= 1e-15
 
 
 @PROPERTY
@@ -156,17 +159,14 @@ def test_lift_rows_is_the_dense_lift(case):
     assert not np.any(_lift_rows(ms[0].matrix, zero, arena))
     inputs = np.array([coherent(arena, alpha, leak_tol=1.0).amplitudes for alpha in rows])
     assert np.abs(_lift_rows(ms[0].matrix, inputs, arena) - inputs @ dense.T).max() <= 1e-15
-    # a stack of T mode matrices is T single calls, bit for bit but for the
-    # arena corner's 1 x 1 block, whose lone complex products numpy rounds
-    # without a fused multiply-add in a single call
+    # a stack of T mode matrices is T single calls bit for bit, the arena
+    # corner included: its block is one row against the sector's full columns
     inputs = np.concatenate([inputs, np.eye(arena.total_dim)[[0, -1]]])
     stack = np.array([m.matrix for m in ms])
     batch = _lift_rows(stack, inputs, arena)
     assert batch.shape == (len(ms), len(inputs), arena.total_dim)
     for m, out in zip(stack, batch):
-        single = _lift_rows(m, inputs, arena)
-        assert out[:, :-1].tobytes() == single[:, :-1].tobytes()
-        assert np.abs(out[:, -1] - single[:, -1]).max() <= 1e-15
+        assert out.tobytes() == _lift_rows(m, inputs, arena).tobytes()
 
 
 @PROPERTY

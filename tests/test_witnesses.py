@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bselab import cli, witnesses
 from bselab.hilbert import FockArena, Mixture
-from bselab.passive import ModeUnitary, beam_splitter_matrix, lift_unitary, transform_coherent_exact
+from bselab.passive import ModeUnitary, beam_splitter_matrix, transform_coherent_exact
 from bselab.states import (
     CoherentEnsemble,
     coherent,
@@ -36,6 +36,7 @@ from reference import (
     dense_moments,
     dense_pt_eigenvalues,
     exact_pt_spectrum,
+    lift_unitary,
     min_quadrature_variance,
     quadrature_variance,
     svd_pt_spectrum,
