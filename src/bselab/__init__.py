@@ -20,7 +20,6 @@ from .gaussian import (
 from .hilbert import (
     FockArena,
     Mixture,
-    StateVector,
     TruncationError,
 )
 from .passive import (

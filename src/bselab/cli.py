@@ -183,7 +183,7 @@ def write_manifest(out_dir: Path, config_echo, timings: dict, files: list[str],
 def _demo_vacuum(args, arena: FockArena) -> dict:
     rng = np.random.default_rng(args.seed)
     stack = np.array([haar_unitary(arena.n_modes, rng).matrix for _ in range(20)])
-    vac = vacuum(arena).amplitudes
+    vac = vacuum(arena)
     worst = float(np.abs(_lift_rows(stack, vac, arena) - vac).max())
     return {"demo": "vacuum", "worst_vacuum_deviation": worst,
             "tolerance": 1e-10, "pass": worst <= 1e-10}
@@ -191,7 +191,7 @@ def _demo_vacuum(args, arena: FockArena) -> dict:
 
 def _demo_bell(args, arena: FockArena) -> dict:
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
-    psi = _lift_rows(m.matrix, fock(arena, (1, 0)).amplitudes, arena)
+    psi = _lift_rows(m.matrix, fock(arena, (1, 0)), arena)
     report = negativity_report(Mixture(arena, [1.0], [psi]), ((0,), (1,)))
     # |1,0> maps to cos|10> + sin|01> up to phases: log-negativity
     # log2(1 + |sin 2 theta|) in closed form
@@ -224,11 +224,11 @@ def _demo_coherent_covariance(args, arena: FockArena) -> dict:
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
     alphas = [0.8 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / np.sqrt(2)
               for _ in range(10)]
-    inputs, targets = zip(*[(coherent(arena, a).amplitudes,
-                             coherent(arena, a @ np.conj(m.matrix)).amplitudes)
-                            for a in alphas])
-    rows = _lift_rows(m.matrix, np.array(inputs), arena)
-    worst = min(1.0, *(float(abs(np.vdot(t, psi)) ** 2) for t, psi in zip(targets, rows)))
+    # each input row next to its target row, so the leak checks run in
+    # the order of the pairs
+    pairs = coherent(arena, [(a, a @ np.conj(m.matrix)) for a in alphas])
+    rows = _lift_rows(m.matrix, pairs[:, 0], arena)
+    worst = min(1.0, *(float(abs(np.vdot(t, psi)) ** 2) for t, psi in zip(pairs[:, 1], rows)))
     return {"demo": "coherent-covariance", "theta": args.theta,
             "worst_fidelity": worst, "tolerance": 1e-6,
             "pass": worst >= 1.0 - 1e-6}
@@ -370,7 +370,7 @@ def cmd_sweep(args) -> int:
     if args.input == "fock":
         try:
             occ = tuple(int(tok) for tok in args.occupations.split(","))
-            psi = fock(arena, occ).amplitudes
+            psi = fock(arena, occ)
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
         input_echo = {"kind": "fock", "occupations": list(occ)}
@@ -383,8 +383,9 @@ def cmd_sweep(args) -> int:
         ens = parse_ensemble(_read_config_json(Path(cfg_path)).get("ensemble"))
         if ens.n_modes != arena.n_modes:
             raise ConfigError("sweep needs a two-mode ensemble")
-        for alpha in ens.alphas:  # a component that overflows alone is an error,
-            coherent(arena, alpha)  # even where a small weight hides it in the mixture
+        # a component that overflows alone is an error, even where a small
+        # weight hides it in the mixture
+        coherent(arena, ens.alphas)
         input_echo = {"kind": "ensemble", "components": ens.n_components}
         weights, rows = ens.weights, lambda ms: transform_coherent_exact(ms, ens.alphas, arena)
 

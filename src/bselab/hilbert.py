@@ -1,7 +1,8 @@
-"""Truncated multimode Fock space: basis indexing and the validated state
-containers.  No operator matrix is built here: a pure state is an amplitude
-vector, a full-space mixed state is a set of weighted amplitude rows, and
-each mode's photon-number distribution is summed from those rows directly.
+"""Truncated multimode Fock space: basis indexing and the one validated
+state container.  No operator matrix is built here: a pure state is a plain
+amplitude row over the arena basis, a full-space state is a ``Mixture`` of
+weighted amplitude rows, and each mode's photon-number distribution is
+summed from those rows directly.
 
 Everything here is dense numpy. At the scales this package targets
 (<= 3 modes, cutoff <= ~20) dense linear algebra is simpler and fast
@@ -80,32 +81,6 @@ def _occupation_table(n_modes: int, cutoff: int) -> np.ndarray:
     table = grids.reshape(n_modes, -1).T
     table.setflags(write=False)
     return table
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A pure state as a dense complex amplitude array over the arena basis.
-
-    ``amplitudes`` is a read-only copy of the input.  Construction enforces
-    the truncation-leakage budget: when the lost probability 1 - ||psi||^2
-    exceeds ``leak_tol`` a :class:`TruncationError` is raised instead of
-    silently renormalizing.
-    """
-
-    arena: FockArena
-    amplitudes: np.ndarray
-    leak_tol: float = field(default=LEAK_TOL, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.arena.total_dim,):
-            raise ValueError("amplitude vector has wrong length")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.linalg.norm(amps))
-        if norm > 1.0 + 1e-12:
-            raise ValueError(f"state norm {norm} exceeds 1")
-        _check_leak(1.0 - norm * norm, self.leak_tol)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """State constructors: vacuum, Fock, coherent states, finite classical
-coherent ensembles, squeezed vacuum and thermal probe states."""
+coherent ensembles, squeezed vacuum and thermal probe states.
+
+A pure state is a fresh complex amplitude row over the arena basis; the
+constructors whose rows lose weight past the cutoff check that leak, and a
+caller with raw amplitudes validates them as ``Mixture(arena, [1.0], [psi])``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEAK_TOL, FockArena, Mixture, StateVector
+from .hilbert import LEAK_TOL, FockArena, Mixture, _check_leak
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -46,18 +51,26 @@ def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
     return _poisson_tail(cutoff, float(abs_alpha * abs_alpha))
 
 
-def vacuum(arena: FockArena) -> StateVector:
+def vacuum(arena: FockArena) -> np.ndarray:
     """|0...0>: amplitude 1 on the all-zeros occupation, 0 elsewhere."""
     amps = np.zeros(arena.total_dim, dtype=complex)
     amps[0] = 1.0
-    return StateVector(arena, amps)
+    return amps
 
 
-def fock(arena: FockArena, occupations) -> StateVector:
-    """Number basis state |n_0, ..., n_{k-1}>."""
+def fock(arena: FockArena, occupations) -> np.ndarray:
+    """Number basis state |n_0, ..., n_{k-1}>; ``ValueError`` for an
+    occupation outside the arena."""
     amps = np.zeros(arena.total_dim, dtype=complex)
     amps[arena.encode(occupations)] = 1.0
-    return StateVector(arena, amps)
+    return amps
+
+
+def _check_rows(rows: np.ndarray, leak_tol: float) -> None:
+    """Each row's leak 1 - ||psi||^2 against the budget, in row order."""
+    for row in rows.reshape(-1, rows.shape[-1]):
+        norm = float(np.linalg.norm(row))
+        _check_leak(1.0 - norm * norm, leak_tol)
 
 
 def _coherent_column(alphas, cutoff: int) -> np.ndarray:
@@ -81,23 +94,28 @@ def _coherent_column(alphas, cutoff: int) -> np.ndarray:
     return mag * np.exp(1j * n * np.angle(alphas)[..., None])
 
 
-def coherent(arena: FockArena, alphas, leak_tol: float = LEAK_TOL) -> StateVector:
-    """Truncated multimode coherent state |alpha_1, ..., alpha_n>.
+def coherent(arena: FockArena, alphas, leak_tol: float = LEAK_TOL) -> np.ndarray:
+    """Truncated multimode coherent states |alpha_1, ..., alpha_n>: for
+    ``alphas`` of shape ``(..., n_modes)`` the rows ``(..., total_dim)``.
 
-    Amplitudes are the closed-form Poissonian profile per mode, tensored.
-    Raises :class:`TruncationError` when the truncated norm falls below the
-    leak budget (cutoff too small for |alpha|).
+    Amplitudes are the closed-form Poissonian profile per mode, tensored
+    mode by mode for every row at once; a stack is its single rows bit for
+    bit.  Raises :class:`TruncationError` at the first row whose truncated
+    norm falls below the leak budget (cutoff too small for |alpha|).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    if alphas.shape != (arena.n_modes,):
+    if alphas.shape[-1] != arena.n_modes:
         raise ValueError("need one amplitude per mode")
-    amps = np.ones(1, dtype=complex)
-    for column in _coherent_column(alphas, arena.cutoff):
-        amps = (amps[:, None] * column[None, :]).ravel()  # as np.kron multiplies, (n, 1) by (1, m)
-    return StateVector(arena, amps, leak_tol=leak_tol)
+    columns = _coherent_column(alphas, arena.cutoff)
+    amps = np.ones(alphas.shape[:-1] + (1,), dtype=complex)
+    for mode in range(arena.n_modes):  # as np.kron multiplies, (n, 1) by (1, m)
+        amps = amps[..., :, None] * columns[..., mode, None, :]
+        amps = amps.reshape(alphas.shape[:-1] + (-1,))
+    _check_rows(amps, leak_tol)
+    return amps
 
 
-def squeezed_vacuum(arena: FockArena, r: float, theta_s: float = 0.0) -> StateVector:
+def squeezed_vacuum(arena: FockArena, r: float, theta_s: float = 0.0) -> np.ndarray:
     """Single-mode squeezed vacuum with squeezing r >= 0 and phase theta_s.
 
     Convention: S(xi) = exp((xi* a^2 - xi a^dag^2)/2) with xi = r e^{i theta_s},
@@ -116,7 +134,8 @@ def squeezed_vacuum(arena: FockArena, r: float, theta_s: float = 0.0) -> StateVe
     for n in range(1, (arena.cutoff - 1) // 2 + 1):
         c = c * ratio * math.sqrt((2 * n) * (2 * n - 1)) / (2 * n)
         amps[2 * n] = c
-    return StateVector(arena, amps)
+    _check_rows(amps, LEAK_TOL)
+    return amps
 
 
 def thermal(arena: FockArena, nbar: float) -> Mixture:

@@ -202,8 +202,8 @@ def run_theorem_trial(
     headroom = min(r.min_pt_eigenvalue - r.pt_bound for r in reports) + ppt_tol
 
     # agreement between the two routes, per component at amplitude level
-    closed = [coherent(arena, a, leak_tol=leak_tol).amplitudes for a in out_ens.alphas]
-    cross_dev = float(np.abs(amps - np.array(closed)).max())
+    closed = coherent(arena, out_ens.alphas, leak_tol=leak_tol)
+    cross_dev = float(np.abs(amps - closed).max())
     lap("cross_check")
 
     # route 3: Gaussian oracle, when the input is a single coherent component
@@ -468,7 +468,7 @@ def non_sufficiency_demo(
     if arena.n_modes != 2:
         raise ValueError("the demo is a two-mode construction")
     m = beam_splitter_matrix(theta, phi0, phi1)
-    psi_in = fock(arena, (1, 0)).amplitudes
+    psi_in = fock(arena, (1, 0))
     q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).photon_distributions()[0])
 
     psi_fwd = _lift_rows(m.matrix, psi_in, arena)

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from bselab.gaussian import GaussianState
-from bselab.hilbert import LEAK_TOL, FockArena, Mixture, StateVector, _check_leak
+from bselab.hilbert import LEAK_TOL, FockArena, Mixture, _check_leak
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
@@ -120,13 +120,9 @@ def decode(arena: FockArena, index: int) -> tuple[int, ...]:
     return tuple(reversed(occ))
 
 
-def norm(state: StateVector) -> float:
-    return float(np.linalg.norm(state.amplitudes))
-
-
-def to_density(state: StateVector) -> DensityOperator:
-    """|psi><psi| as a validated dense density."""
-    return DensityOperator(state.arena, np.outer(state.amplitudes, state.amplitudes.conj()))
+def to_density(arena: FockArena, psi: np.ndarray) -> DensityOperator:
+    """|psi><psi| of an amplitude row as a validated dense density."""
+    return DensityOperator(arena, np.outer(psi, psi.conj()))
 
 
 def ensemble_to_density(
@@ -135,7 +131,7 @@ def ensemble_to_density(
     """sum_i w_i |alpha_i><alpha_i| on the truncated arena, as a dense matrix."""
     if arena.n_modes != ens.n_modes:
         raise ValueError("arena mode count does not match ensemble")
-    rows = np.array([coherent(arena, a, leak_tol=leak_tol).amplitudes for a in ens.alphas])
+    rows = coherent(arena, ens.alphas, leak_tol=leak_tol)
     return DensityOperator(arena, (ens.weights * rows.T) @ rows.conj(), leak_tol=leak_tol)
 
 
@@ -144,10 +140,10 @@ def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:
     if arena.n_modes != 1:
         raise ValueError("spec_to_density builds single-mode states")
     if spec.kind == "coherent":
-        return to_density(coherent(arena, [spec.alpha]))
+        return to_density(arena, coherent(arena, [spec.alpha]))
     if spec.kind == "thermal":
         return DensityOperator(arena, np.diag(thermal(arena, spec.nbar).weights))
-    return to_density(squeezed_vacuum(arena, spec.r, spec.theta_s))
+    return to_density(arena, squeezed_vacuum(arena, spec.r, spec.theta_s))
 
 
 def annihilation_matrix(arena: FockArena, mode: int) -> np.ndarray:

@@ -15,7 +15,6 @@ PUBLIC_API = [
     "GaussianState",
     "Mixture",
     "ModeUnitary",
-    "StateVector",
     "TrialRecord",
     "TruncationError",
     "apply_passive",

@@ -79,9 +79,16 @@ def test_verify_clean_run(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["findings"] == []
     assert report["n_completed"] == 4
-    lines = (out / "trials.jsonl").read_text().splitlines()
-    assert len(lines) == 4
-    assert all(json.loads(line)["ensemble_closure"] == "pass" for line in lines)
+    records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+    assert len(records) == 4
+    assert all(record["ensemble_closure"] == "pass" for record in records)
+    # the headroom nets each cut's rank-cut bound: min over cuts of
+    # min_pt_eigenvalue - pt_bound, plus ppt_tol
+    for record in records:
+        cuts = record["bipartitions"]
+        assert all(cut["pt_bound"] > 0.0 for cut in cuts)
+        assert record["ppt_headroom"] == min(
+            cut["min_pt_eigenvalue"] - cut["pt_bound"] for cut in cuts) + PPT_TOL
 
 
 def test_verify_trials_are_byte_deterministic(tmp_path):
@@ -216,6 +223,30 @@ def test_verify_reports_cross_pipeline_disagreement_alone(tmp_path, monkeypatch)
     report = json.loads((out / "report.json").read_text())
     assert [(f["trial"], f["kind"]) for f in report["findings"]] == [
         (i, "cross_pipeline_disagreement") for i in range(3)]
+
+
+@pytest.mark.parametrize("shift, fires", [(0.5e-7, False), (2e-7, True)])
+def test_cross_pipeline_tolerance_is_its_edge(tmp_path, monkeypatch, shift, fires):
+    # the closed-form rows of the cross-check move by shift on the vacuum
+    # amplitude, and route 2 is left alone: against the documented
+    # tolerance of 1e-7, half of it is agreement and twice it is a finding
+    # on every trial
+    closed_form = theoremlab.coherent
+
+    def shifted(arena, alphas, leak_tol):
+        rows = closed_form(arena, alphas, leak_tol=leak_tol)
+        rows[..., 0] += shift
+        return rows
+
+    monkeypatch.setattr(theoremlab, "coherent", shifted)
+    cfg = _write_config(tmp_path, n_trials=3, seed=7, cutoff=14)
+    out = tmp_path / "shifted"
+    code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == (cli.EXIT_FINDING if fires else cli.EXIT_OK)
+    report = json.loads((out / "report.json").read_text())
+    assert [(f["trial"], f["kind"]) for f in report["findings"]] == [
+        (i, "cross_pipeline_disagreement") for i in range(3 if fires else 0)]
+    assert report["worst_cross_pipeline_dev"] == pytest.approx(shift, rel=1e-6)
 
 
 def test_conjugation_fault_is_invisible_for_a_real_splitter(tmp_path, monkeypatch):
@@ -484,7 +515,7 @@ def test_sweep_fock_rows_are_each_angles_lift(tmp_path):
                      "--phi0", "0.3", "--thetas", ",".join(map(repr, thetas)),
                      "--out", str(out)]) == 0
     arena = FockArena(2, 6)
-    psi = fock(arena, (2, 1)).amplitudes
+    psi = fock(arena, (2, 1))
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(cli.SWEEP_COLUMNS)
@@ -603,9 +634,9 @@ def test_entangled_rows_at_the_pt_stage_are_ppt_violations(tmp_path, monkeypatch
     def substituted(arena, weights, rows, leak_tol):
         Mixture(arena, weights, rows, leak_tol=leak_tol)  # route 2's leak check
         if cat is None:
-            row = fock(arena, (1,) + (0,) * (arena.n_modes - 1)).amplitudes
+            row = fock(arena, (1,) + (0,) * (arena.n_modes - 1))
         else:
-            row = sum(coherent(arena, [sign * cat] + [0.0] * (arena.n_modes - 1)).amplitudes
+            row = sum(coherent(arena, [sign * cat] + [0.0] * (arena.n_modes - 1))
                       for sign in (1.0, -1.0))
             row = row / np.linalg.norm(row)
         psi = passive._lift_rows(m.matrix, row, arena)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bselab.gaussian import (
+    VERDICT_TOL,
     GaussianState,
     _ppt_verdicts,
     apply_passive,
@@ -112,6 +113,27 @@ def test_is_classical_margins():
     assert sq.margin == pytest.approx(np.exp(-1.0) / 2 - 0.5)
 
 
+@pytest.mark.parametrize("r, label", [(5e-11, "classical"), (3e-10, "nonclassical")])
+def test_is_classical_band_is_verdict_tol(r, label):
+    # squeezing r gives the margin (e^{-2r} - 1)/2, about -r: 5e-11 sits
+    # just inside the -VERDICT_TOL band and 3e-10 just outside it
+    verdict = is_classical(gaussian_from_spec([GaussianSpec("squeezed_vacuum", r=r)]))
+    assert verdict.margin == pytest.approx(-r, rel=1e-6)
+    assert VERDICT_TOL / 4 < abs(verdict.margin) < 4 * VERDICT_TOL
+    assert verdict.label == label
+
+
+@pytest.mark.parametrize("r, label", [(1e-10, "separable"), (6e-10, "entangled")])
+def test_ppt_verdict_band_is_verdict_tol(r, label):
+    # squeezing r through a 50:50 splitter gives the PPT margin about -r/2:
+    # 5e-11 just inside the -VERDICT_TOL band, 3e-10 just outside it
+    verdicts = _ppt_verdicts(_squeezed_through_splitter(3, r), [(0,), (1,)])
+    for verdict in verdicts:
+        assert verdict.margin == pytest.approx(-r / 2, rel=1e-6)
+        assert VERDICT_TOL / 4 < abs(verdict.margin) < 4 * VERDICT_TOL
+        assert verdict.label == label
+
+
 def test_simon_product_state_separable():
     g = gaussian_from_spec(
         [GaussianSpec("thermal", nbar=0.3), GaussianSpec("squeezed_vacuum", r=0.7)]
@@ -160,10 +182,10 @@ def test_simon_agrees_with_ppt_margin_sign():
     assert signs == {-1.0, 1.0}
 
 
-def _squeezed_through_splitter(n_modes):
-    # squeezed vacuum (r = 0.5) on mode 0, vacuum elsewhere, and a 50:50
-    # splitter on modes 0 and 1
-    specs = [GaussianSpec("squeezed_vacuum", r=0.5)] + [GaussianSpec("coherent")] * (n_modes - 1)
+def _squeezed_through_splitter(n_modes, r=0.5):
+    # squeezed vacuum r on mode 0, vacuum elsewhere, and a 50:50 splitter
+    # on modes 0 and 1
+    specs = [GaussianSpec("squeezed_vacuum", r=r)] + [GaussianSpec("coherent")] * (n_modes - 1)
     m = np.eye(n_modes, dtype=complex)
     m[:2, :2] = beam_splitter_matrix(np.pi / 4).matrix
     return apply_passive(gaussian_from_spec(specs), ModeUnitary(m))

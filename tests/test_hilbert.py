@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bselab.hilbert import FockArena, Mixture, StateVector, TruncationError
+from bselab.hilbert import FockArena, Mixture, TruncationError
 from bselab.states import CoherentEnsemble, coherent, fock, vacuum
 from reference import (
     DensityOperator,
@@ -62,7 +62,7 @@ def test_annihilation_single_mode_entries():
 def test_annihilation_kills_vacuum():
     arena = FockArena(2, 5)
     for mode in range(2):
-        out = annihilation_matrix(arena, mode) @ vacuum(arena).amplitudes
+        out = annihilation_matrix(arena, mode) @ vacuum(arena)
         assert np.abs(out).max() == 0.0
 
 
@@ -80,16 +80,6 @@ def test_commutator_is_identity_below_boundary():
     assert np.abs(inner - np.eye(5)).max() <= 1e-12
 
 
-def test_state_vector_leak_budget():
-    arena = FockArena(1, 4)
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 0.9
-    with pytest.raises(TruncationError):
-        StateVector(arena, amps)
-    with pytest.raises(ValueError):
-        StateVector(arena, 2 * np.eye(4)[0].astype(complex))
-
-
 def test_density_operator_validation():
     arena = FockArena(1, 3)
     with pytest.raises(ValueError):
@@ -103,16 +93,6 @@ def test_density_operator_validation():
     neg = np.diag([1.1, -0.1, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         DensityOperator(arena, neg)
-
-
-def test_state_vector_stores_a_read_only_copy():
-    arena = FockArena(1, 4)
-    amps = np.eye(4)[1].astype(complex)
-    psi = StateVector(arena, amps)
-    assert not psi.amplitudes.flags.writeable
-    assert not np.shares_memory(psi.amplitudes, amps)
-    amps[1] = 0.0
-    assert psi.amplitudes[1] == 1.0
 
 
 def test_density_operator_stores_an_exactly_hermitian_read_only_copy():
@@ -132,13 +112,13 @@ def _bell_like(arena):
     amps = np.zeros(arena.total_dim, dtype=complex)
     amps[arena.encode((1, 0))] = 1 / np.sqrt(2)
     amps[arena.encode((0, 1))] = 1 / np.sqrt(2)
-    return to_density(StateVector(arena, amps))
+    return to_density(arena, amps)
 
 
 def test_partial_trace_product_state():
     a1 = FockArena(1, 3)
-    rho_a = to_density(fock(a1, (1,)))
-    rho_b = to_density(fock(a1, (2,)))
+    rho_a = to_density(a1, fock(a1, (1,)))
+    rho_b = to_density(a1, fock(a1, (2,)))
     joint = DensityOperator(FockArena(2, 3), np.kron(rho_a.matrix, rho_b.matrix))
     reduced = partial_trace(joint, [0])
     assert np.abs(reduced.matrix - rho_a.matrix).max() <= 1e-14
@@ -184,6 +164,11 @@ def test_mixture_validation():
         Mixture(arena, [1.0], [np.array([np.inf, 0.0, 0.0])])
     with pytest.raises(ValueError):
         Mixture(arena, [0.6, 0.6], [row, row])  # trace 1.2
+    # the trace may pass 1 by roundoff only: 1 + 1e-9 is a bad state, while
+    # 1 + 1e-13 is inside the 1e-12 allowance
+    with pytest.raises(ValueError, match="exceeds 1"):
+        Mixture(arena, [0.5, 0.5], [np.sqrt(1.0 + 1e-9) * row] * 2)
+    assert Mixture(arena, [0.5, 0.5], [np.sqrt(1.0 + 1e-13) * row] * 2).leak < 0.0
 
 
 def test_mixture_leak_budget():
@@ -206,7 +191,7 @@ def test_mixture_marginals_match_dense_partial_trace():
         radii, phases = rng.uniform(size=(2, 3, n_modes))
         alphas = 0.4 * np.sqrt(radii) * np.exp(2j * np.pi * phases)
         ens = CoherentEnsemble(n_modes, rng.dirichlet(np.ones(3)), alphas)
-        rows = [coherent(arena, a).amplitudes for a in ens.alphas]
+        rows = coherent(arena, ens.alphas)
         dense = ensemble_to_density(ens, arena)
         probs = Mixture(arena, ens.weights, rows).photon_distributions()
         assert probs.shape == (n_modes, cutoff)

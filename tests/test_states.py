@@ -23,7 +23,6 @@ from bselab.states import (
 from reference import (
     annihilation_matrix,
     ensemble_to_density,
-    norm,
     scalar_coherent_column,
     spec_to_density,
 )
@@ -32,41 +31,41 @@ from reference import (
 def test_vacuum_is_unit_vector_at_index_zero():
     arena = FockArena(2, 4)
     v = vacuum(arena)
-    assert v.amplitudes[0] == 1.0
-    assert np.abs(v.amplitudes[1:]).max() == 0.0
-    assert norm(v) == 1.0
+    assert v[0] == 1.0
+    assert np.abs(v[1:]).max() == 0.0
+    assert np.linalg.norm(v) == 1.0
     for mode in range(2):
-        assert np.abs(annihilation_matrix(arena, mode) @ v.amplitudes).max() == 0.0
+        assert np.abs(annihilation_matrix(arena, mode) @ v).max() == 0.0
 
 
 def test_fock_states_are_orthonormal_basis_vectors():
     arena = FockArena(2, 3)
     psi = fock(arena, (1, 0))
-    assert psi.amplitudes[arena.encode((1, 0))] == 1.0
+    assert psi[arena.encode((1, 0))] == 1.0
     for mode, expected in ((0, 1.0), (1, 0.0)):
         a = annihilation_matrix(arena, mode)
-        assert (psi.amplitudes.conj() @ a.conj().T @ a @ psi.amplitudes).real == expected
+        assert (psi.conj() @ a.conj().T @ a @ psi).real == expected
     other = fock(arena, (0, 2))
-    assert np.vdot(psi.amplitudes, other.amplitudes) == 0.0
+    assert np.vdot(psi, other) == 0.0
     with pytest.raises(ValueError):
         fock(arena, (3, 0))
 
 
 def test_coherent_zero_is_vacuum():
     arena = FockArena(2, 5)
-    assert np.array_equal(coherent(arena, [0, 0]).amplitudes, vacuum(arena).amplitudes)
+    assert np.array_equal(coherent(arena, [0, 0]), vacuum(arena))
 
 
 def test_coherent_vacuum_amplitude_closed_form():
     arena = FockArena(1, 20)
     psi = coherent(arena, [1.0])
-    assert abs(psi.amplitudes[0] - np.exp(-0.5)) <= 1e-14
+    assert abs(psi[0] - np.exp(-0.5)) <= 1e-14
     # full Poissonian profile
     n = np.arange(20)
     import scipy.special
 
     expected = np.exp(-0.5) / np.sqrt(scipy.special.factorial(n))
-    assert np.abs(psi.amplitudes - expected).max() <= 1e-12
+    assert np.abs(psi - expected).max() <= 1e-12
 
 
 def test_coherent_overlap_closed_form():
@@ -74,7 +73,7 @@ def test_coherent_overlap_closed_form():
     arena = FockArena(1, 25)
     a = coherent(arena, [1.0])
     b = coherent(arena, [0.5])
-    assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 - np.exp(-0.25)) <= 1e-8
+    assert abs(abs(np.vdot(a, b)) ** 2 - np.exp(-0.25)) <= 1e-8
 
 
 def test_coherent_rejects_leaky_truncation():
@@ -89,7 +88,7 @@ def test_coherent_leak_budget_is_a_probability():
     leak_tol = leak / 1.5
     with pytest.raises(TruncationError, match=f"{leak:.3e}"):
         coherent(FockArena(1, 8), [1.0], leak_tol=leak_tol)
-    assert norm(coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak)) < 1.0
+    assert np.linalg.norm(coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak)) < 1.0
 
 
 def test_coherent_leakage_has_no_cancellation_floor():
@@ -173,10 +172,10 @@ def test_ensemble_density_is_linear_in_weights():
 
 def test_squeezed_vacuum_limits():
     arena = FockArena(1, 10)
-    assert np.array_equal(squeezed_vacuum(arena, 0.0).amplitudes, vacuum(arena).amplitudes)
+    assert np.array_equal(squeezed_vacuum(arena, 0.0), vacuum(arena))
     psi = squeezed_vacuum(FockArena(1, 30), 0.5, 0.3)
     # support on even photon numbers only
-    assert np.abs(psi.amplitudes[1::2]).max() == 0.0
+    assert np.abs(psi[1::2]).max() == 0.0
     with pytest.raises(ValueError):
         squeezed_vacuum(arena, -0.1)
 
@@ -229,3 +228,33 @@ def test_coherent_column_matches_scalar_formula_bit_for_bit(rows, cutoff):
     expected = np.array([[scalar_coherent_column(complex(a), cutoff) for a in row]
                          for row in alphas])
     assert columns.tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from([(1, 10), (1, 30), (2, 6), (2, 14), (3, 4), (3, 8)]).flatmap(
+           lambda shape: st.tuples(st.just(shape), st.lists(
+               st.lists(st.one_of(st.just(0j), st.builds(complex, _parts, _parts)),
+                        min_size=shape[0], max_size=shape[0]), min_size=1, max_size=5))),
+       st.sampled_from([1e-6, 1e-3, 1.0]))
+@example(((2, 6), [[0.3, 0j], [2.0, 0j], [0j, 3.0]]), 1e-6)  # rows 1 and 2 both leak
+def test_coherent_stack_is_its_single_rows(case, leak_tol):
+    # a (K, n_modes) stack is K single calls bit for bit, and raises at the
+    # first row whose leak a single call rejects, with that row's message
+    (n_modes, cutoff), rows = case
+    arena = FockArena(n_modes, cutoff)
+    alphas = np.array(rows, dtype=complex)
+    singles = []
+    for alpha in alphas:
+        try:
+            singles.append(coherent(arena, alpha, leak_tol=leak_tol))
+        except TruncationError as exc:
+            singles.append(str(exc))
+    first_error = next((s for s in singles if isinstance(s, str)), None)
+    if first_error is None:
+        stack = coherent(arena, alphas, leak_tol=leak_tol)
+        assert stack.shape == (len(rows), arena.total_dim)
+        assert stack.tobytes() == np.array(singles).tobytes()
+    else:
+        with pytest.raises(TruncationError) as info:
+            coherent(arena, alphas, leak_tol=leak_tol)
+        assert str(info.value) == first_error

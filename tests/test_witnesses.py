@@ -66,7 +66,7 @@ def test_negativity_log_relation_and_product_states():
     for _ in range(10):
         a = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
         b = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
-        rho = Mixture(arena, [1.0], [coherent(arena, [a, b]).amplitudes])
+        rho = Mixture(arena, [1.0], [coherent(arena, [a, b])])
         report = negativity_report(rho, ((0,), (1,)))
         assert report.negativity <= 1e-12
         assert report.verdict == "separable_by_ppt_nonviolation"
@@ -86,6 +86,39 @@ def test_negativity_invariant_under_local_phase_rotations():
         assert rep.negativity == pytest.approx(base, abs=1e-10)
 
 
+@pytest.mark.parametrize("offset, verdict", [
+    (0.5, "entangled"), (1.5, "separable_by_ppt_nonviolation")])
+def test_verdict_nets_the_pt_bound(monkeypatch, offset, verdict):
+    # the rank cut's bound b makes the PPT check stricter: a least
+    # eigenvalue e = -ppt_tol + offset * b reads entangled while e - b sits
+    # below -ppt_tol, although e alone sits above it
+    bound = 1e-10
+
+    def spectra(problems, budget):
+        return [(np.array([-PPT_TOL + offset * bound, 0.5]), False, bound) for _ in problems]
+
+    monkeypatch.setattr(witnesses, "_pt_spectra", spectra)
+    report = negativity_report(_bell(FockArena(2, 2)), ((0,), (1,)))
+    assert report.min_pt_eigenvalue == -PPT_TOL + offset * bound
+    assert report.pt_bound == bound
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("n_modes, cutoff, scale", [(2, 4, 0.0), (3, 3, 0.0), (2, 4, 1e-12)])
+def test_states_below_the_budget_keep_one_basis_column(n_modes, cutoff, scale):
+    # rows whose whole mass sits below the rank-cut budget (zero rows, or a
+    # Bell row scaled by 1e-12, mass 1e-24) leave every R diagonal of the
+    # range finder under it; the basis keeps its first column all the same,
+    # so the compressed spectrum is not empty and reads about 0
+    arena = FockArena(n_modes, cutoff)
+    bell = fock(arena, (1,) + (0,) * (n_modes - 1)) + fock(arena, (0, 1) + (0,) * (n_modes - 2))
+    rows = scale / np.sqrt(2) * np.stack([bell, bell])
+    state = Mixture(arena, [1.0, 0.5], rows, leak_tol=1.0)
+    report = negativity_report(state, ((0,), tuple(range(1, n_modes))))
+    assert abs(report.min_pt_eigenvalue) <= scale ** 2
+    assert report.verdict == "separable_by_ppt_nonviolation"
+
+
 def test_negativity_rejects_bad_bipartition():
     rho = _bell(FockArena(2, 2))
     with pytest.raises(ValueError):
@@ -100,7 +133,7 @@ def test_classical_ensemble_output_is_ppt_nonviolating():
     alphas = 0.7 * (rng.uniform(-1, 1, (3, 2)) + 1j * rng.uniform(-1, 1, (3, 2)))
     ens = CoherentEnsemble(2, rng.dirichlet(np.ones(3)), alphas)
     u = lift_unitary(beam_splitter_matrix(0.61, 0.2, 1.4), arena)
-    rows = np.array([coherent(arena, a).amplitudes for a in ens.alphas]) @ u.matrix.T
+    rows = coherent(arena, ens.alphas) @ u.matrix.T
     rho = Mixture(arena, ens.weights, rows)
     assert negativity_report(rho, ((0,), (1,))).min_pt_eigenvalue >= -1e-8
 
@@ -142,7 +175,7 @@ def _row_mixtures(draw):
     elif kind == "fock":
         rows = np.array([
             lift_unitary(haar_unitary(n_modes, rng), arena).matrix
-            @ fock(arena, rng.integers(0, cutoff, n_modes)).amplitudes
+            @ fock(arena, rng.integers(0, cutoff, n_modes))
             for _ in range(k)
         ])
     else:
@@ -280,7 +313,7 @@ def test_classical_widths_match_the_svd_cut(case):
 
 def _fock_33(arena):
     u = lift_unitary(beam_splitter_matrix(np.pi / 4), arena).matrix
-    return Mixture(arena, [1.0], [u @ fock(arena, (3, 3)).amplitudes], leak_tol=1.0)
+    return Mixture(arena, [1.0], [u @ fock(arena, (3, 3))], leak_tol=1.0)
 
 
 def _classical_k4(arena):
@@ -422,7 +455,7 @@ def test_pup_lift_output_is_ppt_to_within_the_input_truncation(case):
     # lift reads down to about -2e-4, far past -PPT_TOL: route 2 therefore
     # transforms untruncated states.
     ens, m, arena, _ = case
-    inputs = np.array([coherent(arena, a, leak_tol=1.0).amplitudes for a in ens.alphas])
+    inputs = coherent(arena, ens.alphas, leak_tol=1.0)
     leaks = 1.0 - np.sum(np.abs(inputs) ** 2, axis=1)
     floor = 2.0 * float(ens.weights @ np.sqrt(np.maximum(leaks, 0.0)))
     state = Mixture(arena, ens.weights, inputs @ lift_unitary(m, arena).matrix.T, leak_tol=1.0)
@@ -431,9 +464,9 @@ def test_pup_lift_output_is_ppt_to_within_the_input_truncation(case):
         assert report.min_pt_eigenvalue - report.pt_bound >= -PPT_TOL - floor
 
 
-def _probs(state):
+def _probs(psi):
     """Photon-number distribution of a single-mode pure state."""
-    return np.abs(state.amplitudes) ** 2
+    return np.abs(psi) ** 2
 
 
 def test_mandel_q_reference_states():
@@ -447,7 +480,7 @@ def test_mandel_q_reference_states():
 
 def test_mandel_q_on_multimode_reduction():
     arena = FockArena(2, 4)
-    probs = Mixture(arena, [1.0], [fock(arena, (1, 0)).amplitudes]).photon_distributions()
+    probs = Mixture(arena, [1.0], [fock(arena, (1, 0))]).photon_distributions()
     assert mandel_q(probs[0]) == -1.0
     assert mandel_q(probs[1]) == 0.0
     # Mandel Q reads one mode's distribution: anything not 1-d is refused
@@ -486,21 +519,23 @@ def test_closed_sum_moments_match_dense_ladder(rho):
 
 
 def test_quadrature_variance_reference_states():
-    vac = to_density(vacuum(FockArena(1, 6)))
+    small, mid, big = FockArena(1, 6), FockArena(1, 25), FockArena(1, 30)
+    vac = to_density(small, vacuum(small))
     for theta in (0.0, 0.7, 2.1):
         assert quadrature_variance(vac, 0, theta) == pytest.approx(0.5, abs=1e-12)
 
-    coh = to_density(coherent(FockArena(1, 25), [0.8 - 0.5j]))
+    coh = to_density(mid, coherent(mid, [0.8 - 0.5j]))
     assert quadrature_variance(coh, 0, 1.3) == pytest.approx(0.5, abs=1e-8)
 
-    sq = to_density(squeezed_vacuum(FockArena(1, 30), 0.5, 0.0))
+    sq = to_density(big, squeezed_vacuum(big, 0.5, 0.0))
     assert quadrature_variance(sq, 0, 0.0) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
     assert min_quadrature_variance(sq) == pytest.approx(np.exp(-1.0) / 2, abs=1e-6)
 
 
 def test_min_variance_tracks_squeezing_phase():
     for theta_s in (0.0, 0.9, 2.5):
-        sq = to_density(squeezed_vacuum(FockArena(1, 30), 0.4, theta_s))
+        arena = FockArena(1, 30)
+        sq = to_density(arena, squeezed_vacuum(arena, 0.4, theta_s))
         assert quadrature_variance(sq, 0, theta_s / 2) == pytest.approx(
             np.exp(-0.8) / 2, abs=1e-6
         )
