@@ -42,7 +42,6 @@ from .theoremlab import (
     CampaignSummary,
     TrialRecord,
     haar_unitary,
-    non_sufficiency_demo,
     random_classical_ensemble,
     run_campaign,
     run_theorem_trial,

@@ -31,15 +31,9 @@ from . import __version__
 from ._blas import openblas_threads, single_threaded_blas
 from .hilbert import FockArena, Mixture, TruncationError
 from .passive import _lift_rows, beam_splitter_matrix, transform_coherent_exact
-from .states import CoherentEnsemble, coherent, fock, vacuum
-from .theoremlab import (
-    TRIAL_STAGES,
-    CampaignConfig,
-    haar_unitary,
-    non_sufficiency_demo,
-    run_campaign,
-)
-from .witnesses import _negativity_reports, mandel_q, negativity_report
+from .states import CoherentEnsemble, coherent, fock
+from .theoremlab import TRIAL_STAGES, CampaignConfig, run_campaign
+from .witnesses import _negativity_reports, mandel_q
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -127,8 +121,6 @@ def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
         ensemble = parse_ensemble(raw["ensemble"])
     kwargs = {k: raw[k] for k in raw if k not in ("version", "ensemble")}
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs.setdefault("n_trials", 200)
-    kwargs.setdefault("seed", 0)
     if ensemble is not None:
         kwargs.setdefault("n_modes", ensemble.n_modes)
     try:
@@ -180,19 +172,21 @@ def write_manifest(out_dir: Path, config_echo, timings: dict, files: list[str],
 # demos
 
 
-def _demo_vacuum(args, arena: FockArena) -> dict:
-    rng = np.random.default_rng(args.seed)
-    stack = np.array([haar_unitary(arena.n_modes, rng).matrix for _ in range(20)])
-    vac = vacuum(arena)
-    worst = float(np.abs(_lift_rows(stack, vac, arena) - vac).max())
-    return {"demo": "vacuum", "worst_vacuum_deviation": worst,
-            "tolerance": 1e-10, "pass": worst <= 1e-10}
+def _splitter_and_back(args, arena: FockArena):
+    """|1,0>, its image under the splitter M of the demo flags, that image
+    mapped back by M^-1, and the PT reports across the two modes of the
+    image and of the way back, taken in one stacked pass."""
+    m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
+    psi_in = fock(arena, (1, 0))
+    psi_fwd = _lift_rows(m.matrix, psi_in, arena)
+    psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)
+    forward, inverse = _negativity_reports(
+        [(Mixture(arena, [1.0], [psi]), ((0,), (1,))) for psi in (psi_fwd, psi_back)])
+    return psi_in, psi_back, forward, inverse
 
 
 def _demo_bell(args, arena: FockArena) -> dict:
-    m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
-    psi = _lift_rows(m.matrix, fock(arena, (1, 0)), arena)
-    report = negativity_report(Mixture(arena, [1.0], [psi]), ((0,), (1,)))
+    _, _, report, _ = _splitter_and_back(args, arena)
     # |1,0> maps to cos|10> + sin|01> up to phases: log-negativity
     # log2(1 + |sin 2 theta|) in closed form
     expected = float(np.log2(1.0 + abs(np.sin(2.0 * args.theta))))
@@ -208,19 +202,26 @@ def _demo_bell(args, arena: FockArena) -> dict:
 
 
 def _demo_inverse(args, arena: FockArena) -> dict:
-    record = non_sufficiency_demo(args.theta, args.phi0, args.phi1, arena)
-    payload = record.to_json_dict()
-    payload["demo"] = "inverse"
-    payload["pass"] = bool(
-        record.inverse.negativity <= 1e-9
-        and record.recovered_fidelity >= 1.0 - 1e-9
-        and record.input_mandel_q <= -1.0 + 1e-12
-    )
-    return payload
+    # the nonclassical input entangles, and the inverse splitter maps that
+    # entangled state back to a product: nonclassicality does not force
+    # entanglement
+    psi_in, psi_back, forward, inverse = _splitter_and_back(args, arena)
+    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).photon_distributions()[0])
+    fidelity = float(abs(np.vdot(psi_in, psi_back)) ** 2)
+    return {
+        "demo": "inverse",
+        "input_mandel_q": q_in,
+        "forward_log_negativity": forward.log_negativity,
+        "forward_negativity": forward.negativity,
+        "inverse_negativity": inverse.negativity,
+        "recovered_fidelity": fidelity,
+        "pass": bool(inverse.negativity <= 1e-9 and fidelity >= 1.0 - 1e-9
+                     and q_in <= -1.0 + 1e-12),
+    }
 
 
 def _demo_coherent_covariance(args, arena: FockArena) -> dict:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
     alphas = [0.8 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / np.sqrt(2)
               for _ in range(10)]
@@ -247,7 +248,6 @@ def cmd_demo(args) -> int:
     if args.name in ("bell", "inverse") and arena.cutoff < 2:
         raise ConfigError(f"demo {args.name} starts from |1,0> and needs --cutoff >= 2")
     runners = {
-        "vacuum": _demo_vacuum,
         "bell": _demo_bell,
         "inverse": _demo_inverse,
         "coherent-covariance": _demo_coherent_covariance,
@@ -259,8 +259,7 @@ def cmd_demo(args) -> int:
     report_path = out_dir / "report.json"
     write_json(report_path, payload)
     write_manifest(out_dir, {"demo": args.name, "cutoff": args.cutoff,
-                             "seed": args.seed, "theta": args.theta,
-                             "phi0": args.phi0, "phi1": args.phi1},
+                             "theta": args.theta, "phi0": args.phi0, "phi1": args.phi1},
                    {"total": elapsed}, [str(report_path)])
 
     print(f"demo {args.name}: {'PASS' if payload['pass'] else 'FAIL'}")
@@ -272,11 +271,6 @@ def cmd_demo(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-#: stages of the earlier trial pipeline that no trial runs any more; the
-#: manifest lists them as null, not as 0
-_RETIRED_STAGES = ("density_assembly", "density_validation", "sector_exponential")
 
 
 def _timing_summary(times: list[float]) -> dict:
@@ -305,8 +299,7 @@ def cmd_verify(args) -> int:
     timings = {
         "total": elapsed,
         "trials": _timing_summary([r.wall_time for r in summary.records]),
-        "stages": {**{name: _timing_summary(times) for name, times in stages.items()},
-                   **dict.fromkeys(_RETIRED_STAGES)},
+        "stages": {name: _timing_summary(times) for name, times in stages.items()},
     }
     write_manifest(out_dir, summary.config_echo, timings,
                    [str(report_path), str(trials_path)], workers=cfg.threads)
@@ -334,13 +327,6 @@ SWEEP_COLUMNS = [
     "mandel_q_a",
     "mandel_q_b",
 ]
-
-
-def _seed(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{raw!r} is negative")
-    return value
 
 
 def _finite_float(raw: str) -> float:
@@ -428,12 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a named demonstration")
-    demo.add_argument("name", choices=["bell", "inverse", "coherent-covariance", "vacuum"])
+    demo.add_argument("name", choices=["bell", "inverse", "coherent-covariance"])
     demo.add_argument("--theta", type=_finite_float, default=np.pi / 4)
     demo.add_argument("--phi0", type=_finite_float, default=0.0)
     demo.add_argument("--phi1", type=_finite_float, default=0.0)
     demo.add_argument("--cutoff", type=int, default=12)
-    demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--out", help="output directory (or $BSE_OUT_DIR)")
 
     verify = sub.add_parser("verify", help="run a seeded verification campaign")
@@ -468,6 +453,10 @@ def main(argv=None) -> int:
             return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"config error: the Fock arena does not fit in memory, lower the cutoff: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
     except TruncationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

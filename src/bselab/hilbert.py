@@ -54,6 +54,12 @@ class FockArena:
             raise ValueError("n_modes must be a positive integer")
         if self.cutoff < 1:
             raise ValueError("cutoff must be a positive integer")
+        # 2 ** 64 exceeds any intp, so no more than 64 factors need multiplying
+        if int(self.cutoff) ** min(int(self.n_modes), 64) > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"cutoff {self.cutoff} on {self.n_modes} modes spans more basis "
+                "states than numpy can index"
+            )
 
     @property
     def total_dim(self) -> int:

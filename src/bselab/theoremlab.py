@@ -31,19 +31,12 @@ from .gaussian import _ppt_verdicts, apply_passive, gaussian_from_spec, is_class
 from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import (
     ModeUnitary,
-    _lift_rows,
     beam_splitter_matrix,
     transform_coherent_exact,
     transform_ensemble,
 )
-from .states import (
-    CoherentEnsemble,
-    GaussianSpec,
-    coherent,
-    coherent_leakage,
-    fock,
-)
-from .witnesses import PPT_TOL, EntanglementReport, _negativity_reports, mandel_q
+from .states import CoherentEnsemble, GaussianSpec, coherent, coherent_leakage
+from .witnesses import PPT_TOL, EntanglementReport, _negativity_reports
 
 #: cross-pipeline agreement tolerance (max-norm between the two routes)
 CROSS_PIPELINE_TOL = 1e-7
@@ -243,8 +236,8 @@ def run_theorem_trial(
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    n_trials: int
-    seed: int
+    n_trials: int = 200
+    seed: int = 0
     n_modes: int = 2
     max_ensemble_components: int = 4
     amplitude_bound: float = 1.0
@@ -284,6 +277,7 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be a finite positive number, not {value!r}")
         if self.manual_ensemble is not None and self.manual_ensemble.n_modes != self.n_modes:
             raise ValueError("manual ensemble mode count does not match config")
+        FockArena(self.n_modes, self.cutoff)  # an arena numpy can index
         # truncation safety: the coherent tail at the amplitude bound must
         # fit the leak budget at the configured cutoff
         bound = self.amplitude_bound
@@ -438,48 +432,4 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         ),
         findings=tuple(findings + overflow_failures),
         records=tuple(completed),
-    )
-
-
-@dataclass(frozen=True)
-class NonSufficiencyRecord:
-    """Forward: a nonclassical Fock input entangles; inverse: the inverse
-    splitter maps that entangled state back to a separable product, showing
-    nonclassicality of the (inverse-step) input does not force entanglement."""
-
-    input_mandel_q: float
-    forward: EntanglementReport
-    inverse: EntanglementReport
-    recovered_fidelity: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "input_mandel_q": self.input_mandel_q,
-            "forward_log_negativity": self.forward.log_negativity,
-            "forward_negativity": self.forward.negativity,
-            "inverse_negativity": self.inverse.negativity,
-            "recovered_fidelity": self.recovered_fidelity,
-        }
-
-
-def non_sufficiency_demo(
-    theta: float, phi0: float, phi1: float, arena: FockArena
-) -> NonSufficiencyRecord:
-    if arena.n_modes != 2:
-        raise ValueError("the demo is a two-mode construction")
-    m = beam_splitter_matrix(theta, phi0, phi1)
-    psi_in = fock(arena, (1, 0))
-    q_in = mandel_q(Mixture(arena, [1.0], [psi_in]).photon_distributions()[0])
-
-    psi_fwd = _lift_rows(m.matrix, psi_in, arena)
-    psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)
-    forward, inverse = _negativity_reports(
-        [(Mixture(arena, [1.0], [psi]), ((0,), (1,))) for psi in (psi_fwd, psi_back)])
-    fidelity = float(abs(np.vdot(psi_in, psi_back)) ** 2)
-
-    return NonSufficiencyRecord(
-        input_mandel_q=q_in,
-        forward=forward,
-        inverse=inverse,
-        recovered_fidelity=fidelity,
     )

@@ -64,6 +64,14 @@ MUTANTS = [
     (14, "states.py", "for mode in range(arena.n_modes):",
      "for mode in reversed(range(arena.n_modes)):",
      "coherent tensors the modes in reversed order"),
+    (15, "cli.py", "_, _, report, _ = _splitter_and_back(args, arena)",
+     "_, _, _, report = _splitter_and_back(args, arena)",
+     "demo bell reads the inverse report"),
+    (16, "cli.py", "psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)",
+     "psi_back = _lift_rows(m.matrix, psi_fwd, arena)",
+     "the inverse step lifts by M instead of M^-1"),
+    (17, "cli.py", "    except MemoryError as exc:\n", "    except NotImplementedError as exc:\n",
+     "main no longer maps MemoryError"),
 ]
 
 

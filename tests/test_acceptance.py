@@ -24,7 +24,6 @@ from bselab.theoremlab import (
     CampaignConfig,
     bipartitions,
     haar_unitary,
-    non_sufficiency_demo,
     run_campaign,
 )
 from bselab.witnesses import negativity_report
@@ -126,21 +125,27 @@ def test_acceptance_5_three_mode_campaign():
     _verdict(5, "three-mode campaign", ok)
 
 
-def test_acceptance_6_entanglement_generation_benchmark():
-    arena = FockArena(2, 6)
-    record = non_sufficiency_demo(np.pi / 4, 0.0, 0.0, arena)
-    ok = abs(record.forward.log_negativity - 1.0) <= 1e-9
-    flat = non_sufficiency_demo(0.0, 0.0, 0.0, arena)
-    ok = ok and abs(flat.forward.log_negativity) <= 1e-9
+def _demo_report(out, name: str, *options: str) -> tuple[int, dict]:
+    """Exit code and report.json of ``bselab demo name`` at cutoff 6."""
+    code = cli.main(["demo", name, "--cutoff", "6", *options, "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def test_acceptance_6_entanglement_generation_benchmark(tmp_path):
+    code, split = _demo_report(tmp_path / "split", "bell")  # theta = pi/4
+    ok = code == 0 and abs(split["log_negativity"] - 1.0) <= 1e-9
+    code, flat = _demo_report(tmp_path / "flat", "bell", "--theta", "0")
+    ok = ok and code == 0 and abs(flat["log_negativity"]) <= 1e-9
     _verdict(6, "entanglement generation benchmark", ok)
 
 
-def test_acceptance_7_non_sufficiency():
-    record = non_sufficiency_demo(np.pi / 4, 0.0, 0.0, FockArena(2, 6))
+def test_acceptance_7_non_sufficiency(tmp_path):
+    code, report = _demo_report(tmp_path, "inverse")
     ok = (
-        record.inverse.negativity <= 1e-9
-        and record.recovered_fidelity >= 1.0 - 1e-9
-        and record.input_mandel_q == -1.0
+        code == 0
+        and report["inverse_negativity"] <= 1e-9
+        and report["recovered_fidelity"] >= 1.0 - 1e-9
+        and report["input_mandel_q"] == -1.0
     )
     _verdict(7, "non-sufficiency demo", ok)
 

@@ -28,7 +28,6 @@ PUBLIC_API = [
     "is_classical",
     "mandel_q",
     "negativity_report",
-    "non_sufficiency_demo",
     "passive",
     "random_classical_ensemble",
     "run_campaign",

@@ -35,7 +35,7 @@ def _write_config(path: Path, **overrides) -> Path:
 
 
 def test_demo_commands_pass(tmp_path, capsys):
-    for name in ("vacuum", "bell", "inverse", "coherent-covariance"):
+    for name in ("bell", "inverse", "coherent-covariance"):
         out = tmp_path / name
         assert cli.main(["demo", name, "--out", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -43,6 +43,8 @@ def test_demo_commands_pass(tmp_path, capsys):
         assert report["pass"] is True
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool"] == "bselab"
+        # every demo reads each flag it echoes
+        assert sorted(manifest["config"]) == ["cutoff", "demo", "phi0", "phi1", "theta"]
         assert "timings_seconds" in manifest
         assert manifest["parallelism"]["workers"] == 1
         for lib in manifest["parallelism"]["openblas"]:
@@ -57,14 +59,56 @@ def test_demo_bell_theta_zero_has_no_entanglement(tmp_path):
 
 
 def test_demo_rejects_unknown_name(tmp_path):
-    assert cli.main(["demo", "nosuch", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    for name in ("nosuch", "vacuum"):
+        assert cli.main(["demo", name, "--out", str(tmp_path)]) == cli.EXIT_USAGE
+
+
+def test_non_sufficiency_demo_values(tmp_path):
+    # demo inverse at cutoff 8: the 50:50 splitter entangles |1,0> with
+    # log-negativity 1 and its inverse disentangles it; at theta = 0 the
+    # forward step entangles nothing
+    reports = {}
+    for tag, theta in (("split", repr(np.pi / 4)), ("flat", "0")):
+        out = tmp_path / tag
+        assert cli.main(["demo", "inverse", "--cutoff", "8", "--theta", theta,
+                         "--out", str(out)]) == 0
+        reports[tag] = json.loads((out / "report.json").read_text())
+    split = reports["split"]
+    assert split["input_mandel_q"] == pytest.approx(-1.0)
+    assert split["forward_log_negativity"] == pytest.approx(1.0, abs=1e-9)
+    assert split["inverse_negativity"] <= 1e-9
+    assert split["recovered_fidelity"] >= 1.0 - 1e-9
+    assert reports["flat"]["forward_negativity"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["demo", "bell", "--cutoff", "1000000"], None),
+     (["demo", "bell", "--cutoff", "10000000000"], None),
+     (["sweep", "--thetas", "0.3", "--cutoff", "10000000000"], None),
+     (["verify"], {"cutoff": 1000000}),
+     (["verify"], {"n_modes": 40, "cutoff": 4, "amplitude_bound": 0.01})],
+    ids=["demo-1e12-entries", "demo-1e20-entries", "sweep-1e20-entries",
+         "verify-1e12-entries", "verify-40-modes"],
+)
+def test_oversized_arena_is_config_error(tmp_path, capsys, argv, config):
+    # only sizes numpy refuses at once (>= 1e12 entries, 16 TB of complex
+    # amplitudes or more): an arena past the largest intp is refused when it
+    # is built, a smaller one when its first row is allocated
+    if config is not None:
+        argv = argv + ["--config", str(_write_config(tmp_path, n_trials=1, **config))]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "cutoff" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [["bell", "--cutoff", "0"], ["bell", "--theta", "nan"], ["bell", "--phi1", "inf"],
-     ["bell", "--cutoff", "1"], ["inverse", "--cutoff", "1"]],
-    ids=["zero-cutoff", "nan-theta", "inf-phi1", "bell-cutoff-1", "inverse-cutoff-1"],
+     ["bell", "--cutoff", "1"], ["inverse", "--cutoff", "1"], ["bell", "--seed", "1"]],
+    ids=["zero-cutoff", "nan-theta", "inf-phi1", "bell-cutoff-1", "inverse-cutoff-1",
+         "seed-option"],
 )
 def test_demo_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert cli.main(["demo", *argv, "--out", str(tmp_path)]) == cli.EXIT_USAGE
@@ -460,7 +504,7 @@ def test_fock_paths_build_no_dense_lift(tmp_path):
     thetas = ",".join(repr(float(t)) for t in np.linspace(0.0, np.pi / 2.0, 5))
     assert cli.main(["sweep", "--input", "fock", "--occupations", "3,3", "--phi0", "0.3",
                      "--thetas", thetas, "--out", str(tmp_path / "sweep")]) == 0
-    for name in ("vacuum", "bell", "inverse", "coherent-covariance"):
+    for name in ("bell", "inverse", "coherent-covariance"):
         assert cli.main(["demo", name, "--out", str(tmp_path / name)]) == 0
     src = Path(passive.__file__).parent
     assert [path.name for path in sorted(src.glob("*.py"))
@@ -605,15 +649,17 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
     trials = timings["trials"]
     assert trials["count"] == len(records) == 8
     assert 0.0 < trials["p50"] <= trials["max"] <= trials["total"]
-    # per stage over the completed trials; the retired stages are null
+    # per stage over the completed trials: the stages a trial runs, and no
+    # stage of the earlier dense pipeline
     stages = timings["stages"]
-    assert stages["density_assembly"] is stages["density_validation"] is None
-    assert stages["sector_exponential"] is None
+    assert sorted(stages) == sorted(theoremlab.TRIAL_STAGES)
+    assert stages.keys().isdisjoint({"density_assembly", "density_validation",
+                                     "sector_exponential"})
     # one pt_spectrum sample per trial, covering all three cuts
     assert stages["pt_spectrum"]["count"] == stages["route2_transform"]["count"] == 8
     n_single = sum(len(r["input"]["weights"]) == 1 for r in records)
     assert stages["route3_gaussian"]["count"] == n_single
-    timed = [v for v in stages.values() if v is not None and v["count"]]
+    timed = [v for v in stages.values() if v["count"]]
     assert all(0.0 < v["p50"] <= v["max"] <= v["total"] for v in timed)
     assert sum(v["total"] for v in timed) <= trials["total"]
 
@@ -666,10 +712,10 @@ def test_parser_is_built_once_across_calls(tmp_path, monkeypatch, capsys):
     cli.build_parser.cache_clear()
     assert cli.main(["--version"]) == 0
     assert cli.main(["demo", "nosuch", "--out", str(tmp_path)]) == cli.EXIT_USAGE
-    assert cli.main(["demo", "vacuum", "--out", str(tmp_path)]) == 0
+    assert cli.main(["demo", "bell", "--out", str(tmp_path)]) == 0
     # the parser binds no command: one rebound after it was built still runs
     monkeypatch.setattr(cli, "cmd_demo", lambda args: cli.EXIT_FINDING)
-    assert cli.main(["demo", "vacuum", "--out", str(tmp_path)]) == cli.EXIT_FINDING
+    assert cli.main(["demo", "bell", "--out", str(tmp_path)]) == cli.EXIT_FINDING
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     capsys.readouterr()
@@ -746,7 +792,7 @@ def test_commands_do_not_load_scipy(tmp_path):
     ens.write_text(json.dumps({"ensemble": [{"weight": 1.0, "alphas": [[0.5, 0.1], [0.0, 0.3]]}]}))
     runs = [["verify", "--config", str(cfg)],
             ["sweep", "--input", "ensemble", "--config", str(ens), "--thetas", "0.3"],
-            ["demo", "vacuum"]]
+            ["demo", "bell"]]
     probe = ("import json, sys; from bselab import cli; "
              "codes = [cli.main(argv + ['--out', sys.argv[2] + str(i)]) "
              "for i, argv in enumerate(json.loads(sys.argv[1]))]; "
@@ -779,11 +825,11 @@ def test_verify_bytes_do_not_depend_on_blas_environment(tmp_path):
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("BSE_OUT_DIR", str(target))
-    assert cli.main(["demo", "vacuum"]) == 0
+    assert cli.main(["demo", "bell"]) == 0
     assert (target / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", [["demo", "vacuum"], ["verify"], ["sweep"]],
+@pytest.mark.parametrize("command", [["demo", "bell"], ["verify"], ["sweep"]],
                          ids=["demo", "verify", "sweep"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
@@ -885,7 +931,7 @@ _OPTIONS = {
               "--thetas": st.sampled_from(["", "0.3", "0,0.7853981633974483", ","]),
               "--input": st.sampled_from(["fock", "ensemble"]),
               "--occupations": st.sampled_from(["1,0", "0,0", "2,1", "6,0", "1", "1,0,0"])},
-    "demo": {"--cutoff": _INT, "--theta": _ANGLE, "--phi1": _ANGLE, "--seed": _INT},
+    "demo": {"--cutoff": _INT, "--theta": _ANGLE, "--phi1": _ANGLE},
 }
 
 
@@ -894,8 +940,7 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     argv = [command]
     if command == "demo":
-        argv.append(draw(st.sampled_from(["vacuum", "bell", "inverse", "coherent-covariance",
-                                          "bogus"])))
+        argv.append(draw(st.sampled_from(["bell", "inverse", "coherent-covariance", "bogus"])))
     options = {flag: draw(values) for flag, values in _OPTIONS[command].items()
                if draw(st.booleans())}
     odd_flag = draw(st.sampled_from([None] * 8 + sorted(_OPTIONS[command])))
@@ -907,7 +952,7 @@ def _argv(draw):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(argv=_argv(), config_text=_config_text())
-@example(argv=["demo", "vacuum", "--seed=-1"], config_text=None)
+@example(argv=["demo", "bell", "--seed=-1"], config_text=None)
 @example(argv=["verify"], config_text=json.dumps(
     {"version": 1, "n_trials": 1, "cutoff": 6, "amplitude_bound": 0.3, "ensemble": [1]}))
 @example(argv=["sweep", "--input=ensemble"], config_text=json.dumps(

@@ -9,7 +9,6 @@ from bselab.theoremlab import (
     CampaignConfig,
     bipartitions,
     haar_unitary,
-    non_sufficiency_demo,
     random_classical_ensemble,
     run_campaign,
     run_theorem_trial,
@@ -210,14 +209,3 @@ def test_config_validation():
     # numpy integers count as integers (the CLI rejects floats and bools)
     assert CampaignConfig(n_trials=np.int64(1), seed=np.uint32(3)).seed == 3
 
-
-def test_non_sufficiency_demo_values():
-    arena = FockArena(2, 8)
-    record = non_sufficiency_demo(np.pi / 4, 0.0, 0.0, arena)
-    assert record.input_mandel_q == pytest.approx(-1.0)
-    assert record.forward.log_negativity == pytest.approx(1.0, abs=1e-9)
-    assert record.inverse.negativity <= 1e-9
-    assert record.recovered_fidelity >= 1.0 - 1e-9
-
-    flat = non_sufficiency_demo(0.0, 0.0, 0.0, arena)
-    assert flat.forward.negativity <= 1e-12
