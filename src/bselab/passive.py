@@ -8,16 +8,17 @@ sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 
 One builder, ``_sector_blocks``, forms those blocks column by column from
 U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
-to choose at eigenphases +-pi), no exponential.  It builds one shape, the
-rows whose tuples fit a cutoff against every column of the sector, for one
-mode matrix or for a stack of them at once (a leading batch axis), and one
-applier, ``_apply_sectors``, applies those blocks to amplitudes sector by
-sector.  ``transform_coherent_exact`` feeds it coherent states, which gives
-the projection of the exact transform; given a sequence of unitaries (a
-sweep's angles) it transforms its input once and builds every block for the
-whole sequence.  ``_lift_rows`` feeds it arena amplitude rows, which gives
-P U P, the exact lift projected onto the arena; no code here forms that
-dim x dim matrix.
+to choose at eigenphases +-pi), no exponential.  It reads one cached plan,
+``_sector_plan``, and builds one shape, the rows whose tuples fit a cutoff
+against every column of the sector, for a stack of mode matrices (one
+matrix is a stack of one).  One applier, ``_apply_sectors``, applies the
+blocks to amplitudes on the plan's columns, with one scatter to the arena.
+``transform_coherent_exact`` feeds it coherent states, which gives the
+projection of the exact transform; given a sequence of unitaries (a sweep's
+angles) it transforms its input once and builds every block for the whole
+sequence.  ``_lift_rows`` feeds it arena amplitude rows, which gives P U P,
+the exact lift projected onto the arena; no code here forms that dim x dim
+matrix.
 
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -86,15 +87,30 @@ def beam_splitter_matrix(theta: float, phi0: float = 0.0, phi1: float = 0.0) -> 
     return ModeUnitary(m)
 
 
+class _SectorPlan(NamedTuple):
+    """What the recursion, the applier and both entry points read."""
+
+    sectors: tuple          # per sector: (occ, rows, sqrt_s, parent, columns)
+    cols: np.ndarray        # every column tuple, in sector order
+    sector: np.ndarray      # the sector of each column
+    mode: np.ndarray        # the mode j each column lowers
+    inv_sqrt_t: np.ndarray  # 1/sqrt(t_j) of each column
+    row_index: np.ndarray   # the arena index of every row, in sector order
+    inside: np.ndarray      # the columns whose tuples fit the arena
+    col_index: np.ndarray   # the arena index of each of those
+
+
 @functools.lru_cache(maxsize=None)
-def _sector_plan(n_modes: int, top: int, cutoff: int) -> tuple:
-    """The vacuum tuple, and (occ, cols, rows, sqrt_s, parent, mode,
-    inv_sqrt_t) per sector 1..top: ``occ`` are the row tuples, those of a
-    FockArena with ``cutoff``, and ``cols`` the column tuples, the whole
-    sector; ``rows[k]`` is the position of row s - e_k in the sector below
-    (0 where s_k = 0); column t lowers its most occupied mode j (first on
-    ties), which keeps the blocks unitary to roundoff (1e-14 at 2-mode
-    sector 60, where lowering the first occupied mode drifts to 3e-9).
+def _sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
+    """The plan of sectors 0..top.  Per sector, ``occ`` are the row tuples,
+    those of a FockArena with ``cutoff``, and ``columns`` the slice of its
+    columns, the whole sector; from sector 1, ``rows[k]`` is the position of
+    row s - e_k in the sector below (0 where s_k = 0), ``sqrt_s[k]`` is
+    sqrt(s_k) shaped for a ``(rows, T, cols)`` block, and ``parent`` the
+    position of each column's t - e_j among the columns below.  Column t
+    lowers its most occupied mode j (first on ties), which keeps the blocks
+    unitary to roundoff (1e-14 at 2-mode sector 60, where lowering the first
+    occupied mode drifts to 3e-9).
 
     The recursion is closed on this shape: s - e_k of an arena row is an
     arena row, and t - e_j of a column is a column.  A cutoff above ``top``
@@ -106,112 +122,95 @@ def _sector_plan(n_modes: int, top: int, cutoff: int) -> tuple:
 
     col_sectors = sectors(top + 1)
     row_sectors = col_sectors if cutoff > top else sectors(cutoff)
+    starts = np.cumsum([0] + [len(c) for c in col_sectors]).tolist()
+    cols = np.concatenate(col_sectors)
+    mode = cols.argmax(axis=1)
+    # the vacuum column lowers nothing; its coefficient is never read
+    inv_sqrt_t = 1.0 / np.sqrt(np.maximum(cols[np.arange(len(cols)), mode], 1))
     eye = np.eye(n_modes, dtype=int)
-    steps = []
+    steps = [(row_sectors[0], None, None, None, slice(0, 1))]
     for n in range(1, top + 1):
         row_below = {tuple(s): i for i, s in enumerate(row_sectors[n - 1])}
         col_below = {tuple(t): i for i, t in enumerate(col_sectors[n - 1])}
-        occ, cols = row_sectors[n], col_sectors[n]
-        mode = cols.argmax(axis=1)
+        occ, columns = row_sectors[n], slice(starts[n], starts[n + 1])
         rows = np.array([[row_below.get(tuple(s - e), 0) for s in occ] for e in eye])
-        parent = np.array([col_below[tuple(t - eye[j])] for t, j in zip(cols, mode)])
-        steps.append((occ, cols, rows, np.sqrt(occ.T), parent, mode,
-                      1.0 / np.sqrt(cols[np.arange(len(cols)), mode])))
-    for array in (row_sectors[0], *(a for step in steps for a in step)):
+        parent = np.array([col_below[tuple(t - eye[j])]
+                           for t, j in zip(cols[columns], mode[columns])])
+        steps.append((occ, rows, np.sqrt(occ.T)[..., None, None], parent, columns))
+    shape, inside = (cutoff,) * n_modes, cols.max(axis=1) < cutoff
+    plan = _SectorPlan(tuple(steps), cols, cols.sum(axis=1), mode, inv_sqrt_t,
+                       np.ravel_multi_index(np.concatenate(row_sectors).T, shape),
+                       inside, np.ravel_multi_index(cols[inside].T, shape))
+    for array in (*plan[1:], *(a for step in plan.sectors for a in step[:4] if a is not None)):
         array.setflags(write=False)
-    return row_sectors[0], tuple(steps)
+    return plan
 
 
-def _sector_blocks(matrix: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
-    """Sectors 0..top of the Fock-space lift of the mode matrix, in order and
-    one at a time (each is built from the one below), each as its
-    row and column occupation tuples (lexicographic, as a FockArena lists
-    them) and its block <s|U|t>, built from U|0> = |0> by
+def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
+    """Sectors 0..top of the Fock-space lift of each mode matrix of a stack
+    ``(T, n, n)``, in order and one at a time (each is built from the one
+    below), each as its row and column occupation tuples (lexicographic, as
+    a FockArena lists them) and its blocks ``(T, rows, cols)``, <s|U|t>,
+    built from U|0> = |0> by
         U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
     The rows are the tuples of a FockArena with ``cutoff`` and the columns
     the whole sector: the arena rows of the full blocks, and the full blocks
     themselves for a cutoff above ``top``.
 
-    ``matrix`` may be a stack ``(..., n, n)``; every block then carries the
-    same leading axes.  The recursion keeps the rows first and the stack
-    axes between rows and columns: a single matrix then runs on 2-d blocks,
-    and each entry of a stack through the same elementwise operations in the
-    same order.  ``np.take`` keeps each block C-contiguous in that order, so
-    every matrix of a stack has unit column stride and reaches BLAS as a
-    single one does.
+    The recursion keeps the rows first and the stack between rows and
+    columns: each matrix of a stack runs through the same elementwise
+    operations in the same order as a stack of one, and ``np.take`` keeps
+    each block C-contiguous, so every matrix reaches BLAS with unit column
+    stride.
     """
-    conj_t = np.moveaxis(np.conj(matrix), -1, 0)  # conj_t[k, ..., j] = conj(M_jk)
-    lead = conj_t.shape[1:-1]
-    # the recursion's (rows, ..., cols) to the caller's (..., rows, cols)
-    rows_last = (*range(1, len(lead) + 1), 0, len(lead) + 1)
-    vacuum, steps = _sector_plan(conj_t.shape[0], top, cutoff)
-    block = np.ones((1,) + lead + (1,), dtype=complex)
-    yield vacuum, vacuum, block.transpose(rows_last)
-    for occ, cols, rows, sqrt_s, parent, mode, inv_sqrt_t in steps:
+    plan = _sector_plan(stack.shape[-1], top, cutoff)
+    # coef[k, T, t] = conj(M_jk) / sqrt(t_j), j the mode column t lowers
+    coef = np.conj(stack).transpose(2, 0, 1)[..., plan.mode] * plan.inv_sqrt_t
+    block = np.ones((1, len(stack), 1), dtype=complex)
+    yield plan.sectors[0][0], plan.cols[:1], block.transpose(1, 0, 2)
+    for occ, rows, sqrt_s, parent, columns in plan.sectors[1:]:
         # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>
         parents = np.take(block, parent, axis=-1)
-        coef = conj_t[..., mode] * inv_sqrt_t
-        sqrt_s = sqrt_s.reshape(sqrt_s.shape + (1,) * (len(lead) + 1))
         block = np.zeros((len(occ),) + parents.shape[1:], dtype=complex)
-        for r, s, c in zip(rows, sqrt_s, coef):  # sum of s * parents[r] * c, in place
+        for r, s, c in zip(rows, sqrt_s, coef[..., columns]):  # sum of s * parents[r] * c
             term = np.multiply(s, parents[r])
             term *= c
             block += term
-        yield occ, cols, block.transpose(rows_last)
+        yield occ, plan.cols[columns], block.transpose(1, 0, 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _column_plan(n_modes: int, top: int, cutoff: int) -> tuple:
-    """The sector plan of sectors 0..top flattened for one gather: every
-    column tuple in sector order and the sector of each column; and per
-    sector, the slice of its columns in that order and the arena index of
-    each of its rows, where the sector's block scatters."""
-    vacuum, steps = _sector_plan(n_modes, top, cutoff)
-    occs = [vacuum] + [step[0] for step in steps]
-    cols = [vacuum] + [step[1] for step in steps]
-    starts = np.cumsum([0] + [len(c) for c in cols]).tolist()
-    flat = np.concatenate(cols)
-    sector = np.repeat(np.arange(top + 1), np.diff(starts))
-    sectors = tuple((slice(a, b), np.ravel_multi_index(o.T, (cutoff,) * n_modes))
-                    for a, b, o in zip(starts, starts[1:], occs))
-    for array in (flat, sector, *(index for _, index in sectors)):
-        array.setflags(write=False)
-    return flat, sector, sectors
-
-
-def _apply_sectors(matrix: np.ndarray, amps: np.ndarray, top: int,
+def _apply_sectors(stack: np.ndarray, amps: np.ndarray, top: int,
                    arena: FockArena) -> np.ndarray:
-    """The one sector applier: P U on amplitudes given on ``_column_plan``'s
-    columns of sectors 0..top, ``amps`` of shape ``(..., n_columns)``, for
-    one mode matrix or a stack ``(T, n, n)``; the result, on the arena, has
-    shape ``matrix.shape[:-2] + amps.shape[:-1] + (total_dim,)``.  Each
-    sector's block is applied to that sector's columns and scattered to the
-    arena's rows."""
-    _, _, sectors = _column_plan(arena.n_modes, top, arena.cutoff)
-    out = np.zeros(matrix.shape[:-2] + amps.shape[:-1] + (arena.total_dim,), dtype=complex)
-    blocks = _sector_blocks(matrix, top, arena.cutoff)
-    for (columns, index), (_, _, block) in zip(sectors, blocks):
-        out[..., index] = amps[..., columns] @ np.swapaxes(block, -1, -2)
+    """The one sector applier: P U on amplitudes ``(..., n_columns)`` on the
+    plan's columns of sectors 0..top, for a stack ``(T, n, n)``; the result
+    ``(T,) + amps.shape[:-1] + (total_dim,)`` is on the arena.  Each sector's
+    blocks act on its columns, and every sector's rows reach the arena in
+    one scatter."""
+    plan = _sector_plan(arena.n_modes, top, arena.cutoff)
+    parts = [amps[..., columns] @ np.swapaxes(block, -1, -2) for (*_, columns), (_, _, block)
+             in zip(plan.sectors, _sector_blocks(stack, top, arena.cutoff))]
+    out = np.zeros((len(stack),) + amps.shape[:-1] + (arena.total_dim,), dtype=complex)
+    out[..., plan.row_index] = np.concatenate(parts, axis=-1)
     return out
 
 
 def _lift_rows(matrix: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     """P U P on arena amplitude rows, sector by sector, without the dim x dim
     matrix: ``matrix`` is one mode matrix or a stack ``(T, n, n)``, ``rows``
-    ``(dim,)`` or ``(K, dim)``, the result ``(T, K, dim)``.  Only the sectors
-    up to the rows' top occupied one are built.  An arena row is 0 on every
-    tuple outside the arena, so P U P psi = P U psi: the rows are read on the
-    sectors' full columns, with 0 on the columns outside the arena.  From two
-    modes up a stack is T single calls bit for bit.
+    ``(dim,)`` or ``(K, dim)``, the result ``(T, K, dim)`` (no T axis for one
+    matrix).  Only the sectors up to the rows' top occupied one are built.
+    An arena row is 0 on every tuple outside the arena, so P U P psi =
+    P U psi: the rows are read on the sectors' full columns, with 0 on the
+    columns outside the arena.  From two modes up a stack is T single calls
+    bit for bit.
     """
     occupied = np.any(rows.reshape(-1, arena.total_dim) != 0, axis=0)
     top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
-    cols, _, _ = _column_plan(arena.n_modes, top, arena.cutoff)
-    inside = cols.max(axis=1) < arena.cutoff
-    index = np.ravel_multi_index(cols[inside].T, (arena.cutoff,) * arena.n_modes)
-    amps = np.zeros(rows.shape[:-1] + cols.shape[:1], dtype=complex)
-    amps[..., inside] = rows[..., index]
-    return _apply_sectors(matrix, amps, top, arena)
+    plan = _sector_plan(arena.n_modes, top, arena.cutoff)
+    amps = np.zeros(rows.shape[:-1] + plan.cols.shape[:1], dtype=complex)
+    amps[..., plan.inside] = rows[..., plan.col_index]
+    out = _apply_sectors(matrix.reshape((-1,) + matrix.shape[-2:]), amps, top, arena)
+    return out if matrix.ndim == 3 else out[0]
 
 
 def _sector_tail_bound(mean: float) -> int:
@@ -248,11 +247,9 @@ def transform_coherent_exact(m, alphas, arena: FockArena) -> np.ndarray:
     single calls bit for bit from two modes up; one mode's blocks are 1 x 1,
     and numpy rounds the lone complex product of a single call without a
     fused multiply-add, so there the last bit can differ.  The work on the
-    input (sector bounds, coherent columns, the gather of each sector's
-    amplitudes) is done once for the whole sequence, and each sector block
-    is built for all T at once (``_sector_blocks`` on the stack of mode
-    matrices).  The result holds T x n_components x total_dim complex
-    numbers.
+    input (sector bounds, coherent columns) is done once for the whole
+    sequence, and each sector block is built for all T at once.  The result
+    holds T x n_components x total_dim complex numbers.
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
@@ -273,9 +270,9 @@ def transform_coherent_exact(m, alphas, arena: FockArena) -> np.ndarray:
     means = np.sum(np.abs(rows) ** 2, axis=1)
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
-    cols, sector, _ = _column_plan(arena.n_modes, top, arena.cutoff)
-    amps = _coherent_column(rows, top + 1)[:, np.arange(arena.n_modes), cols].prod(axis=-1)
-    amps[sector > n_max[:, None]] = 0.0
+    plan = _sector_plan(arena.n_modes, top, arena.cutoff)
+    amps = _coherent_column(rows, top + 1)[:, np.arange(arena.n_modes), plan.cols].prod(axis=-1)
+    amps[plan.sector > n_max[:, None]] = 0.0
 
     matrices = np.array([u.matrix for u in unitaries]).reshape((-1,) + (arena.n_modes,) * 2)
     out = _apply_sectors(matrices, amps, top, arena)

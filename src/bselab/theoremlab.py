@@ -336,19 +336,20 @@ def _grid_splitter(i: int, n: int) -> ModeUnitary:
 
 
 def _run_one(cfg: CampaignConfig, index: int, child_seed) -> TrialRecord:
-    """Run trial `index`, retrying at larger cutoffs on truncation overflow;
-    the record carries the cutoff it ran at and the retries it took."""
+    """Run trial `index` on one draw of its ensemble and unitary, retrying at
+    larger cutoffs on truncation overflow; the record carries the cutoff it
+    ran at and the retries it took."""
+    rng = np.random.default_rng(child_seed)
+    ens = cfg.manual_ensemble
+    if ens is None:
+        ens = random_classical_ensemble(
+            rng, cfg.n_modes, cfg.max_ensemble_components, cfg.amplitude_bound
+        )
+    if cfg.unitary_source == "random_haar":
+        m = haar_unitary(cfg.n_modes, rng)
+    else:
+        m = _grid_splitter(index, max(cfg.n_trials, 1))
     for attempt in range(RETRY_BUDGET + 1):
-        rng = np.random.default_rng(child_seed)
-        ens = cfg.manual_ensemble
-        if ens is None:
-            ens = random_classical_ensemble(
-                rng, cfg.n_modes, cfg.max_ensemble_components, cfg.amplitude_bound
-            )
-        if cfg.unitary_source == "random_haar":
-            m = haar_unitary(cfg.n_modes, rng)
-        else:
-            m = _grid_splitter(index, max(cfg.n_trials, 1))
         arena = FockArena(cfg.n_modes, cfg.cutoff + attempt * CUTOFF_STEP)
         try:
             record = run_theorem_trial(

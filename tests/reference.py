@@ -228,8 +228,8 @@ def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
     dim = arena.total_dim
     shape = (arena.cutoff,) * arena.n_modes
     matrix = np.zeros((dim, dim), dtype=complex)
-    for occ, cols, block in _sector_blocks(m.matrix, arena.n_modes * (arena.cutoff - 1),
-                                           arena.cutoff):
+    for occ, cols, (block,) in _sector_blocks(m.matrix[None], arena.n_modes * (arena.cutoff - 1),
+                                              arena.cutoff):
         kept = cols.max(axis=1) < arena.cutoff
         rows = np.ravel_multi_index(occ.T, shape)
         matrix[np.ix_(rows, np.ravel_multi_index(cols[kept].T, shape))] = block[:, kept]
@@ -350,7 +350,7 @@ def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarra
     top = int(n_max.max())
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
     out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
-    for n, (occ, _, block) in enumerate(_sector_blocks(m.matrix, top, top + 1)):
+    for n, (occ, _, (block,)) in enumerate(_sector_blocks(m.matrix[None], top, top + 1)):
         amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
         amps[n_max < n] = 0.0
         transformed = amps @ block.T

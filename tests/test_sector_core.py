@@ -11,6 +11,7 @@ eigenphases at +-pi, each also in a rotated eigenbasis.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from bselab.passive import (
     ModeUnitary,
     _lift_rows,
     _sector_blocks,
+    _sector_plan,
     transform_coherent_exact,
 )
 from bselab.states import coherent, vacuum
@@ -74,7 +76,7 @@ def _unitarity_dev(block: np.ndarray) -> float:
 @given(st.sampled_from([2, 3]).flatmap(unitaries))
 def test_sector_blocks_match_permanent_reference(m):
     table = FockArena(m.n_modes, 6).occupation_table()
-    for n, (occ, cols, block) in enumerate(_sector_blocks(m.matrix, 5, 6)):
+    for n, (occ, cols, (block,)) in enumerate(_sector_blocks(m.matrix[None], 5, 6)):
         assert np.array_equal(occ, table[table.sum(axis=1) == n])
         assert np.array_equal(cols, occ)
         assert np.abs(block - permanent_block(m.matrix, occ)).max() <= 1e-12
@@ -87,7 +89,7 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
     # the column recursion lowers the most occupied mode; lowering the first
     # occupied one instead drifts past 1e-12 on sectors this big
     top, m = case
-    for _, _, block in _sector_blocks(m.matrix, top, top + 1):
+    for _, _, (block,) in _sector_blocks(m.matrix[None], top, top + 1):
         assert _unitarity_dev(block) <= 1e-12
 
 
@@ -100,8 +102,9 @@ def test_arena_sector_blocks_are_full_sub_blocks(case):
     # the roundoff of a wider elementwise loop on the clipped ones above
     (n_modes, cutoff), m = case
     top = n_modes * (cutoff - 1)
-    for n, ((occ, cols, rows), (full_occ, full_cols, full)) in enumerate(zip(
-            _sector_blocks(m.matrix, top, cutoff), _sector_blocks(m.matrix, top, top + 1))):
+    for n, ((occ, cols, (rows,)), (full_occ, full_cols, (full,))) in enumerate(zip(
+            _sector_blocks(m.matrix[None], top, cutoff),
+            _sector_blocks(m.matrix[None], top, top + 1))):
         kept = full_occ.max(axis=1) < cutoff
         assert np.array_equal(full_cols, full_occ) and np.array_equal(cols, full_cols)
         assert np.array_equal(occ, full_occ[kept])
@@ -109,6 +112,16 @@ def test_arena_sector_blocks_are_full_sub_blocks(case):
             assert np.array_equal(rows, full)
         else:
             assert np.abs(rows - full[kept]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(2, 6), (3, 4), (3, 8)])
+def test_sector_plan_scatters_every_arena_row_once(n_modes, cutoff):
+    # the applier's one scatter writes each arena row of sectors 0..top once,
+    # whether the rows are whole sectors (top below cutoff - 1) or clipped
+    totals = FockArena(n_modes, cutoff).occupation_table().sum(axis=1)
+    for top in (cutoff - 3, cutoff - 2, cutoff - 1, cutoff, n_modes * (cutoff - 1)):
+        plan = _sector_plan(n_modes, top, cutoff)
+        assert np.array_equal(np.sort(plan.row_index), np.flatnonzero(totals <= top))
 
 
 @PROPERTY

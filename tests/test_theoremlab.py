@@ -183,6 +183,22 @@ def test_campaign_pins_blas_and_restores_it(monkeypatch):
     assert after == [3] * len(libs)
 
 
+def test_retried_trials_draw_their_unitary_once(monkeypatch):
+    # the retrying config: 3 of its 8 trials overflow cutoff 6 and retry,
+    # on the ensemble and unitary their first attempt drew
+    draws = []
+
+    def counting(n, rng):
+        draws.append(n)
+        return haar_unitary(n, rng)
+
+    monkeypatch.setattr(theoremlab, "haar_unitary", counting)
+    summary = run_campaign(CampaignConfig(n_trials=8, seed=0, n_modes=3, cutoff=6,
+                                          amplitude_bound=0.5))
+    assert summary.n_completed == 8 and summary.n_retried == 3
+    assert len(draws) == 8
+
+
 def test_beam_splitter_grid_source():
     cfg = CampaignConfig(
         n_trials=6, seed=2, n_modes=2, cutoff=14, unitary_source="beam_splitter_grid"
