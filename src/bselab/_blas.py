@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import importlib
 import threading
 from functools import cache
 from typing import Callable, NamedTuple
 
-#: extension modules that carry bselab's BLAS/LAPACK calls; dlsym on their
-#: handles resolves through their dependencies to the OpenBLAS they load
-_CARRIERS = ("numpy.linalg._umath_linalg",)
+from numpy.linalg import _umath_linalg
 
 
 class _OpenBLAS(NamedTuple):
@@ -33,26 +30,27 @@ def _openblas() -> tuple[_OpenBLAS, ...]:
     """Each loaded OpenBLAS once. numpy wheels bundle a scipy-openblas
     build, which exports `scipy_openblas_*` (suffixed `64_` in the
     64-bit-integer build) from `libscipy_openblas*`; a system build exports
-    `openblas_*`."""
+    `openblas_*`. bselab's BLAS/LAPACK calls go through numpy's
+    `_umath_linalg`; dlsym on its handle resolves through its dependencies
+    to the OpenBLAS it loads."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return ()
     found = {}
-    for carrier in _CARRIERS:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(carrier).__file__)
-        except (ImportError, OSError):
-            continue
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                try:
-                    get_config, get_n, set_n = (
-                        getattr(lib, f"{prefix}openblas_{name}{suffix}")
-                        for name in ("get_config", "get_num_threads", "set_num_threads"))
-                except AttributeError:
-                    continue
-                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-                get_n.argtypes, get_n.restype = [], ctypes.c_int
-                set_n.argtypes, set_n.restype = [ctypes.c_int], None
-                found.setdefault(ctypes.cast(get_n, ctypes.c_void_p).value, _OpenBLAS(
-                    f"lib{prefix}openblas{suffix}", get_config, get_n, set_n))
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            try:
+                get_config, get_n, set_n = (
+                    getattr(lib, f"{prefix}openblas_{name}{suffix}")
+                    for name in ("get_config", "get_num_threads", "set_num_threads"))
+            except AttributeError:
+                continue
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            found.setdefault(ctypes.cast(get_n, ctypes.c_void_p).value, _OpenBLAS(
+                f"lib{prefix}openblas{suffix}", get_config, get_n, set_n))
     return tuple(found.values())
 
 

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 from dataclasses import fields
@@ -274,8 +273,9 @@ def cmd_demo(args) -> int:
 
 
 def _timing_summary(times: list[float]) -> dict:
-    return {"count": len(times), "total": sum(times), "max": max(times, default=None),
-            "p50": statistics.median(times) if times else None}
+    s, n = sorted(times), len(times)  # statistics.median's value, importing no numpy.ma
+    return {"count": n, "total": sum(times), "max": max(times, default=None),
+            "p50": (s[(n - 1) // 2] + s[n // 2]) / 2 if times else None}
 
 
 def cmd_verify(args) -> int:

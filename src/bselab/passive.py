@@ -8,11 +8,13 @@ sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 
 One builder, ``_sector_blocks``, forms those blocks column by column from
 U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
-to choose at eigenphases +-pi), no exponential.  It reads one cached plan,
-``_sector_plan``, and builds one shape, the rows whose tuples fit a cutoff
-against every column of the sector, for a stack of mode matrices (one
-matrix is a stack of one).  One applier, ``_apply_sectors``, applies the
-blocks to amplitudes on the plan's columns, with one scatter to the arena.
+to choose at eigenphases +-pi), no exponential; each sector is one array
+pass that gathers, scales and sums the terms of every mode k.  It reads one
+cached plan, ``_sector_plan``, and builds one shape, the rows whose tuples
+fit a cutoff against every column of the sector, for a stack of mode
+matrices (one matrix is a stack of one).  One applier, ``_apply_sectors``,
+applies the blocks to amplitudes on the plan's columns, with one scatter to
+the arena.
 ``transform_coherent_exact`` feeds it coherent states, which gives the
 projection of the exact transform; given a sequence of unitaries (a sweep's
 angles) it transforms its input once and builds every block for the whole
@@ -105,9 +107,9 @@ def _sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
     """The plan of sectors 0..top.  Per sector, ``occ`` are the row tuples,
     those of a FockArena with ``cutoff``, and ``columns`` the slice of its
     columns, the whole sector; from sector 1, ``rows[k]`` is the position of
-    row s - e_k in the sector below (0 where s_k = 0), ``sqrt_s[k]`` is
-    sqrt(s_k) shaped for a ``(rows, T, cols)`` block, and ``parent`` the
-    position of each column's t - e_j among the columns below.  Column t
+    row s - e_k in the sector below (0 where s_k = 0), ``sqrt_s[k]`` the
+    complex sqrt(s_k) as ``(rows, 1, 1)`` (no step casts it), and ``parent``
+    the position of each column's t - e_j among the columns below.  Column t
     lowers its most occupied mode j (first on ties), which keeps the blocks
     unitary to roundoff (1e-14 at 2-mode sector 60, where lowering the first
     occupied mode drifts to 3e-9).
@@ -136,7 +138,8 @@ def _sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
         rows = np.array([[row_below.get(tuple(s - e), 0) for s in occ] for e in eye])
         parent = np.array([col_below[tuple(t - eye[j])]
                            for t, j in zip(cols[columns], mode[columns])])
-        steps.append((occ, rows, np.sqrt(occ.T)[..., None, None], parent, columns))
+        sqrt_s = np.sqrt(occ.T)[..., None, None].astype(complex)
+        steps.append((occ, rows, sqrt_s, parent, columns))
     shape, inside = (cutoff,) * n_modes, cols.max(axis=1) < cutoff
     plan = _SectorPlan(tuple(steps), cols, cols.sum(axis=1), mode, inv_sqrt_t,
                        np.ravel_multi_index(np.concatenate(row_sectors).T, shape),
@@ -157,11 +160,12 @@ def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
     the whole sector: the arena rows of the full blocks, and the full blocks
     themselves for a cutoff above ``top``.
 
-    The recursion keeps the rows first and the stack between rows and
-    columns: each matrix of a stack runs through the same elementwise
-    operations in the same order as a stack of one, and ``np.take`` keeps
-    each block C-contiguous, so every matrix reaches BLAS with unit column
-    stride.
+    Each sector is one array pass: the terms of every mode k form one
+    ``(k, rows, T, cols)`` array, summed over k in mode order from 0 as a
+    loop over the modes sums them.  With the stack between rows and columns,
+    each matrix runs the same elementwise operations in the same order as a
+    stack of one, and each block is C-contiguous, so every matrix reaches
+    BLAS with unit column stride.
     """
     plan = _sector_plan(stack.shape[-1], top, cutoff)
     # coef[k, T, t] = conj(M_jk) / sqrt(t_j), j the mode column t lowers
@@ -170,12 +174,9 @@ def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
     yield plan.sectors[0][0], plan.cols[:1], block.transpose(1, 0, 2)
     for occ, rows, sqrt_s, parent, columns in plan.sectors[1:]:
         # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>
-        parents = np.take(block, parent, axis=-1)
-        block = np.zeros((len(occ),) + parents.shape[1:], dtype=complex)
-        for r, s, c in zip(rows, sqrt_s, coef[..., columns]):  # sum of s * parents[r] * c
-            term = np.multiply(s, parents[r])
-            term *= c
-            block += term
+        terms = np.multiply(sqrt_s, np.take(block, parent, axis=-1)[rows])
+        terms *= coef[:, None, :, columns]
+        block = terms.sum(axis=0)
         yield occ, plan.cols[columns], block.transpose(1, 0, 2)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -388,6 +387,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         if cfg.threads == 1:
             outcomes = [work(i) for i in range(cfg.n_trials)]
         else:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 outcomes = list(pool.map(work, range(cfg.n_trials)))
 

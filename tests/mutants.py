@@ -72,11 +72,14 @@ MUTANTS = [
      "the inverse step lifts by M instead of M^-1"),
     (17, "cli.py", "    except MemoryError as exc:\n", "    except NotImplementedError as exc:\n",
      "main no longer maps MemoryError"),
-    (18, "passive.py", "coef[..., columns]", "coef[..., columns.start - 1:columns.stop - 1]",
+    (18, "passive.py", "coef[:, None, :, columns]",
+     "coef[:, None, :, columns.start - 1:columns.stop - 1]",
      "each sector reads the coefficients one column to the left"),
     (19, "passive.py", "out[..., plan.row_index] = np.concatenate(parts, axis=-1)",
      "out[..., plan.row_index[:-len(plan.sectors[-1][0])]] = np.concatenate(parts[:-1], axis=-1)",
      "the one scatter drops the last sector"),
+    (20, "passive.py", "block = terms.sum(axis=0)", "block = terms[1:].sum(axis=0)",
+     "each sector step drops mode 0's term"),
 ]
 
 

@@ -29,6 +29,7 @@ from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
     _sector_blocks,
+    _sector_plan,
     _sector_tail_bound,
 )
 from bselab.states import (
@@ -358,6 +359,24 @@ def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarra
         index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
         out[:, index] = transformed[:, kept]
     return out
+
+
+def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
+    """``_sector_blocks`` as a loop over the modes k of each sector step:
+    from a zero block, add sqrt(s_k) * parents[rows_k] * coef_k one mode at
+    a time.  The package takes the same sum in one array pass."""
+    plan = _sector_plan(stack.shape[-1], top, cutoff)
+    coef = np.conj(stack).transpose(2, 0, 1)[..., plan.mode] * plan.inv_sqrt_t
+    block = np.ones((1, len(stack), 1), dtype=complex)
+    yield plan.sectors[0][0], plan.cols[:1], block.transpose(1, 0, 2)
+    for occ, rows, _, parent, columns in plan.sectors[1:]:
+        parents = np.take(block, parent, axis=-1)
+        block = np.zeros((len(occ),) + parents.shape[1:], dtype=complex)
+        for r, s, c in zip(rows, np.sqrt(occ.T)[..., None, None], coef[..., columns]):
+            term = np.multiply(s, parents[r])
+            term *= c
+            block += term
+        yield occ, plan.cols[columns], block.transpose(1, 0, 2)
 
 
 def linear_sector_tail_bound(mean: float) -> int:

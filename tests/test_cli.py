@@ -785,6 +785,23 @@ def test_cli_import_does_not_load_scipy_linalg():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_loads_no_pool_statistics_or_masked_arrays(tmp_path):
+    # the thread pool is imported only when a campaign starts one, and the
+    # timing median is taken over a sorted list: concurrent.futures pulls in
+    # logging and queue, statistics decimal and fractions, and np.median
+    # numpy.ma, which costs more than the other two together
+    cfg = _write_config(tmp_path, n_trials=2, cutoff=6, amplitude_bound=0.5)
+    probe = ("import sys; from bselab import cli; "
+             "heavy = ('concurrent.futures', 'logging', 'statistics', 'numpy.ma'); "
+             "loaded = [m for m in heavy if m in sys.modules]; "
+             "code = cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+             "print(loaded, code, [m for m in heavy if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
+                            env=_child_env(), capture_output=True, text=True, timeout=120,
+                            check=True)
+    assert result.stdout.splitlines()[-1] == "[] 0 []"
+
+
 def test_commands_do_not_load_scipy(tmp_path):
     # bselab runs on numpy alone: no command imports any scipy module
     cfg = _write_config(tmp_path, n_trials=1, cutoff=6, amplitude_bound=0.5)
@@ -804,8 +821,10 @@ def test_commands_do_not_load_scipy(tmp_path):
 
 
 def test_verify_bytes_do_not_depend_on_blas_environment(tmp_path):
-    # one 3-mode trial at cutoff 8 runs three dim-512 PT eigensolves, whose
-    # last bits depend on the OpenBLAS thread count unless bselab pins it
+    # one 3-mode trial at cutoff 8 on K = 3 coherent rows runs the PT stage's
+    # QR calls and eigensolves (at most K^2 = 9 wide, on the compressed
+    # state) for three cuts, whose last bits may depend on the OpenBLAS
+    # thread count unless bselab pins it
     cfg = _write_config(tmp_path, n_trials=1, seed=11, n_modes=3, cutoff=8,
                         amplitude_bound=0.5, ensemble=[
                             {"weight": 0.5, "alphas": [[0.3, 0.1], [-0.2, 0.25], [0.1, -0.3]]},

@@ -2,7 +2,8 @@
 arena rows against full columns) and its one applier, through both callers:
 P U P on amplitude rows (`_lift_rows`) and the exact coherent transform
 (`transform_coherent_exact`).  The dense lift they are checked against
-(`lift_unitary`) is the tests' reference.
+(`lift_unitary`) is the tests' reference, and the builder is pinned byte for
+byte to a loop over the modes (`loop_sector_blocks`).
 
 Unitaries are Haar draws and degenerate cases: +-I, mode permutations and
 eigenphases at +-pi, each also in a rotated eigenbasis.
@@ -21,6 +22,7 @@ from bselab.passive import (
     _lift_rows,
     _sector_blocks,
     _sector_plan,
+    beam_splitter_matrix,
     transform_coherent_exact,
 )
 from bselab.states import coherent, vacuum
@@ -31,6 +33,7 @@ from reference import (
     conjugation_residual,
     full_sector_transform,
     lift_unitary,
+    loop_sector_blocks,
     permanent_block,
 )
 
@@ -112,6 +115,36 @@ def test_arena_sector_blocks_are_full_sub_blocks(case):
             assert np.array_equal(rows, full)
         else:
             assert np.abs(rows - full[kept]).max() <= 1e-15
+
+
+def _byte_pin_matrices(n: int) -> list[np.ndarray]:
+    out = [np.eye(n), np.eye(n)[::-1], np.diag(np.exp(1j * np.pi * (-1.0) ** np.arange(n)))]
+    if n >= 2:
+        # splitters on modes 0 and 1; cos(pi/2) and sin(pi) are roundoff
+        for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
+            m = np.eye(n, dtype=complex)
+            m[:2, :2] = beam_splitter_matrix(theta).matrix
+            out.append(m)
+    rng = np.random.default_rng(n)
+    return out + [haar_unitary(n, rng).matrix for _ in range(3)]
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 9), (2, 6), (3, 4), (4, 3)])
+def test_sector_blocks_are_the_per_mode_loop_byte_for_byte(n_modes, cutoff):
+    # one array pass over the modes sums their terms in mode order from 0,
+    # as the loop does: no byte moves, signed zeros included
+    matrices = _byte_pin_matrices(n_modes)
+    stacks = [m[None] for m in matrices]
+    stacks += [np.array(matrices[i:i + size]) for size in (2, 3, 4)
+               for i in range(0, len(matrices) - size + 1, size)]
+    for stack in stacks:
+        for top in range(n_modes * (cutoff - 1) + 1):
+            for (occ, cols, blocks), (ref_occ, ref_cols, ref_blocks) in zip(
+                    _sector_blocks(stack, top, cutoff), loop_sector_blocks(stack, top, cutoff),
+                    strict=True):
+                assert np.array_equal(occ, ref_occ) and np.array_equal(cols, ref_cols)
+                assert blocks.shape == ref_blocks.shape
+                assert blocks.tobytes() == ref_blocks.tobytes()
 
 
 @pytest.mark.parametrize("n_modes, cutoff", [(2, 6), (3, 4), (3, 8)])
