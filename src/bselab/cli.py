@@ -177,8 +177,8 @@ def _splitter_and_back(args, arena: FockArena):
     image and of the way back, taken in one stacked pass."""
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
     psi_in = fock(arena, (1, 0))
-    psi_fwd = _lift_rows(m.matrix, psi_in, arena)
-    psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)
+    psi_fwd = _lift_rows(m.matrix[None], psi_in[None], arena)[0, 0]
+    psi_back = _lift_rows(m.inverse().matrix[None], psi_fwd[None], arena)[0, 0]
     forward, inverse = _negativity_reports(
         [(Mixture(arena, [1.0], [psi]), ((0,), (1,))) for psi in (psi_fwd, psi_back)])
     return psi_in, psi_back, forward, inverse
@@ -227,7 +227,7 @@ def _demo_coherent_covariance(args, arena: FockArena) -> dict:
     # each input row next to its target row, so the leak checks run in
     # the order of the pairs
     pairs = coherent(arena, [(a, a @ np.conj(m.matrix)) for a in alphas])
-    rows = _lift_rows(m.matrix, pairs[:, 0], arena)
+    rows = _lift_rows(m.matrix[None], pairs[:, 0], arena)[0]
     worst = min(1.0, *(float(abs(np.vdot(t, psi)) ** 2) for t, psi in zip(pairs[:, 1], rows)))
     return {"demo": "coherent-covariance", "theta": args.theta,
             "worst_fidelity": worst, "tolerance": 1e-6,

@@ -15,12 +15,13 @@ fit a cutoff against every column of the sector, for a stack of mode
 matrices (one matrix is a stack of one).  One applier, ``_apply_sectors``,
 applies the blocks to amplitudes on the plan's columns, with one scatter to
 the arena.
-``transform_coherent_exact`` feeds it coherent states, which gives the
-projection of the exact transform; given a sequence of unitaries (a sweep's
-angles) it transforms its input once and builds every block for the whole
-sequence.  ``_lift_rows`` feeds it arena amplitude rows, which gives P U P,
-the exact lift projected onto the arena; no code here forms that dim x dim
-matrix.
+Both entry points take one shape, a stack of T mode matrices in and the
+rows after each of them out, ``(T, K, total_dim)``; one unitary is a stack
+of one.  ``transform_coherent_exact`` feeds the applier K coherent states,
+which gives the projection of the exact transform; it transforms its input
+once and builds every block for the whole stack (a sweep's angles).
+``_lift_rows`` feeds it K arena amplitude rows, which gives P U P, the exact
+lift projected onto the arena; no code here forms that dim x dim matrix.
 
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
@@ -31,6 +32,7 @@ form is the truncation-free fast path for classical ensembles.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -182,75 +184,70 @@ def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
 
 def _apply_sectors(stack: np.ndarray, amps: np.ndarray, top: int,
                    arena: FockArena) -> np.ndarray:
-    """The one sector applier: P U on amplitudes ``(..., n_columns)`` on the
+    """The one sector applier: P U on amplitudes ``(K, n_columns)`` on the
     plan's columns of sectors 0..top, for a stack ``(T, n, n)``; the result
-    ``(T,) + amps.shape[:-1] + (total_dim,)`` is on the arena.  Each sector's
-    blocks act on its columns, and every sector's rows reach the arena in
-    one scatter."""
+    ``(T, K, total_dim)`` is on the arena.  Each sector's blocks act on its
+    columns, and every sector's rows reach the arena in one scatter."""
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    parts = [amps[..., columns] @ np.swapaxes(block, -1, -2) for (*_, columns), (_, _, block)
+    parts = [amps[:, columns] @ np.swapaxes(block, -1, -2) for (*_, columns), (_, _, block)
              in zip(plan.sectors, _sector_blocks(stack, top, arena.cutoff))]
-    out = np.zeros((len(stack),) + amps.shape[:-1] + (arena.total_dim,), dtype=complex)
+    out = np.zeros((len(stack), len(amps), arena.total_dim), dtype=complex)
     out[..., plan.row_index] = np.concatenate(parts, axis=-1)
     return out
 
 
-def _lift_rows(matrix: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndarray:
+def _lift_rows(stack: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     """P U P on arena amplitude rows, sector by sector, without the dim x dim
-    matrix: ``matrix`` is one mode matrix or a stack ``(T, n, n)``, ``rows``
-    ``(dim,)`` or ``(K, dim)``, the result ``(T, K, dim)`` (no T axis for one
-    matrix).  Only the sectors up to the rows' top occupied one are built.
-    An arena row is 0 on every tuple outside the arena, so P U P psi =
-    P U psi: the rows are read on the sectors' full columns, with 0 on the
-    columns outside the arena.  From two modes up a stack is T single calls
-    bit for bit.
+    matrix: for a stack ``(T, n, n)`` of mode matrices and rows ``(K, dim)``,
+    the rows after each matrix, ``(T, K, dim)``.  Only the sectors up to the
+    rows' top occupied one are built.  An arena row is 0 on every tuple
+    outside the arena, so P U P psi = P U psi: the rows are read on the
+    sectors' full columns, with 0 on the columns outside the arena.  From
+    two modes up a stack is T stacks of one bit for bit.
     """
-    occupied = np.any(rows.reshape(-1, arena.total_dim) != 0, axis=0)
+    occupied = np.any(rows != 0, axis=0)
     top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    amps = np.zeros(rows.shape[:-1] + plan.cols.shape[:1], dtype=complex)
-    amps[..., plan.inside] = rows[..., plan.col_index]
-    out = _apply_sectors(matrix.reshape((-1,) + matrix.shape[-2:]), amps, top, arena)
-    return out if matrix.ndim == 3 else out[0]
+    amps = np.zeros((len(rows), len(plan.cols)), dtype=complex)
+    amps[:, plan.inside] = rows[:, plan.col_index]
+    return _apply_sectors(stack, amps, top, arena)
 
 
 def _sector_tail_bound(mean: float) -> int:
     """Smallest n with Poisson(mean) tail P(N >= n) <= SECTOR_TAIL_EPS.
 
-    The tail falls with n, so the bound is bracketed by doubling the step
-    from max(1, int(mean)) and then bisected: about 2 log2(n - mean) tail
-    evaluations where a search one step at a time takes n - mean."""
+    One upward walk from max(1, int(mean)).  The tail at n is at least
+    pmf(n), and past the mean ``_poisson_tail`` starts its sum from the same
+    float pmf(n), so no n whose pmf is above SECTOR_TAIL_EPS can fit: the
+    walk steps over those on the pmf alone, formed in logs, and then steps
+    up while the exact tail is still above SECTOR_TAIL_EPS."""
     if mean <= 0.0:
         return 0
-    lo = max(1, int(mean))
-    if _poisson_tail(lo, mean) <= SECTOR_TAIL_EPS:
-        return lo
-    step = 1  # invariant: the tail at lo is above SECTOR_TAIL_EPS
-    while _poisson_tail(lo + step, mean) > SECTOR_TAIL_EPS:
-        lo, step = lo + step, 2 * step
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _poisson_tail(mid, mean) > SECTOR_TAIL_EPS:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    n, log_mean = max(1, int(mean)), math.log(mean)
+    while math.exp(-mean + n * log_mean - math.lgamma(n + 1)) > SECTOR_TAIL_EPS:
+        n += 1
+    while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
+        n += 1
+    return n
 
 
-def transform_coherent_exact(m, alphas, arena: FockArena) -> np.ndarray:
-    """Amplitudes of the lifted unitary applied to |alphas>, projected to
-    the arena truncation *after* the transform.
+def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
+    """Amplitudes of each lifted unitary applied to each |alpha>, projected
+    to the arena truncation *after* the transform.
 
-    ``m`` is one ModeUnitary or a sequence of T of them, ``alphas`` has
-    shape ``(..., n_modes)``; the result has shape ``(..., total_dim)`` for
-    one unitary and ``(T, ..., total_dim)`` for a sequence.  That is T
-    single calls bit for bit from two modes up; one mode's blocks are 1 x 1,
-    and numpy rounds the lone complex product of a single call without a
-    fused multiply-add, so there the last bit can differ.  The work on the
-    input (sector bounds, coherent columns) is done once for the whole
-    sequence, and each sector block is built for all T at once.  The result
-    holds T x n_components x total_dim complex numbers.
+    ``unitaries`` is a sequence of T ModeUnitary and ``alphas`` has shape
+    ``(K, n_modes)``; the result has shape ``(T, K, total_dim)``, T x K x
+    total_dim complex numbers.  The work on the input (sector bounds,
+    coherent columns) is done once for the whole sequence, and each sector
+    block is built for all T at once.  From two modes up that is T
+    sequences of one bit for bit; one mode's blocks are 1 x 1, and numpy
+    rounds the lone complex product of a stack of one without a fused
+    multiply-add, so there the last bit can differ.  The K rows are not
+    bit for bit the rows of K calls of one component each: the amplitudes
+    on the plan's columns are a product over the modes, and numpy reduces
+    it on a C-contiguous axis for K = 1 and on a strided one for K >= 2,
+    which rounds differently; the top sector also follows the largest
+    mean.  So the last bit of a row can move with K.
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
@@ -261,24 +258,19 @@ def transform_coherent_exact(m, alphas, arena: FockArena) -> np.ndarray:
     arena's rows of each block are built (from every column of the sector),
     and no sector above n_modes*(cutoff-1), which holds no arena tuple.
     """
-    unitaries = [m] if isinstance(m, ModeUnitary) else list(m)
     if any(u.n_modes != arena.n_modes for u in unitaries):
         raise ValueError("mode count mismatch between unitary and arena")
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    if alphas.shape[-1] != arena.n_modes:
-        raise ValueError("need one amplitude per mode")
-    rows = alphas.reshape(-1, arena.n_modes)
-    means = np.sum(np.abs(rows) ** 2, axis=1)
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.shape[1:] != (arena.n_modes,):
+        raise ValueError("need alphas of shape (K, n_modes)")
+    means = np.sum(np.abs(alphas) ** 2, axis=1)
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    amps = _coherent_column(rows, top + 1)[:, np.arange(arena.n_modes), plan.cols].prod(axis=-1)
+    amps = _coherent_column(alphas, top + 1)[:, np.arange(arena.n_modes), plan.cols].prod(axis=-1)
     amps[plan.sector > n_max[:, None]] = 0.0
-
-    matrices = np.array([u.matrix for u in unitaries]).reshape((-1,) + (arena.n_modes,) * 2)
-    out = _apply_sectors(matrices, amps, top, arena)
-    out = out.reshape(out.shape[:1] + alphas.shape[:-1] + out.shape[-1:])
-    return out[0] if isinstance(m, ModeUnitary) else out
+    matrices = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
+    return _apply_sectors(matrices, amps, top, arena)
 
 
 def transform_ensemble(ens: CoherentEnsemble, m: ModeUnitary) -> CoherentEnsemble:

@@ -67,8 +67,8 @@ MUTANTS = [
     (15, "cli.py", "_, _, report, _ = _splitter_and_back(args, arena)",
      "_, _, _, report = _splitter_and_back(args, arena)",
      "demo bell reads the inverse report"),
-    (16, "cli.py", "psi_back = _lift_rows(m.inverse().matrix, psi_fwd, arena)",
-     "psi_back = _lift_rows(m.matrix, psi_fwd, arena)",
+    (16, "cli.py", "psi_back = _lift_rows(m.inverse().matrix[None], psi_fwd[None], arena)",
+     "psi_back = _lift_rows(m.matrix[None], psi_fwd[None], arena)",
      "the inverse step lifts by M instead of M^-1"),
     (17, "cli.py", "    except MemoryError as exc:\n", "    except NotImplementedError as exc:\n",
      "main no longer maps MemoryError"),
@@ -80,6 +80,12 @@ MUTANTS = [
      "the one scatter drops the last sector"),
     (20, "passive.py", "block = terms.sum(axis=0)", "block = terms[1:].sum(axis=0)",
      "each sector step drops mode 0's term"),
+    (21, "passive.py", "while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
+     "while False and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
+     "the sector bound stops at the pmf walk, with no exact tail"),
+    (22, "passive.py", "while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
+     "while _poisson_tail(n, mean) >= SECTOR_TAIL_EPS:",
+     "the sector bound skips a tail equal to SECTOR_TAIL_EPS"),
 ]
 
 

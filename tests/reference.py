@@ -381,7 +381,8 @@ def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
 
 def linear_sector_tail_bound(mean: float) -> int:
     """Smallest n with P(N >= n) <= SECTOR_TAIL_EPS, by the plain upward
-    search from max(1, int(mean)) that ``_sector_tail_bound`` bisects."""
+    search on exact tails from max(1, int(mean)), where
+    ``_sector_tail_bound`` starts its walk."""
     if mean <= 0.0:
         return 0
     n = max(1, int(mean))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bselab import cli, passive, theoremlab
 from bselab.gaussian import gaussian_from_spec
-from bselab.hilbert import LEAK_TOL, FockArena, Mixture
+from bselab.hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from bselab.passive import (
     ModeUnitary,
     beam_splitter_matrix,
@@ -253,8 +253,8 @@ def _conjugate_route_two(monkeypatch):
     # built from conj(M), so handing it conj(M) makes it apply M
     exact = theoremlab.transform_coherent_exact
 
-    def unconjugated(m, alphas, arena):
-        return exact(ModeUnitary(m.matrix.conj()), alphas, arena)
+    def unconjugated(unitaries, alphas, arena):
+        return exact([ModeUnitary(m.matrix.conj()) for m in unitaries], alphas, arena)
 
     monkeypatch.setattr(theoremlab, "transform_coherent_exact", unconjugated)
 
@@ -642,7 +642,7 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
         weights = np.array(r["input"]["weights"])
         alphas = np.array(r["input"]["alphas"]) @ [1.0, 1.0j]
         m = ModeUnitary(np.array(r["unitary"]["matrix"]) @ [1.0, 1.0j])
-        rows = transform_coherent_exact(m, alphas, FockArena(3, r["cutoff"]))
+        rows = transform_coherent_exact([m], alphas, FockArena(3, r["cutoff"]))[0]
         assert r["leak"] == 1.0 - float(weights @ np.sum(np.abs(rows) ** 2, axis=1))
         assert r["leak"] <= LEAK_TOL
     timings = json.loads((outs[0] / "manifest.json").read_text())["timings_seconds"]
@@ -662,6 +662,33 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
     timed = [v for v in stages.values() if v["count"]]
     assert all(0.0 < v["p50"] <= v["max"] <= v["total"] for v in timed)
     assert sum(v["total"] for v in timed) <= trials["total"]
+
+
+def test_retries_are_sent_by_both_leak_checks(tmp_path, monkeypatch):
+    # the retrying config above: which leak check raised for each retry.
+    # Route 2's rho_out raises one.  The cross-check's closed-form rows
+    # raise two, on trials whose weighted mixture fits the budget while one
+    # component alone does not.  A change in what sends a trial to a larger
+    # cutoff shows here.
+    raised = []
+
+    def counted(name, check):
+        def wrapped(*args, **kwargs):
+            try:
+                return check(*args, **kwargs)
+            except TruncationError:
+                raised.append(name)
+                raise
+        return wrapped
+
+    monkeypatch.setattr(theoremlab, "Mixture", counted("Mixture", theoremlab.Mixture))
+    monkeypatch.setattr(theoremlab, "coherent", counted("coherent", theoremlab.coherent))
+    cfg = _write_config(tmp_path, n_trials=8, seed=0, n_modes=3, cutoff=6,
+                        amplitude_bound=0.5)
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["n_retried"] == len(raised) == 3
+    assert sorted(raised) == ["Mixture", "coherent", "coherent"]
 
 
 @pytest.mark.parametrize("n_modes, cutoff, cat", [
@@ -685,7 +712,7 @@ def test_entangled_rows_at_the_pt_stage_are_ppt_violations(tmp_path, monkeypatch
             row = sum(coherent(arena, [sign * cat] + [0.0] * (arena.n_modes - 1))
                       for sign in (1.0, -1.0))
             row = row / np.linalg.norm(row)
-        psi = passive._lift_rows(m.matrix, row, arena)
+        psi = passive._lift_rows(m.matrix[None], row[None], arena)[0, 0]
         seen.append(Mixture(arena, [1.0], [psi]))
         return seen[-1]
 

@@ -4,6 +4,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bselab import passive
 from bselab.hilbert import FockArena
 from bselab.passive import (
     SECTOR_TAIL_EPS,
@@ -13,7 +14,7 @@ from bselab.passive import (
     transform_coherent_exact,
     transform_ensemble,
 )
-from bselab.states import CoherentEnsemble, coherent, fock, vacuum
+from bselab.states import CoherentEnsemble, _poisson_tail, coherent, fock, vacuum
 from bselab.theoremlab import haar_unitary
 from reference import (
     annihilation_matrix,
@@ -211,7 +212,7 @@ def test_sector_exact_transform_matches_dense_lift():
     m = haar_unitary(2, rng)
     alpha = np.array([0.8 + 0.2j, -0.3 + 0.6j])
     dense = lift_unitary(m, arena).apply_to_vector(coherent(arena, alpha))
-    exact = transform_coherent_exact(m, alpha, arena)
+    exact = transform_coherent_exact([m], alpha[None], arena)[0, 0]
     assert np.abs(dense - exact).max() <= 1e-7
     closed = coherent(arena, alpha @ np.conj(m.matrix))
     assert np.abs(exact - closed).max() <= 1e-10
@@ -241,12 +242,34 @@ def test_sector_tail_bound_matches_pdtrc_reference():
         assert _sector_tail_bound(float(mean)) == reference(float(mean)), mean
 
 
-def test_sector_tail_bound_bisection_matches_linear_search():
-    # 0, vanishing means and means past the top sector of every arena the
-    # campaigns and sweeps use (3 modes at cutoff 8: 21; 2 at cutoff 22: 42)
-    means = np.concatenate(([0.0, 1e-300, 1e-9, 1e-3], np.linspace(0.0, 64.0, 2561)))
+def test_sector_tail_bound_matches_linear_search(monkeypatch):
+    # 0, vanishing means down to the least subnormal, integer means (where
+    # the walk starts at the mean), means past the top sector of every arena
+    # the campaigns and sweeps use (3 modes at cutoff 8: 21; 2 at cutoff 22:
+    # 42) and means from 100 on.  Below a mean of about 450 the pmf walk
+    # leaves at most 4 exact tails to evaluate.
+    means = np.concatenate(([0.0, 5e-324, 1e-300, 1e-9, 1e-3], np.linspace(0.0, 64.0, 2561),
+                            np.arange(1.0, 65.0), [100.0, 200.0, 300.0, 400.0],
+                            np.linspace(100.0, 400.0, 61) + 0.3))
+    tails = []
+
+    def counted(n, mean):
+        tails.append(n)
+        return _poisson_tail(n, mean)
+
+    monkeypatch.setattr(passive, "_poisson_tail", counted)
     for mean in means:
+        tails.clear()
         assert _sector_tail_bound(float(mean)) == linear_sector_tail_bound(float(mean)), mean
+        assert len(tails) <= 4, mean
+
+
+@pytest.mark.parametrize("mean, n", [(1e-25, 1), (0.5, 9), (3.0, 12), (21.0, 40), (150.0, 230)])
+def test_sector_tail_bound_keeps_a_tail_equal_to_the_budget(monkeypatch, mean, n):
+    # the bound is the first n whose tail is at most the budget, equality
+    # included: with the budget set to the tail at n, the bound is n
+    monkeypatch.setattr(passive, "SECTOR_TAIL_EPS", _poisson_tail(n, mean))
+    assert _sector_tail_bound(mean) == n
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -198,13 +198,13 @@ def test_lift_rows_is_the_dense_lift(case):
     # n_modes*(cutoff-1), where P U P clips
     (n_modes, cutoff), ms, rows = case
     arena = FockArena(n_modes, cutoff)
-    dense = lift_unitary(ms[0], arena).matrix
+    dense, first = lift_unitary(ms[0], arena).matrix, ms[0].matrix[None]
     for row in np.eye(arena.total_dim, dtype=complex):
-        assert _lift_rows(ms[0].matrix, row, arena).tobytes() == (dense @ row).tobytes()
+        assert _lift_rows(first, row[None], arena)[0, 0].tobytes() == (dense @ row).tobytes()
     zero = np.zeros((2, arena.total_dim), dtype=complex)
-    assert not np.any(_lift_rows(ms[0].matrix, zero, arena))
+    assert not np.any(_lift_rows(first, zero, arena))
     inputs = coherent(arena, rows, leak_tol=1.0)
-    assert np.abs(_lift_rows(ms[0].matrix, inputs, arena) - inputs @ dense.T).max() <= 1e-15
+    assert np.abs(_lift_rows(first, inputs, arena)[0] - inputs @ dense.T).max() <= 1e-15
     # a stack of T mode matrices is T single calls bit for bit, the arena
     # corner included: its block is one row against the sector's full columns
     inputs = np.concatenate([inputs, np.eye(arena.total_dim)[[0, -1]]])
@@ -212,7 +212,7 @@ def test_lift_rows_is_the_dense_lift(case):
     batch = _lift_rows(stack, inputs, arena)
     assert batch.shape == (len(ms), len(inputs), arena.total_dim)
     for m, out in zip(stack, batch):
-        assert out.tobytes() == _lift_rows(m, inputs, arena).tobytes()
+        assert out.tobytes() == _lift_rows(m[None], inputs, arena)[0].tobytes()
 
 
 @PROPERTY
@@ -227,10 +227,10 @@ def test_exact_transform_properties(case):
     (n_modes, cutoff), m, rows = case
     arena = FockArena(n_modes, cutoff)
     alphas = np.array(rows, dtype=complex)
-    batch = transform_coherent_exact(m, alphas, arena)
+    batch = transform_coherent_exact([m], alphas, arena)[0]
     assert batch.shape == (len(rows), arena.total_dim)
     for alpha, amps in zip(alphas, batch):
-        single = transform_coherent_exact(m, alpha, arena)
+        single = transform_coherent_exact([m], alpha[None], arena)[0, 0]
         assert np.abs(amps - single).max() <= 1e-14
         # closed-form image, used here only as the reference
         closed = coherent(arena, alpha @ np.conj(m.matrix), leak_tol=1.0)
@@ -254,7 +254,7 @@ def test_arena_row_transform_matches_full_sectors(case):
     arena = FockArena(n_modes, cutoff)
     alphas = scale * np.array(rows, dtype=complex)
     reference = full_sector_transform(m, alphas, arena)
-    assert np.abs(transform_coherent_exact(m, alphas, arena) - reference).max() <= 1e-15
+    assert np.abs(transform_coherent_exact([m], alphas, arena)[0] - reference).max() <= 1e-15
 
 
 @PROPERTY
@@ -276,5 +276,5 @@ def test_exact_transform_of_a_stack_is_single_calls_bit_for_bit(case):
     batch = transform_coherent_exact(ms, alphas, arena)
     assert batch.shape == (len(ms), len(alphas), arena.total_dim)
     for m, amps in zip(ms, batch):
-        assert amps.tobytes() == transform_coherent_exact(m, alphas, arena).tobytes()
+        assert amps.tobytes() == transform_coherent_exact([m], alphas, arena)[0].tobytes()
     assert transform_coherent_exact(ms[:1], alphas, arena)[0].tobytes() == batch[0].tobytes()
