@@ -13,13 +13,13 @@ pass that gathers, scales and sums the terms of every mode k.  It reads one
 cached plan, ``_sector_plan``, and builds one shape, the rows whose tuples
 fit a cutoff against every column of the sector, for a stack of mode
 matrices (one matrix is a stack of one).  One applier, ``_apply_sectors``,
-applies the blocks to amplitudes on the plan's columns, with one scatter to
-the arena.
-Both entry points take one shape, a stack of T mode matrices in and the
-rows after each of them out, ``(T, K, total_dim)``; one unitary is a stack
-of one.  ``transform_coherent_exact`` feeds the applier K coherent states,
-which gives the projection of the exact transform; it transforms its input
-once and builds every block for the whole stack (a sweep's angles).
+applies the blocks to each amplitude row on the plan's columns on its own,
+with one scatter to the arena.  Both entry points take one shape, a stack
+of T mode matrices and K rows in, ``(T, K, total_dim)`` out; one unitary is
+a stack of one, and each row is its one-row call bit for bit.
+``transform_coherent_exact`` feeds the applier K coherent states, which
+gives the projection of the exact transform; it transforms its input once
+and builds every block for the whole stack (a sweep's angles).
 ``_lift_rows`` feeds it K arena amplitude rows, which gives P U P, the exact
 lift projected onto the arena; no code here forms that dim x dim matrix.
 
@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .hilbert import FockArena
-from .states import CoherentEnsemble, _coherent_column, _poisson_tail
+from .states import CoherentEnsemble, _coherent_rows, _poisson_tail
 
 UNITARITY_TOL = 1e-12
 #: Poisson tail probability past which the exact transform drops a sector
@@ -187,12 +187,14 @@ def _apply_sectors(stack: np.ndarray, amps: np.ndarray, top: int,
     """The one sector applier: P U on amplitudes ``(K, n_columns)`` on the
     plan's columns of sectors 0..top, for a stack ``(T, n, n)``; the result
     ``(T, K, total_dim)`` is on the arena.  Each sector's blocks act on its
-    columns, and every sector's rows reach the arena in one scatter."""
+    columns as one ``(1, cols)`` product per row and matrix, and every
+    sector's rows reach the arena in one scatter."""
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    parts = [amps[:, columns] @ np.swapaxes(block, -1, -2) for (*_, columns), (_, _, block)
+    parts = [amps[:, None, columns] @ np.swapaxes(block, -1, -2)[:, None]
+             for (*_, columns), (_, _, block)
              in zip(plan.sectors, _sector_blocks(stack, top, arena.cutoff))]
     out = np.zeros((len(stack), len(amps), arena.total_dim), dtype=complex)
-    out[..., plan.row_index] = np.concatenate(parts, axis=-1)
+    out[..., plan.row_index] = np.concatenate(parts, axis=-1)[..., 0, :]
     return out
 
 
@@ -202,9 +204,9 @@ def _lift_rows(stack: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndar
     the rows after each matrix, ``(T, K, dim)``.  Only the sectors up to the
     rows' top occupied one are built.  An arena row is 0 on every tuple
     outside the arena, so P U P psi = P U psi: the rows are read on the
-    sectors' full columns, with 0 on the columns outside the arena.  From
-    two modes up a stack is T stacks of one bit for bit.
-    """
+    sectors' full columns, with 0 on the columns outside the arena.  Each
+    row is its one-row call, and from two modes up each matrix its
+    one-matrix call, bit for bit."""
     occupied = np.any(rows != 0, axis=0)
     top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
@@ -236,18 +238,14 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     to the arena truncation *after* the transform.
 
     ``unitaries`` is a sequence of T ModeUnitary and ``alphas`` has shape
-    ``(K, n_modes)``; the result has shape ``(T, K, total_dim)``, T x K x
-    total_dim complex numbers.  The work on the input (sector bounds,
-    coherent columns) is done once for the whole sequence, and each sector
-    block is built for all T at once.  From two modes up that is T
-    sequences of one bit for bit; one mode's blocks are 1 x 1, and numpy
-    rounds the lone complex product of a stack of one without a fused
-    multiply-add, so there the last bit can differ.  The K rows are not
-    bit for bit the rows of K calls of one component each: the amplitudes
-    on the plan's columns are a product over the modes, and numpy reduces
-    it on a C-contiguous axis for K = 1 and on a strided one for K >= 2,
-    which rounds differently; the top sector also follows the largest
-    mean.  So the last bit of a row can move with K.
+    ``(K, n_modes)``; the result has shape ``(T, K, total_dim)``.  The work
+    on the input (sector bounds, coherent columns) is done once for the
+    whole sequence, and each sector block is built for all T at once.  Each
+    of the K rows is its one-component call bit for bit (sectors above its
+    own bound meet zero amplitudes), and from two modes up each of the T
+    is its one-matrix call; one mode's blocks are 1 x 1, and numpy rounds
+    the lone complex product of a stack of one without a fused
+    multiply-add, so there the last bit can differ.
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
@@ -267,7 +265,7 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    amps = _coherent_column(alphas, top + 1)[:, np.arange(arena.n_modes), plan.cols].prod(axis=-1)
+    amps = _coherent_rows(alphas, plan.cols)
     amps[plan.sector > n_max[:, None]] = 0.0
     matrices = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
     return _apply_sectors(matrices, amps, top, arena)

@@ -94,25 +94,31 @@ def _coherent_column(alphas, cutoff: int) -> np.ndarray:
     return mag * np.exp(1j * n * np.angle(alphas)[..., None])
 
 
+def _coherent_rows(alphas: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """The one coherent-product builder: the rows ``(K, N)`` of ``alphas``
+    ``(K, n_modes)`` on the tuples ``occupations`` ``(N, n_modes)``, each
+    gathered and multiplied over the modes on its own.  The gather keeps the
+    memory order of ``occupations``; numpy rounds the product on a strided
+    axis as ``np.kron`` does and on a contiguous one by its reduce loop."""
+    columns = _coherent_column(alphas, occupations.max() + 1)
+    return np.array([c[np.arange(len(c)), occupations].prod(axis=-1) for c in columns])
+
+
 def coherent(arena: FockArena, alphas, leak_tol: float = LEAK_TOL) -> np.ndarray:
     """Truncated multimode coherent states |alpha_1, ..., alpha_n>: for
     ``alphas`` of shape ``(..., n_modes)`` the rows ``(..., total_dim)``.
 
-    Amplitudes are the closed-form Poissonian profile per mode, tensored
-    mode by mode for every row at once; a stack is its single rows bit for
-    bit.  Raises :class:`TruncationError` at the first row whose truncated
-    norm falls below the leak budget (cutoff too small for |alpha|).
+    Amplitudes are the closed-form Poissonian profile per mode, multiplied
+    over the modes row by row; a stack is its single rows bit for bit.
+    Raises :class:`TruncationError` at the first row whose truncated norm
+    falls below the leak budget (cutoff too small for |alpha|).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape[-1] != arena.n_modes:
         raise ValueError("need one amplitude per mode")
-    columns = _coherent_column(alphas, arena.cutoff)
-    amps = np.ones(alphas.shape[:-1] + (1,), dtype=complex)
-    for mode in range(arena.n_modes):  # as np.kron multiplies, (n, 1) by (1, m)
-        amps = amps[..., :, None] * columns[..., mode, None, :]
-        amps = amps.reshape(alphas.shape[:-1] + (-1,))
+    amps = _coherent_rows(alphas.reshape(-1, arena.n_modes), arena.occupation_table())
     _check_rows(amps, leak_tol)
-    return amps
+    return amps.reshape(alphas.shape[:-1] + (arena.total_dim,))
 
 
 def squeezed_vacuum(arena: FockArena, r: float, theta_s: float = 0.0) -> np.ndarray:

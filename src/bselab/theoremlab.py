@@ -34,7 +34,7 @@ from .passive import (
     transform_coherent_exact,
     transform_ensemble,
 )
-from .states import CoherentEnsemble, GaussianSpec, coherent, coherent_leakage
+from .states import CoherentEnsemble, GaussianSpec, _check_rows, coherent, coherent_leakage
 from .witnesses import PPT_TOL, EntanglementReport, _negativity_reports
 
 #: cross-pipeline agreement tolerance (max-norm between the two routes)
@@ -182,9 +182,9 @@ def run_theorem_trial(
     # route 2: each coherent component through the lifted unitary, evaluated
     # sector-exactly and projected to the cutoff afterwards, so PPT
     # diagnostics measure the output state rather than lift boundary-clipping
-    # noise.  rho_out holds the weighted output rows; its leak check is one
-    # of the two that send a trial to a larger cutoff.
+    # noise.  Each output row's leak check sends a trial to a larger cutoff.
     amps = transform_coherent_exact([m], ens.alphas, arena)[0]
+    _check_rows(amps, leak_tol)
     rho_out = Mixture(arena, ens.weights, amps, leak_tol=leak_tol)
     lap("route2_transform")
     cuts = bipartitions(arena.n_modes)
@@ -193,9 +193,8 @@ def run_theorem_trial(
     ppt_min = min(r.min_pt_eigenvalue for r in reports)
     headroom = min(r.min_pt_eigenvalue - r.pt_bound for r in reports) + ppt_tol
 
-    # agreement between the two routes, per component at amplitude level;
-    # each closed-form row's own leak check is the other retry trigger
-    closed = coherent(arena, out_ens.alphas, leak_tol=leak_tol)
+    # agreement per component at amplitude level; route 1 decides no retry
+    closed = coherent(arena, out_ens.alphas, leak_tol=1.0)
     cross_dev = float(np.abs(amps - closed).max())
     lap("cross_check")
 

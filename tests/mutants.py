@@ -61,9 +61,9 @@ MUTANTS = [
      "the cross-pipeline tolerance is 1e-3"),
     (13, "states.py", "    _check_rows(amps, leak_tol)\n", "",
      "coherent checks no row's leak"),
-    (14, "states.py", "for mode in range(arena.n_modes):",
-     "for mode in reversed(range(arena.n_modes)):",
-     "coherent tensors the modes in reversed order"),
+    (14, "states.py", "c[np.arange(len(c)), occupations]",
+     "c[np.arange(len(c))[::-1], occupations]",
+     "the coherent-row builder reads the modes in reverse"),
     (15, "cli.py", "_, _, report, _ = _splitter_and_back(args, arena)",
      "_, _, _, report = _splitter_and_back(args, arena)",
      "demo bell reads the inverse report"),
@@ -75,8 +75,9 @@ MUTANTS = [
     (18, "passive.py", "coef[:, None, :, columns]",
      "coef[:, None, :, columns.start - 1:columns.stop - 1]",
      "each sector reads the coefficients one column to the left"),
-    (19, "passive.py", "out[..., plan.row_index] = np.concatenate(parts, axis=-1)",
-     "out[..., plan.row_index[:-len(plan.sectors[-1][0])]] = np.concatenate(parts[:-1], axis=-1)",
+    (19, "passive.py", "out[..., plan.row_index] = np.concatenate(parts, axis=-1)[..., 0, :]",
+     "out[..., plan.row_index[:-len(plan.sectors[-1][0])]]"
+     " = np.concatenate(parts[:-1], axis=-1)[..., 0, :]",
      "the one scatter drops the last sector"),
     (20, "passive.py", "block = terms.sum(axis=0)", "block = terms[1:].sum(axis=0)",
      "each sector step drops mode 0's term"),
@@ -86,6 +87,18 @@ MUTANTS = [
     (22, "passive.py", "while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
      "while _poisson_tail(n, mean) >= SECTOR_TAIL_EPS:",
      "the sector bound skips a tail equal to SECTOR_TAIL_EPS"),
+    (23, "states.py",
+     "np.array([c[np.arange(len(c)), occupations].prod(axis=-1) for c in columns])",
+     "columns[:, np.arange(columns.shape[1]), occupations].prod(axis=-1)",
+     "the coherent-row builder takes one product over the whole stack"),
+    (24, "passive.py", "amps[:, None, columns] @ np.swapaxes(block, -1, -2)[:, None]",
+     "(amps[:, columns] @ np.swapaxes(block, -1, -2))[:, :, None]",
+     "the applier takes one matmul over all K rows"),
+    (25, "theoremlab.py", "    _check_rows(amps, leak_tol)\n", "    _check_rows(amps, 1.0)\n",
+     "route 2's rows are checked against no leak budget"),
+    (26, "theoremlab.py", "coherent(arena, out_ens.alphas, leak_tol=1.0)",
+     "coherent(arena, out_ens.alphas, leak_tol=leak_tol)",
+     "route 1's rows decide retries again"),
 ]
 
 

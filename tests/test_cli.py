@@ -664,12 +664,12 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
     assert sum(v["total"] for v in timed) <= trials["total"]
 
 
-def test_retries_are_sent_by_both_leak_checks(tmp_path, monkeypatch):
+def test_retries_are_sent_by_route_two_rows(tmp_path, monkeypatch):
     # the retrying config above: which leak check raised for each retry.
-    # Route 2's rho_out raises one.  The cross-check's closed-form rows
-    # raise two, on trials whose weighted mixture fits the budget while one
-    # component alone does not.  A change in what sends a trial to a larger
-    # cutoff shows here.
+    # Route 2's check of its own output rows raises all three; rho_out's
+    # weighted leak is never above the largest row leak, and route 1's rows
+    # carry no budget.  A change in what sends a trial to a larger cutoff
+    # shows here.
     raised = []
 
     def counted(name, check):
@@ -681,14 +681,36 @@ def test_retries_are_sent_by_both_leak_checks(tmp_path, monkeypatch):
                 raise
         return wrapped
 
-    monkeypatch.setattr(theoremlab, "Mixture", counted("Mixture", theoremlab.Mixture))
-    monkeypatch.setattr(theoremlab, "coherent", counted("coherent", theoremlab.coherent))
+    for name in ("_check_rows", "Mixture", "coherent"):
+        monkeypatch.setattr(theoremlab, name, counted(name, getattr(theoremlab, name)))
     cfg = _write_config(tmp_path, n_trials=8, seed=0, n_modes=3, cutoff=6,
                         amplitude_bound=0.5)
     out = tmp_path / "verify"
     assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["n_retried"] == len(raised) == 3
-    assert sorted(raised) == ["Mixture", "coherent", "coherent"]
+    assert raised == ["_check_rows"] * 3
+
+
+def test_route_one_decides_no_retry(monkeypatch):
+    # route 1's image scaled up leaks far past the budget at every cutoff
+    # tried; the cross-check then disagrees, but every trial retries at the
+    # cutoffs route 2 alone asks for
+    cfg = theoremlab.CampaignConfig(n_trials=8, seed=0, n_modes=3, cutoff=6,
+                                    amplitude_bound=0.5)
+    plain = theoremlab.run_campaign(cfg)
+    exact = theoremlab.transform_ensemble
+
+    def inflated(ens, m):
+        out = exact(ens, m)
+        return CoherentEnsemble(out.n_modes, out.weights, 4.0 * out.alphas)
+
+    monkeypatch.setattr(theoremlab, "transform_ensemble", inflated)
+    moved = theoremlab.run_campaign(cfg)
+    assert moved.n_retried == plain.n_retried == 3
+    assert moved.n_overflow_failures == plain.n_overflow_failures == 0
+    assert [(r.attempts, r.cutoff) for r in moved.records] == \
+        [(r.attempts, r.cutoff) for r in plain.records]
+    assert moved.worst_cross_pipeline_dev > theoremlab.CROSS_PIPELINE_TOL
 
 
 @pytest.mark.parametrize("n_modes, cutoff, cat", [

@@ -239,7 +239,8 @@ def test_coherent_column_matches_scalar_formula_bit_for_bit(rows, cutoff):
 @example(((2, 6), [[0.3, 0j], [2.0, 0j], [0j, 3.0]]), 1e-6)  # rows 1 and 2 both leak
 def test_coherent_stack_is_its_single_rows(case, leak_tol):
     # a (K, n_modes) stack is K single calls bit for bit, and raises at the
-    # first row whose leak a single call rejects, with that row's message
+    # first row whose leak a single call rejects, with that row's message;
+    # each single row is np.kron of the scalar columns, mode 0 first
     (n_modes, cutoff), rows = case
     arena = FockArena(n_modes, cutoff)
     alphas = np.array(rows, dtype=complex)
@@ -249,6 +250,11 @@ def test_coherent_stack_is_its_single_rows(case, leak_tol):
             singles.append(coherent(arena, alpha, leak_tol=leak_tol))
         except TruncationError as exc:
             singles.append(str(exc))
+            continue
+        kron = np.ones(1, dtype=complex)
+        for a in alpha:
+            kron = np.kron(kron, scalar_coherent_column(complex(a), cutoff))
+        assert singles[-1].tobytes() == kron.tobytes()
     first_error = next((s for s in singles if isinstance(s, str)), None)
     if first_error is None:
         stack = coherent(arena, alphas, leak_tol=leak_tol)
