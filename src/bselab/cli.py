@@ -177,8 +177,8 @@ def _splitter_and_back(args, arena: FockArena):
     image and of the way back, taken in one stacked pass."""
     m = beam_splitter_matrix(args.theta, args.phi0, args.phi1)
     psi_in = fock(arena, (1, 0))
-    psi_fwd = _lift_rows(m.matrix[None], psi_in[None], arena)[0, 0]
-    psi_back = _lift_rows(m.inverse().matrix[None], psi_fwd[None], arena)[0, 0]
+    psi_fwd = _lift_rows([m], psi_in[None], arena)[0, 0]
+    psi_back = _lift_rows([m.inverse()], psi_fwd[None], arena)[0, 0]
     forward, inverse = _negativity_reports(
         [(Mixture(arena, [1.0], [psi]), ((0,), (1,))) for psi in (psi_fwd, psi_back)])
     return psi_in, psi_back, forward, inverse
@@ -227,7 +227,7 @@ def _demo_coherent_covariance(args, arena: FockArena) -> dict:
     # each input row next to its target row, so the leak checks run in
     # the order of the pairs
     pairs = coherent(arena, [(a, a @ np.conj(m.matrix)) for a in alphas])
-    rows = _lift_rows(m.matrix[None], pairs[:, 0], arena)[0]
+    rows = _lift_rows([m], pairs[:, 0], arena)[0]
     worst = min(1.0, *(float(abs(np.vdot(t, psi)) ** 2) for t, psi in zip(pairs[:, 1], rows)))
     return {"demo": "coherent-covariance", "theta": args.theta,
             "worst_fidelity": worst, "tolerance": 1e-6,
@@ -350,9 +350,9 @@ def cmd_sweep(args) -> int:
     thetas = _parse_thetas(args.thetas)
     arena = _two_mode_arena(args.cutoff)
 
-    # rows(ms): the output amplitude rows after each mode matrix of ms, for
-    # the whole sweep at once; a Fock row goes through P U P, an ensemble
-    # through the exact coherent transform a campaign trial uses
+    # route(unitaries, inputs, arena): the output amplitude rows after each
+    # unitary, for the whole sweep at once; a Fock row goes through P U P, an
+    # ensemble through the exact coherent transform a campaign trial uses
     if args.input == "fock":
         try:
             occ = tuple(int(tok) for tok in args.occupations.split(","))
@@ -360,25 +360,23 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
         input_echo = {"kind": "fock", "occupations": list(occ)}
-        weights, rows = [1.0], lambda ms: _lift_rows(
-            np.reshape([m.matrix for m in ms], (-1, 2, 2)), psi[None], arena)
+        weights, route, inputs = [1.0], _lift_rows, psi[None]
     else:
-        cfg_path = args.config
-        if cfg_path is None:
+        if args.config is None:
             raise ConfigError("--input ensemble requires --config with an ensemble")
-        ens = parse_ensemble(_read_config_json(Path(cfg_path)).get("ensemble"))
+        ens = parse_ensemble(_read_config_json(Path(args.config)).get("ensemble"))
         if ens.n_modes != arena.n_modes:
             raise ConfigError("sweep needs a two-mode ensemble")
         # a component that overflows alone is an error, even where a small
         # weight hides it in the mixture
         coherent(arena, ens.alphas)
         input_echo = {"kind": "ensemble", "components": ens.n_components}
-        weights, rows = ens.weights, lambda ms: transform_coherent_exact(ms, ens.alphas, arena)
+        weights, route, inputs = ens.weights, transform_coherent_exact, ens.alphas
 
     table = []
     t0 = time.perf_counter()
     unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
-    states = [Mixture(arena, weights, out) for out in rows(unitaries)]
+    states = [Mixture(arena, weights, out) for out in route(unitaries, inputs, arena)]
     reports = _negativity_reports([(state, ((0,), (1,))) for state in states])
     for theta, state, report in zip(thetas, states, reports):
         p_a, p_b = state.photon_distributions()

@@ -13,15 +13,16 @@ pass that gathers, scales and sums the terms of every mode k.  It reads one
 cached plan, ``_sector_plan``, and builds one shape, the rows whose tuples
 fit a cutoff against every column of the sector, for a stack of mode
 matrices (one matrix is a stack of one).  One applier, ``_apply_sectors``,
-applies the blocks to each amplitude row on the plan's columns on its own,
-with one scatter to the arena.  Both entry points take one shape, a stack
-of T mode matrices and K rows in, ``(T, K, total_dim)`` out; one unitary is
-a stack of one, and each row is its one-row call bit for bit.
-``transform_coherent_exact`` feeds the applier K coherent states, which
-gives the projection of the exact transform; it transforms its input once
-and builds every block for the whole stack (a sweep's angles).
-``_lift_rows`` feeds it K arena amplitude rows, which gives P U P, the exact
-lift projected onto the arena; no code here forms that dim x dim matrix.
+forms that stack and applies the blocks to each amplitude row on the plan's
+columns on its own, with one scatter to the arena.  Both entry points take
+one form, a sequence of T ModeUnitary and K rows in, ``(T, K, total_dim)``
+out; one unitary is ``[m]``, and each row is its one-row call bit for bit.
+``transform_coherent_exact`` feeds the applier K coherent states, built by
+``states._coherent_rows`` on the plan's columns, which gives the projection
+of the exact transform; it transforms its input once and builds every block
+for the whole sequence (a sweep's angles).  ``_lift_rows`` feeds it K arena
+amplitude rows, which gives P U P, the exact lift projected onto the arena;
+no code here forms that dim x dim matrix.
 
 On coherent amplitudes the same map reads, in row-vector form,
 alpha' = alpha . conj(M)  (equivalently alpha'_col = M^dag alpha_col),
@@ -182,13 +183,16 @@ def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
         yield occ, plan.cols[columns], block.transpose(1, 0, 2)
 
 
-def _apply_sectors(stack: np.ndarray, amps: np.ndarray, top: int,
-                   arena: FockArena) -> np.ndarray:
+def _apply_sectors(unitaries, amps: np.ndarray, top: int, arena: FockArena) -> np.ndarray:
     """The one sector applier: P U on amplitudes ``(K, n_columns)`` on the
-    plan's columns of sectors 0..top, for a stack ``(T, n, n)``; the result
-    ``(T, K, total_dim)`` is on the arena.  Each sector's blocks act on its
-    columns as one ``(1, cols)`` product per row and matrix, and every
-    sector's rows reach the arena in one scatter."""
+    plan's columns of sectors 0..top, for each of a sequence of T
+    ModeUnitary, whose matrices it stacks ``(T, n, n)`` for the blocks; the
+    result ``(T, K, total_dim)`` is on the arena.  Each sector's blocks act
+    on its columns as one ``(1, cols)`` product per row and matrix, and
+    every sector's rows reach the arena in one scatter."""
+    if any(u.n_modes != arena.n_modes for u in unitaries):
+        raise ValueError("mode count mismatch between unitary and arena")
+    stack = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     parts = [amps[:, None, columns] @ np.swapaxes(block, -1, -2)[:, None]
              for (*_, columns), (_, _, block)
@@ -198,21 +202,21 @@ def _apply_sectors(stack: np.ndarray, amps: np.ndarray, top: int,
     return out
 
 
-def _lift_rows(stack: np.ndarray, rows: np.ndarray, arena: FockArena) -> np.ndarray:
+def _lift_rows(unitaries, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     """P U P on arena amplitude rows, sector by sector, without the dim x dim
-    matrix: for a stack ``(T, n, n)`` of mode matrices and rows ``(K, dim)``,
-    the rows after each matrix, ``(T, K, dim)``.  Only the sectors up to the
-    rows' top occupied one are built.  An arena row is 0 on every tuple
-    outside the arena, so P U P psi = P U psi: the rows are read on the
-    sectors' full columns, with 0 on the columns outside the arena.  Each
-    row is its one-row call, and from two modes up each matrix its
-    one-matrix call, bit for bit."""
+    matrix: for a sequence of T ModeUnitary and rows ``(K, dim)``, the rows
+    after each unitary, ``(T, K, dim)``; one unitary is ``[m]``.  Only the
+    sectors up to the rows' top occupied one are built.  An arena row is 0
+    on every tuple outside the arena, so P U P psi = P U psi: the rows are
+    read on the sectors' full columns, with 0 on the columns outside the
+    arena.  Each row is its one-row call, and from two modes up each
+    unitary its one-unitary call, bit for bit."""
     occupied = np.any(rows != 0, axis=0)
     top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     amps = np.zeros((len(rows), len(plan.cols)), dtype=complex)
     amps[:, plan.inside] = rows[:, plan.col_index]
-    return _apply_sectors(stack, amps, top, arena)
+    return _apply_sectors(unitaries, amps, top, arena)
 
 
 def _sector_tail_bound(mean: float) -> int:
@@ -245,7 +249,8 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     own bound meet zero amplitudes), and from two modes up each of the T
     is its one-matrix call; one mode's blocks are 1 x 1, and numpy rounds
     the lone complex product of a stack of one without a fused
-    multiply-add, so there the last bit can differ.
+    multiply-add, so there the last bit can differ.  A non-finite
+    amplitude raises ``ValueError``.
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
@@ -256,19 +261,16 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     arena's rows of each block are built (from every column of the sector),
     and no sector above n_modes*(cutoff-1), which holds no arena tuple.
     """
-    if any(u.n_modes != arena.n_modes for u in unitaries):
-        raise ValueError("mode count mismatch between unitary and arena")
     alphas = np.asarray(alphas, dtype=complex)
-    if alphas.shape[1:] != (arena.n_modes,):
-        raise ValueError("need alphas of shape (K, n_modes)")
+    if alphas.shape[1:] != (arena.n_modes,) or not np.isfinite(alphas).all():
+        raise ValueError("need finite alphas of shape (K, n_modes)")
     means = np.sum(np.abs(alphas) ** 2, axis=1)
     n_max = np.array([_sector_tail_bound(mean) for mean in means])
     top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     amps = _coherent_rows(alphas, plan.cols)
     amps[plan.sector > n_max[:, None]] = 0.0
-    matrices = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
-    return _apply_sectors(matrices, amps, top, arena)
+    return _apply_sectors(unitaries, amps, top, arena)
 
 
 def transform_ensemble(ens: CoherentEnsemble, m: ModeUnitary) -> CoherentEnsemble:

@@ -96,12 +96,16 @@ def _coherent_column(alphas, cutoff: int) -> np.ndarray:
 
 def _coherent_rows(alphas: np.ndarray, occupations: np.ndarray) -> np.ndarray:
     """The one coherent-product builder: the rows ``(K, N)`` of ``alphas``
-    ``(K, n_modes)`` on the tuples ``occupations`` ``(N, n_modes)``, each
-    gathered and multiplied over the modes on its own.  The gather keeps the
-    memory order of ``occupations``; numpy rounds the product on a strided
-    axis as ``np.kron`` does and on a contiguous one by its reduce loop."""
+    ``(K, n_modes)`` on the tuples ``occupations`` ``(N, n_modes)``.  Each
+    row is built on its own, from ones, multiplied by each mode's gathered
+    column in mode order: the arithmetic of ``np.kron`` of the columns,
+    whatever the memory order of ``occupations``."""
     columns = _coherent_column(alphas, occupations.max() + 1)
-    return np.array([c[np.arange(len(c)), occupations].prod(axis=-1) for c in columns])
+    rows = np.ones((len(alphas), len(occupations)), dtype=complex)
+    for row, column in zip(rows, columns):
+        for mode, occ in enumerate(occupations.T):
+            row *= column[mode, occ]
+    return rows
 
 
 def coherent(arena: FockArena, alphas, leak_tol: float = LEAK_TOL) -> np.ndarray:
@@ -110,12 +114,13 @@ def coherent(arena: FockArena, alphas, leak_tol: float = LEAK_TOL) -> np.ndarray
 
     Amplitudes are the closed-form Poissonian profile per mode, multiplied
     over the modes row by row; a stack is its single rows bit for bit.
-    Raises :class:`TruncationError` at the first row whose truncated norm
-    falls below the leak budget (cutoff too small for |alpha|).
+    Raises ``ValueError`` for a non-finite amplitude, and
+    :class:`TruncationError` at the first row whose truncated norm falls
+    below the leak budget (cutoff too small for |alpha|).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    if alphas.shape[-1] != arena.n_modes:
-        raise ValueError("need one amplitude per mode")
+    if alphas.shape[-1] != arena.n_modes or not np.isfinite(alphas).all():
+        raise ValueError("need one finite amplitude per mode")
     amps = _coherent_rows(alphas.reshape(-1, arena.n_modes), arena.occupation_table())
     _check_rows(amps, leak_tol)
     return amps.reshape(alphas.shape[:-1] + (arena.total_dim,))
@@ -130,8 +135,8 @@ def squeezed_vacuum(arena: FockArena, r: float, theta_s: float = 0.0) -> np.ndar
     """
     if arena.n_modes != 1:
         raise ValueError("squeezed_vacuum builds single-mode states")
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+    if not (0 <= r < math.inf and math.isfinite(theta_s)):
+        raise ValueError("squeezing needs a finite r >= 0 and a finite phase")
     amps = np.zeros(arena.cutoff, dtype=complex)
     amps[0] = 1.0 / math.sqrt(math.cosh(r))
     ratio = -np.exp(1j * theta_s) * math.tanh(r)

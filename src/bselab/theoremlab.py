@@ -34,7 +34,8 @@ from .passive import (
     transform_coherent_exact,
     transform_ensemble,
 )
-from .states import CoherentEnsemble, GaussianSpec, _check_rows, coherent, coherent_leakage
+from .states import (CoherentEnsemble, GaussianSpec, _check_rows, _coherent_rows,
+                     coherent_leakage)
 from .witnesses import PPT_TOL, EntanglementReport, _negativity_reports
 
 #: cross-pipeline agreement tolerance (max-norm between the two routes)
@@ -193,8 +194,8 @@ def run_theorem_trial(
     ppt_min = min(r.min_pt_eigenvalue for r in reports)
     headroom = min(r.min_pt_eigenvalue - r.pt_bound for r in reports) + ppt_tol
 
-    # agreement per component at amplitude level; route 1 decides no retry
-    closed = coherent(arena, out_ens.alphas, leak_tol=1.0)
+    # agreement per component at amplitude level; route 1's rows check no leak
+    closed = _coherent_rows(out_ens.alphas, arena.occupation_table())
     cross_dev = float(np.abs(amps - closed).max())
     lap("cross_check")
 
@@ -373,9 +374,6 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     eigenvalues do not depend on the host's core count.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)
-    results: list[Optional[TrialRecord]] = [None] * cfg.n_trials
-    retried = 0
-    overflow_failures = []
 
     def work(i: int):
         try:
@@ -391,15 +389,14 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 outcomes = list(pool.map(work, range(cfg.n_trials)))
 
-    findings = []
+    findings, overflow_failures, completed = [], [], []
     cutoffs = ", ".join(str(cfg.cutoff + a * CUTOFF_STEP) for a in range(RETRY_BUDGET + 1))
     for i, record in enumerate(outcomes):
         if isinstance(record, TruncationError):
             overflow_failures.append({"trial": i, "kind": "truncation_overflow",
                                       "detail": f"cutoff {cutoffs}: {record}"})
             continue
-        retried += 1 if record.attempts else 0
-        results[i] = record
+        completed.append(record)
         if record.ensemble_closure != "pass":
             findings.append({"trial": i, "kind": "closure_breach_critical",
                              "detail": "ensemble weights changed"})
@@ -418,19 +415,14 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 findings.append({"trial": i, "kind": "gaussian_simon_entangled",
                                  "detail": record.gaussian_verdict})
 
-    completed = [r for r in results if r is not None]
     return CampaignSummary(
         config_echo=_config_echo(cfg),
         n_trials=cfg.n_trials,
         n_completed=len(completed),
-        n_retried=retried,
+        n_retried=sum(1 for r in completed if r.attempts),
         n_overflow_failures=len(overflow_failures),
-        worst_ppt_min_eigenvalue=(
-            min(r.ppt_min_eigenvalue for r in completed) if completed else None
-        ),
-        worst_cross_pipeline_dev=(
-            max(r.cross_pipeline_max_dev for r in completed) if completed else None
-        ),
+        worst_ppt_min_eigenvalue=min((r.ppt_min_eigenvalue for r in completed), default=None),
+        worst_cross_pipeline_dev=max((r.cross_pipeline_max_dev for r in completed), default=None),
         findings=tuple(findings + overflow_failures),
         records=tuple(completed),
     )

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import bselab
+from mutants import MUTANTS
 
 # The public API, pinned: removing a name, or exporting a new one, has to
 # be done here on purpose.
@@ -106,3 +107,14 @@ def test_src_reads_every_private_name_and_constant():
     orphans = [f"{name}:{line}: {defined}" for name, (defs, _) in scanned.items()
                for defined, line in defs.items() if defined not in read]
     assert orphans == []
+
+
+def test_every_mutant_applies_once():
+    # a refactor that moves a mutant's snippet leaves the mutant stale; the
+    # runner (tests/mutants.py) would only say so after minutes
+    ids = [ident for ident, *_ in MUTANTS]
+    assert len(ids) == len(set(ids))
+    src = Path(bselab.__file__).parent
+    stale = [ident for ident, module, snippet, *_ in MUTANTS
+             if (src / module).read_text().count(snippet) != 1]
+    assert stale == []

@@ -275,14 +275,14 @@ def test_cross_pipeline_tolerance_is_its_edge(tmp_path, monkeypatch, shift, fire
     # amplitude, and route 2 is left alone: against the documented
     # tolerance of 1e-7, half of it is agreement and twice it is a finding
     # on every trial
-    closed_form = theoremlab.coherent
+    closed_form = theoremlab._coherent_rows
 
-    def shifted(arena, alphas, leak_tol):
-        rows = closed_form(arena, alphas, leak_tol=leak_tol)
+    def shifted(alphas, occupations):
+        rows = closed_form(alphas, occupations)
         rows[..., 0] += shift
         return rows
 
-    monkeypatch.setattr(theoremlab, "coherent", shifted)
+    monkeypatch.setattr(theoremlab, "_coherent_rows", shifted)
     cfg = _write_config(tmp_path, n_trials=3, seed=7, cutoff=14)
     out = tmp_path / "shifted"
     code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
@@ -668,8 +668,8 @@ def test_retries_are_sent_by_route_two_rows(tmp_path, monkeypatch):
     # the retrying config above: which leak check raised for each retry.
     # Route 2's check of its own output rows raises all three; rho_out's
     # weighted leak is never above the largest row leak, and route 1's rows
-    # carry no budget.  A change in what sends a trial to a larger cutoff
-    # shows here.
+    # are built with no leak check at all.  A change in what sends a trial
+    # to a larger cutoff shows here.
     raised = []
 
     def counted(name, check):
@@ -681,7 +681,7 @@ def test_retries_are_sent_by_route_two_rows(tmp_path, monkeypatch):
                 raise
         return wrapped
 
-    for name in ("_check_rows", "Mixture", "coherent"):
+    for name in ("_check_rows", "Mixture"):
         monkeypatch.setattr(theoremlab, name, counted(name, getattr(theoremlab, name)))
     cfg = _write_config(tmp_path, n_trials=8, seed=0, n_modes=3, cutoff=6,
                         amplitude_bound=0.5)
@@ -734,7 +734,7 @@ def test_entangled_rows_at_the_pt_stage_are_ppt_violations(tmp_path, monkeypatch
             row = sum(coherent(arena, [sign * cat] + [0.0] * (arena.n_modes - 1))
                       for sign in (1.0, -1.0))
             row = row / np.linalg.norm(row)
-        psi = passive._lift_rows(m.matrix[None], row[None], arena)[0, 0]
+        psi = passive._lift_rows([m], row[None], arena)[0, 0]
         seen.append(Mixture(arena, [1.0], [psi]))
         return seen[-1]
 

@@ -27,6 +27,13 @@ from reference import (
 RT2 = np.sqrt(2.0) / 2.0
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_exact_transform_rejects_non_finite_amplitudes(value):
+    # not an OverflowError or a float-to-int error from the sector bound
+    with pytest.raises(ValueError, match="finite"):
+        transform_coherent_exact([beam_splitter_matrix(0.3)], [[value, 0.0]], FockArena(2, 4))
+
+
 def test_mode_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
         ModeUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))

@@ -198,25 +198,24 @@ def test_lift_rows_is_the_dense_lift(case):
     # n_modes*(cutoff-1), where P U P clips
     (n_modes, cutoff), ms, rows = case
     arena = FockArena(n_modes, cutoff)
-    dense, first = lift_unitary(ms[0], arena).matrix, ms[0].matrix[None]
+    dense, first = lift_unitary(ms[0], arena).matrix, ms[:1]
     for row in np.eye(arena.total_dim, dtype=complex):
         assert _lift_rows(first, row[None], arena)[0, 0].tobytes() == (dense @ row).tobytes()
     zero = np.zeros((2, arena.total_dim), dtype=complex)
     assert not np.any(_lift_rows(first, zero, arena))
     inputs = coherent(arena, rows, leak_tol=1.0)
     assert np.abs(_lift_rows(first, inputs, arena)[0] - inputs @ dense.T).max() <= 1e-15
-    # a stack of T mode matrices is T single calls bit for bit, the arena
+    # a sequence of T unitaries is T single calls bit for bit, the arena
     # corner included: its block is one row against the sector's full columns
     inputs = np.concatenate([inputs, np.eye(arena.total_dim)[[0, -1]]])
-    stack = np.array([m.matrix for m in ms])
-    batch = _lift_rows(stack, inputs, arena)
+    batch = _lift_rows(ms, inputs, arena)
     assert batch.shape == (len(ms), len(inputs), arena.total_dim)
-    for m, out in zip(stack, batch):
-        assert out.tobytes() == _lift_rows(m[None], inputs, arena)[0].tobytes()
+    for m, out in zip(ms, batch):
+        assert out.tobytes() == _lift_rows([m], inputs, arena)[0].tobytes()
     # and each of the K rows is its one-row call bit for bit, whatever the
     # top sector of the rows beside it
     for k, row in enumerate(inputs):
-        assert batch[:, k].tobytes() == _lift_rows(stack, row[None], arena)[:, 0].tobytes()
+        assert batch[:, k].tobytes() == _lift_rows(ms, row[None], arena)[:, 0].tobytes()
 
 
 @PROPERTY

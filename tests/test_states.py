@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bselab.hilbert import FockArena, TruncationError
+from bselab.passive import _sector_plan
 from bselab.states import (
     CoherentEnsemble,
     GaussianSpec,
     _coherent_column,
+    _coherent_rows,
     _poisson_tail,
     coherent,
     coherent_leakage,
@@ -79,6 +81,13 @@ def test_coherent_overlap_closed_form():
 def test_coherent_rejects_leaky_truncation():
     with pytest.raises(TruncationError):
         coherent(FockArena(1, 4), [2.0])
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_coherent_rejects_non_finite_amplitudes(value):
+    # a NaN row's NaN leak would pass the budget check unseen
+    with pytest.raises(ValueError, match="finite"):
+        coherent(FockArena(2, 4), [value, 0.0])
 
 
 def test_coherent_leak_budget_is_a_probability():
@@ -199,6 +208,12 @@ def test_thermal_states():
         thermal(FockArena(1, 4), 5.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_squeezed_vacuum_rejects_non_finite_squeezing(value):
+    with pytest.raises(ValueError, match="finite"):
+        squeezed_vacuum(FockArena(1, 8), value)
+
+
 def test_gaussian_spec_validation_and_fock_form():
     with pytest.raises(ValueError):
         GaussianSpec("cat")
@@ -264,3 +279,27 @@ def test_coherent_stack_is_its_single_rows(case, leak_tol):
         with pytest.raises(TruncationError) as info:
             coherent(arena, alphas, leak_tol=leak_tol)
         assert str(info.value) == first_error
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 10), (2, 6), (2, 14), (3, 4), (3, 8), (4, 3)])
+def test_coherent_rows_are_one_arithmetic_in_either_layout(n_modes, cutoff):
+    # the builder's bytes do not depend on the memory order of its table:
+    # the arena table (F-ordered, as coherent passes it) and route 2's plan
+    # columns (C-ordered) each give the same rows in the other order; and
+    # each plan row is the product from 1, in mode order, of the scalar
+    # columns, as np.kron forms it.  A zero and a subnormal amplitude give
+    # signed zeros, which a product that starts from mode 0 keeps.
+    rng = np.random.default_rng(10 * n_modes + cutoff)
+    alphas = rng.uniform(-1.5, 1.5, (4, n_modes)) + 1j * rng.uniform(-1.5, 1.5, (4, n_modes))
+    alphas[1, 0], alphas[2, -1] = 0.0, 2.2e-313j
+    top = n_modes * (cutoff - 1)
+    cols = _sector_plan(n_modes, top, cutoff).cols
+    for table in (FockArena(n_modes, cutoff).occupation_table(), cols):
+        c_order = _coherent_rows(alphas, np.ascontiguousarray(table))
+        assert c_order.tobytes() == _coherent_rows(alphas, np.asfortranarray(table)).tobytes()
+    index = np.ravel_multi_index(cols.T, (top + 1,) * n_modes)
+    for alpha, row in zip(alphas, _coherent_rows(alphas, cols)):
+        kron = np.ones(1, dtype=complex)
+        for a in alpha:
+            kron = np.kron(kron, scalar_coherent_column(complex(a), top + 1))
+        assert row.tobytes() == kron[index].tobytes()
