@@ -15,7 +15,7 @@ from .gaussian import (
     apply_passive,
     gaussian_from_spec,
     is_classical,
-    simon_separable,
+    ppt_verdicts,
 )
 from .hilbert import (
     FockArena,
@@ -35,7 +35,6 @@ from .states import (
     fock,
     squeezed_vacuum,
     thermal,
-    vacuum,
 )
 from .theoremlab import (
     CampaignConfig,
@@ -46,6 +45,6 @@ from .theoremlab import (
     run_campaign,
     run_theorem_trial,
 )
-from .witnesses import EntanglementReport, mandel_q, negativity_report
+from .witnesses import EntanglementReport, mandel_q, negativity_reports
 
 __all__ = [name for name in dir() if not name.startswith("_")]

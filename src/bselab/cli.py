@@ -32,7 +32,7 @@ from .hilbert import FockArena, Mixture, TruncationError
 from .passive import _lift_rows, beam_splitter_matrix, transform_coherent_exact
 from .states import CoherentEnsemble, coherent, fock
 from .theoremlab import TRIAL_STAGES, CampaignConfig, run_campaign
-from .witnesses import _negativity_reports, mandel_q
+from .witnesses import mandel_q, negativity_reports
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,7 +179,7 @@ def _splitter_and_back(args, arena: FockArena):
     psi_in = fock(arena, (1, 0))
     psi_fwd = _lift_rows([m], psi_in[None], arena)[0, 0]
     psi_back = _lift_rows([m.inverse()], psi_fwd[None], arena)[0, 0]
-    forward, inverse = _negativity_reports(
+    forward, inverse = negativity_reports(
         [(Mixture(arena, [1.0], [psi]), ((0,), (1,))) for psi in (psi_fwd, psi_back)])
     return psi_in, psi_back, forward, inverse
 
@@ -377,7 +377,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
     states = [Mixture(arena, weights, out) for out in route(unitaries, inputs, arena)]
-    reports = _negativity_reports([(state, ((0,), (1,))) for state in states])
+    reports = negativity_reports([(state, ((0,), (1,))) for state in states])
     for theta, state, report in zip(thetas, states, reports):
         p_a, p_b = state.photon_distributions()
         table.append([theta, report.negativity, report.log_negativity,

@@ -1,6 +1,7 @@
 """Independent Gaussian-state oracle: mean/covariance representation,
 symplectic action of passive unitaries, classicality test, and the
-covariance PPT test across any bipartition of the modes.
+covariance PPT test of any set of bipartitions of the modes, taken in one
+``ppt_verdicts`` call.
 
 Conventions (fixed once, shared with the Fock pipeline): hbar = 1,
 quadratures interleaved (x1, p1, ..., xn, pn), vacuum variance 1/2, and
@@ -134,29 +135,23 @@ def is_classical(g: GaussianState) -> GaussianVerdict:
     return GaussianVerdict(label, margin)
 
 
-def _ppt_verdicts(g: GaussianState, sides: Sequence[Sequence[int]]) -> list[GaussianVerdict]:
+def ppt_verdicts(g: GaussianState, sides: Sequence[Sequence[int]]) -> list[GaussianVerdict]:
     """Covariance PPT test of each bipartition, named by its side A.
 
     Partial transposition flips side A's momenta, V -> L_A V L_A; a
     separable state keeps the uncertainty relation after it (Simon, PRL 84,
-    2726 (2000); any bipartition of n modes: Werner and Wolf, PRL 86, 3658
-    (2001)).  margin is the least eigenvalue of L_A V L_A + (i/2) Omega;
-    all cuts share one stacked eigensolve.
+    2726 (2000), for two modes, where the test is necessary and sufficient
+    for Gaussian states; any bipartition of n modes: Werner and Wolf, PRL
+    86, 3658 (2001)).  margin is the least eigenvalue of L_A V L_A + (i/2)
+    Omega; all cuts share one stacked eigensolve.  ``ValueError`` for a side
+    that is not a non-empty proper subset of the modes.
     """
     flips = np.ones((len(sides), 2 * g.n_modes))
     for row, side in zip(flips, sides):
+        if not set() < set(side) < set(range(g.n_modes)):
+            raise ValueError("each side A must be a non-empty proper subset of the modes")
         row[2 * np.asarray(side, dtype=int) + 1] = -1.0
     herm = g.cov * (flips[:, :, None] * flips[:, None, :]) + 0.5j * symplectic_form(g.n_modes)
     margins = np.linalg.eigvalsh(herm)[:, 0]
     return [GaussianVerdict("separable" if m >= -VERDICT_TOL else "entangled", float(m))
             for m in margins]
-
-
-def simon_separable(g: GaussianState) -> GaussianVerdict:
-    """Simon's separability criterion for two-mode states: the covariance
-    PPT test of the cut 0|1.  Necessary and sufficient for two-mode Gaussian
-    states; margin is the least eigenvalue of the partially transposed
-    covariance plus (i/2) Omega."""
-    if g.n_modes != 2:
-        raise ValueError("Simon criterion is defined for two-mode states")
-    return _ppt_verdicts(g, [(0,)])[0]

@@ -66,11 +66,15 @@ class FockArena:
         return self.cutoff ** self.n_modes
 
     def encode(self, occupations: Sequence[int]) -> int:
-        """Basis index of the occupation tuple (mode-major)."""
+        """Basis index of the occupation tuple (mode-major); ``ValueError``
+        for an occupation that is not an integer (a bool included) or lies
+        outside the arena."""
         if len(occupations) != self.n_modes:
             raise ValueError("occupation tuple has wrong length")
         index = 0
         for n in occupations:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"occupation {n!r} is not an integer")
             if not 0 <= n < self.cutoff:
                 raise ValueError(f"occupation {n} outside 0..{self.cutoff - 1}")
             index = index * self.cutoff + int(n)
@@ -97,8 +101,8 @@ class Mixture:
     It is PSD by construction, so the one check is the truncation ``leak``
     1 - sum_i w_i ||psi_i||^2 (sum_i w_i (1 - ||psi_i||^2) for weights that
     sum to 1).  No code forms its dim x dim matrix: ``photon_distributions``
-    sums the rows' squared moduli, and ``witnesses.negativity_report`` takes
-    the partial-transpose spectrum on a low-rank compression of the rows.
+    sums the rows' squared moduli, and ``witnesses.negativity_reports`` takes
+    the partial-transpose spectra on a low-rank compression of the rows.
     """
 
     arena: FockArena

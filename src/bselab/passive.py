@@ -219,20 +219,23 @@ def _lift_rows(unitaries, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     return _apply_sectors(unitaries, amps, top, arena)
 
 
-def _sector_tail_bound(mean: float) -> int:
-    """Smallest n with Poisson(mean) tail P(N >= n) <= SECTOR_TAIL_EPS.
+def _sector_tail_bound(mean: float, top: int) -> int:
+    """Smallest n <= ``top`` with Poisson(mean) tail P(N >= n) <=
+    SECTOR_TAIL_EPS, and ``top`` when there is none.
 
-    One upward walk from max(1, int(mean)).  The tail at n is at least
-    pmf(n), and past the mean ``_poisson_tail`` starts its sum from the same
-    float pmf(n), so no n whose pmf is above SECTOR_TAIL_EPS can fit: the
-    walk steps over those on the pmf alone, formed in logs, and then steps
-    up while the exact tail is still above SECTOR_TAIL_EPS."""
-    if mean <= 0.0:
+    One upward walk from max(1, int(mean)), or from ``top`` when the mean
+    lies above it (a tail at or below the mean is at least about 1/2).  The
+    tail at n is at least pmf(n), and past the mean ``_poisson_tail`` starts
+    its sum from the same float pmf(n), so no n whose pmf is above
+    SECTOR_TAIL_EPS can fit: the walk steps over those on the pmf alone,
+    formed in logs, and then steps up while the exact tail is still above
+    SECTOR_TAIL_EPS, stopping at ``top`` either way."""
+    if mean <= 0.0 or top <= 0:
         return 0
-    n, log_mean = max(1, int(mean)), math.log(mean)
-    while math.exp(-mean + n * log_mean - math.lgamma(n + 1)) > SECTOR_TAIL_EPS:
+    n, log_mean = max(1, int(min(mean, top))), math.log(mean)
+    while n < top and math.exp(-mean + n * log_mean - math.lgamma(n + 1)) > SECTOR_TAIL_EPS:
         n += 1
-    while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
+    while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
         n += 1
     return n
 
@@ -255,7 +258,8 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
     state (each state up to its own sector bound, where the Poissonian tail
-    drops below ``SECTOR_TAIL_EPS``) and projecting afterwards gives
+    drops below ``SECTOR_TAIL_EPS``, or to the arena's top sector
+    n_modes*(cutoff-1) when that comes first) and projecting afterwards gives
     P U|alpha>; the dense P U P on a truncated input would miss the
     amplitude that U carries into the arena from outside it.  Only the
     arena's rows of each block are built (from every column of the sector),
@@ -265,8 +269,9 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     if alphas.shape[1:] != (arena.n_modes,) or not np.isfinite(alphas).all():
         raise ValueError("need finite alphas of shape (K, n_modes)")
     means = np.sum(np.abs(alphas) ** 2, axis=1)
-    n_max = np.array([_sector_tail_bound(mean) for mean in means])
-    top = min(int(n_max.max()), arena.n_modes * (arena.cutoff - 1))
+    last = arena.n_modes * (arena.cutoff - 1)  # the arena's top sector
+    n_max = np.array([_sector_tail_bound(mean, last) for mean in means])
+    top = int(n_max.max())
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     amps = _coherent_rows(alphas, plan.cols)
     amps[plan.sector > n_max[:, None]] = 0.0

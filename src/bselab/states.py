@@ -1,5 +1,6 @@
-"""State constructors: vacuum, Fock, coherent states, finite classical
-coherent ensembles, squeezed vacuum and thermal probe states.
+"""State constructors: Fock (the vacuum is ``fock(arena, (0,) * n_modes)``),
+coherent states, finite classical coherent ensembles, squeezed vacuum and
+thermal probe states.
 
 A pure state is a fresh complex amplitude row over the arena basis; the
 constructors whose rows lose weight past the cutoff check that leak, and a
@@ -51,16 +52,9 @@ def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
     return _poisson_tail(cutoff, float(abs_alpha * abs_alpha))
 
 
-def vacuum(arena: FockArena) -> np.ndarray:
-    """|0...0>: amplitude 1 on the all-zeros occupation, 0 elsewhere."""
-    amps = np.zeros(arena.total_dim, dtype=complex)
-    amps[0] = 1.0
-    return amps
-
-
 def fock(arena: FockArena, occupations) -> np.ndarray:
     """Number basis state |n_0, ..., n_{k-1}>; ``ValueError`` for an
-    occupation outside the arena."""
+    occupation that is not an integer or lies outside the arena."""
     amps = np.zeros(arena.total_dim, dtype=complex)
     amps[arena.encode(occupations)] = 1.0
     return amps
@@ -108,21 +102,21 @@ def _coherent_rows(alphas: np.ndarray, occupations: np.ndarray) -> np.ndarray:
     return rows
 
 
-def coherent(arena: FockArena, alphas, leak_tol: float = LEAK_TOL) -> np.ndarray:
+def coherent(arena: FockArena, alphas) -> np.ndarray:
     """Truncated multimode coherent states |alpha_1, ..., alpha_n>: for
     ``alphas`` of shape ``(..., n_modes)`` the rows ``(..., total_dim)``.
 
     Amplitudes are the closed-form Poissonian profile per mode, multiplied
     over the modes row by row; a stack is its single rows bit for bit.
     Raises ``ValueError`` for a non-finite amplitude, and
-    :class:`TruncationError` at the first row whose truncated norm falls
-    below the leak budget (cutoff too small for |alpha|).
+    :class:`TruncationError` at the first row whose leak 1 - ||psi||^2
+    exceeds LEAK_TOL (cutoff too small for |alpha|).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     if alphas.shape[-1] != arena.n_modes or not np.isfinite(alphas).all():
         raise ValueError("need one finite amplitude per mode")
     amps = _coherent_rows(alphas.reshape(-1, arena.n_modes), arena.occupation_table())
-    _check_rows(amps, leak_tol)
+    _check_rows(amps, LEAK_TOL)
     return amps.reshape(alphas.shape[:-1] + (arena.total_dim,))
 
 

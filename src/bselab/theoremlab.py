@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._blas import single_threaded_blas
-from .gaussian import _ppt_verdicts, apply_passive, gaussian_from_spec, is_classical
+from .gaussian import apply_passive, gaussian_from_spec, is_classical, ppt_verdicts
 from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import (
     ModeUnitary,
@@ -36,7 +36,7 @@ from .passive import (
 )
 from .states import (CoherentEnsemble, GaussianSpec, _check_rows, _coherent_rows,
                      coherent_leakage)
-from .witnesses import PPT_TOL, EntanglementReport, _negativity_reports
+from .witnesses import PPT_TOL, EntanglementReport, negativity_reports
 
 #: cross-pipeline agreement tolerance (max-norm between the two routes)
 CROSS_PIPELINE_TOL = 1e-7
@@ -189,7 +189,7 @@ def run_theorem_trial(
     rho_out = Mixture(arena, ens.weights, amps, leak_tol=leak_tol)
     lap("route2_transform")
     cuts = bipartitions(arena.n_modes)
-    reports = _negativity_reports([(rho_out, bp) for bp in cuts], ppt_tol)
+    reports = negativity_reports([(rho_out, bp) for bp in cuts], ppt_tol)
     lap("pt_spectrum")
     ppt_min = min(r.min_pt_eigenvalue for r in reports)
     headroom = min(r.min_pt_eigenvalue - r.pt_bound for r in reports) + ppt_tol
@@ -205,7 +205,7 @@ def run_theorem_trial(
         specs = [GaussianSpec("coherent", alpha=complex(a)) for a in ens.alphas[0]]
         g_out = apply_passive(gaussian_from_spec(specs), m)
         classical = is_classical(g_out)
-        ppt = _ppt_verdicts(g_out, [a for a, _ in cuts])
+        ppt = ppt_verdicts(g_out, [a for a, _ in cuts])
         gaussian_verdict = {
             "is_classical": classical.label,
             "classicality_margin": classical.margin,

@@ -10,8 +10,8 @@ low-rank compression: across a cut A|B each side projects its weighted
 stacked rows on a randomized range basis, K wide to start and doubled until
 the residual mass it leaves out, measured, fits a budget; the report
 carries a certified bound b on how far that moved the least eigenvalue
-(see ``_pt_spectra``).  ``_negativity_reports`` stacks the LAPACK calls of
-many (state, cut) pairs; ``negativity_report`` is its one-pair call.
+(see ``_pt_spectra``).  ``negativity_reports`` stacks the LAPACK calls of
+many (state, cut) pairs; one pair is ``[(state, cut)]``.
 
 A negative partial-transpose eigenvalue certifies entanglement; the
 converse is not claimed, so the separable-side verdict is named
@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .hilbert import Mixture
 
 #: PPT eigenvalue tolerance: a least partial-transpose eigenvalue at or above
 #: -PPT_TOL reads as PPT.  Route 2 drops sectors past passive.SECTOR_TAIL_EPS,
@@ -183,9 +181,14 @@ def _pt_spectra(problems, budget: float) -> list:
     return [(eigs, *fact) for eigs, fact in zip(spectra, facts)]
 
 
-def _negativity_reports(pairs, ppt_tol: float = PPT_TOL) -> list[EntanglementReport]:
-    """``negativity_report`` for each (Mixture, bipartition) pair, the
-    partial-transpose spectra of all pairs taken together by ``_pt_spectra``."""
+def negativity_reports(pairs, ppt_tol: float = PPT_TOL) -> list[EntanglementReport]:
+    """PPT diagnostics of each (Mixture, bipartition) pair across its
+    bipartition of the modes (Peres criterion; negativity as in Vidal and
+    Werner, PRA 65, 032314, 2002), on the rank-cut state of ``_pt_spectra``
+    with its bound b <= PT_BOUND_SHARE * ``ppt_tol``.  The verdict reads
+    min_pt_eigenvalue - b against -``ppt_tol``, so the cut can only make the
+    separability check stricter.  The spectra of all pairs are taken
+    together, in shared LAPACK calls."""
     cuts = []
     for state, bipartition in pairs:
         part_a, part_b = (tuple(sorted(set(side))) for side in bipartition)
@@ -206,18 +209,6 @@ def _negativity_reports(pairs, ppt_tol: float = PPT_TOL) -> list[EntanglementRep
             bipartition=cut[3:], min_pt_eigenvalue=min_eig, negativity=negativity,
             log_negativity=math.log2(1.0 + 2.0 * negativity), verdict=verdict, pt_bound=bound))
     return reports
-
-
-def negativity_report(
-    state: Mixture, bipartition, ppt_tol: float = PPT_TOL
-) -> EntanglementReport:
-    """PPT diagnostics across a bipartition of the modes (Peres criterion;
-    negativity as in Vidal and Werner, PRA 65, 032314, 2002), on the
-    rank-cut state of ``_pt_spectra`` with its bound b <= PT_BOUND_SHARE *
-    ``ppt_tol``.  The verdict reads min_pt_eigenvalue - b against
-    -``ppt_tol``, so the cut can only make the separability check stricter.
-    The one-pair call of ``_negativity_reports``."""
-    return _negativity_reports([(state, bipartition)], ppt_tol)[0]
 
 
 def mandel_q(probs) -> float:

@@ -43,7 +43,7 @@ MUTANTS = [
     (3, "gaussian.py", '"classical" if margin >= -VERDICT_TOL', '"classical" if margin >= -1e-3',
      "is_classical's band is -1e-3 instead of -VERDICT_TOL"),
     (4, "gaussian.py", '"separable" if m >= -VERDICT_TOL', '"separable" if m >= -1e-3',
-     "_ppt_verdicts' band is -1e-3 instead of -VERDICT_TOL"),
+     "ppt_verdicts' band is -1e-3 instead of -VERDICT_TOL"),
     (5, "hilbert.py", "if kept > 1.0 + 1e-12:", "if kept > 1.0 + 1e-3:",
      "Mixture's trace check allows 1 + 1e-3"),
     (6, "witnesses.py", "    keep[:, 0] = True\n", "",
@@ -61,7 +61,8 @@ MUTANTS = [
      "the sector tail is cut at 1e-14"),
     (12, "theoremlab.py", "CROSS_PIPELINE_TOL = 1e-7", "CROSS_PIPELINE_TOL = 1e-3",
      "the cross-pipeline tolerance is 1e-3"),
-    (13, "states.py", "    _check_rows(amps, leak_tol)\n", "",
+    (13, "states.py", "    _check_rows(amps, LEAK_TOL)\n    return amps.reshape(",
+     "    return amps.reshape(",
      "coherent checks no row's leak"),
     (14, "states.py", "row *= column[mode, occ]", "row *= column[-1 - mode, occ]",
      "the coherent-row builder reads the modes in reverse"),
@@ -82,11 +83,11 @@ MUTANTS = [
      "the one scatter drops the last sector"),
     (20, "passive.py", "block = terms.sum(axis=0)", "block = terms[1:].sum(axis=0)",
      "each sector step drops mode 0's term"),
-    (21, "passive.py", "while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
+    (21, "passive.py", "while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
      "while False and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
      "the sector bound stops at the pmf walk, with no exact tail"),
-    (22, "passive.py", "while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
-     "while _poisson_tail(n, mean) >= SECTOR_TAIL_EPS:",
+    (22, "passive.py", "while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
+     "while n < top and _poisson_tail(n, mean) >= SECTOR_TAIL_EPS:",
      "the sector bound skips a tail equal to SECTOR_TAIL_EPS"),
     (23, "states.py",
      "    for row, column in zip(rows, columns):\n"
@@ -111,6 +112,15 @@ MUTANTS = [
      "        row[:] = column[0, occupations[:, 0]]\n"
      "        for mode, occ in enumerate(occupations.T[1:], 1):\n",
      "the coherent-row builder starts from mode 0's column, not from ones"),
+    (28, "passive.py", "max(1, int(min(mean, top)))", "max(1, int(mean))",
+     "the sector bound starts its walk past the arena's top sector"),
+    (29, "hilbert.py", "if isinstance(n, bool) or not isinstance(n, (int, np.integer)):",
+     "if isinstance(n, bool):",
+     "encode truncates a non-integer occupation"),
+    (30, "gaussian.py",
+     "        if not set() < set(side) < set(range(g.n_modes)):\n"
+     "            raise ValueError(\"each side A must be a non-empty proper subset of the modes\")\n",
+     "", "ppt_verdicts takes any side"),
 ]
 
 

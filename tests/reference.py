@@ -126,14 +126,12 @@ def to_density(arena: FockArena, psi: np.ndarray) -> DensityOperator:
     return DensityOperator(arena, np.outer(psi, psi.conj()))
 
 
-def ensemble_to_density(
-    ens: CoherentEnsemble, arena: FockArena, leak_tol: float = LEAK_TOL
-) -> DensityOperator:
+def ensemble_to_density(ens: CoherentEnsemble, arena: FockArena) -> DensityOperator:
     """sum_i w_i |alpha_i><alpha_i| on the truncated arena, as a dense matrix."""
     if arena.n_modes != ens.n_modes:
         raise ValueError("arena mode count does not match ensemble")
-    rows = coherent(arena, ens.alphas, leak_tol=leak_tol)
-    return DensityOperator(arena, (ens.weights * rows.T) @ rows.conj(), leak_tol=leak_tol)
+    rows = coherent(arena, ens.alphas)
+    return DensityOperator(arena, (ens.weights * rows.T) @ rows.conj())
 
 
 def spec_to_density(spec: GaussianSpec, arena: FockArena) -> DensityOperator:
@@ -345,9 +343,11 @@ def svd_pt_spectrum(weights, rows, cutoff: int, part_a, part_b, budget: float):
 
 def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarray:
     """P U|alpha> for each row of ``alphas`` from whole sector blocks up to
-    the Poisson tail bound, keeping the arena's tuples afterwards."""
+    the Poisson tail bound, keeping the arena's tuples afterwards.  No bound
+    passes the arena's top sector, above which no tuple is kept."""
     rows = np.atleast_2d(np.asarray(alphas, dtype=complex))
-    n_max = np.array([_sector_tail_bound(float(np.sum(np.abs(r) ** 2))) for r in rows])
+    last = arena.n_modes * (arena.cutoff - 1)
+    n_max = np.array([_sector_tail_bound(float(np.sum(np.abs(r) ** 2)), last) for r in rows])
     top = int(n_max.max())
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
     out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
@@ -379,16 +379,17 @@ def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
         yield occ, plan.cols[columns], block.transpose(1, 0, 2)
 
 
-def linear_sector_tail_bound(mean: float) -> int:
-    """Smallest n with P(N >= n) <= SECTOR_TAIL_EPS, by the plain upward
-    search on exact tails from max(1, int(mean)), where
-    ``_sector_tail_bound`` starts its walk."""
+def linear_sector_tail_bound(mean: float, top: int) -> int:
+    """Smallest n <= ``top`` with P(N >= n) <= SECTOR_TAIL_EPS, and ``top``
+    when there is none, by the plain upward search on exact tails from
+    max(1, int(mean)), where ``_sector_tail_bound`` starts its walk for a
+    mean below ``top``."""
     if mean <= 0.0:
         return 0
     n = max(1, int(mean))
-    while _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
+    while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
         n += 1
-    return n
+    return min(n, top)
 
 
 def scalar_coherent_column(alpha: complex, cutoff: int) -> np.ndarray:
@@ -435,8 +436,8 @@ def simon_determinant_margin(g: GaussianState) -> float:
             >= (det A + det B)/4.
 
     Returns the slack of that inequality: an independent two-mode
-    cross-check of the sign of ``gaussian.simon_separable``'s eigenvalue
-    margin (Simon, PRL 84, 2726 (2000))."""
+    cross-check of the sign of the eigenvalue margin of
+    ``gaussian.ppt_verdicts`` on the cut 0|1 (Simon, PRL 84, 2726 (2000))."""
     if g.n_modes != 2:
         raise ValueError("Simon criterion is defined for two-mode states")
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])

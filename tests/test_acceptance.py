@@ -15,18 +15,18 @@ from bselab.gaussian import (
     apply_passive,
     gaussian_from_spec,
     is_classical,
-    simon_separable,
+    ppt_verdicts,
 )
 from bselab.hilbert import FockArena, Mixture
 from bselab.passive import beam_splitter_matrix
-from bselab.states import GaussianSpec, coherent, squeezed_vacuum, thermal, vacuum
+from bselab.states import GaussianSpec, coherent, fock, squeezed_vacuum, thermal
 from bselab.theoremlab import (
     CampaignConfig,
     bipartitions,
     haar_unitary,
     run_campaign,
 )
-from bselab.witnesses import negativity_report
+from bselab.witnesses import negativity_reports
 from reference import conjugation_residual, lift_unitary
 
 
@@ -55,7 +55,7 @@ def lift_set():
 def test_acceptance_1_vacuum_invariance(lift_set):
     worst = 0.0
     for _, lifted, arena in lift_set:
-        vac = vacuum(arena)
+        vac = fock(arena, (0,) * arena.n_modes)
         worst = max(worst, float(np.abs(lifted.apply_to_vector(vac) - vac).max()))
     _verdict(1, "vacuum invariance", worst <= 1e-10)
 
@@ -176,13 +176,13 @@ def test_acceptance_8_gaussian_oracle_agreement():
 
         g_out = apply_passive(gaussian_from_spec(specs), m)
         ok = ok and is_classical(g_out).label == "classical"
-        ok = ok and simon_separable(g_out).label == "separable"
+        ok = ok and ppt_verdicts(g_out, [(0,)])[0].label == "separable"
 
         (w_a, rows_a), (w_b, rows_b) = (_factor_rows(s, FockArena(1, 18)) for s in specs)
         rows_in = np.einsum("ia,jb->ijab", rows_a, rows_b).reshape(-1, arena.total_dim)
         rows_out = rows_in @ lift_unitary(m, arena).matrix.T
         state = Mixture(arena, np.kron(w_a, w_b), rows_out)
-        neg = negativity_report(state, ((0,), (1,))).negativity
+        neg = negativity_reports([(state, ((0,), (1,)))])[0].negativity
         worst_negativity = max(worst_negativity, neg)
     ok = ok and worst_negativity <= 1e-7
 
@@ -196,14 +196,14 @@ def test_acceptance_8_gaussian_oracle_agreement():
         ),
         beam_splitter_matrix(np.pi / 4),
     )
-    ok = ok and simon_separable(tmsv_cov).label == "entangled"
+    ok = ok and ppt_verdicts(tmsv_cov, [(0,)])[0].label == "entangled"
 
     arena20 = FockArena(2, 20)
     sq_in = np.kron(squeezed_vacuum(FockArena(1, 20), 0.5),
                     squeezed_vacuum(FockArena(1, 20), 0.5, np.pi))
     tmsv_fock = lift_unitary(beam_splitter_matrix(np.pi / 4), arena20).matrix @ sq_in
     tmsv_state = Mixture(arena20, [1.0], [tmsv_fock])
-    ok = ok and negativity_report(tmsv_state, ((0,), (1,))).negativity > 0.1
+    ok = ok and negativity_reports([(tmsv_state, ((0,), (1,)))])[0].negativity > 0.1
     _verdict(8, "gaussian oracle agreement", ok)
 
 

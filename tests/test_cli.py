@@ -22,7 +22,7 @@ from bselab.passive import (
     transform_coherent_exact,
 )
 from bselab.states import CoherentEnsemble, GaussianSpec, coherent, fock
-from bselab.witnesses import PPT_TOL, mandel_q, negativity_report
+from bselab.witnesses import PPT_TOL, mandel_q, negativity_reports
 from reference import dense_pt_eigenvalues, lift_unitary
 
 
@@ -566,7 +566,7 @@ def test_sweep_fock_rows_are_each_angles_lift(tmp_path):
     for theta in thetas:
         m = beam_splitter_matrix(theta, 0.3, 0.0)
         state = Mixture(arena, [1.0], [lift_unitary(m, arena).matrix @ psi])
-        report = negativity_report(state, ((0,), (1,)))
+        report = negativity_reports([(state, ((0,), (1,)))])[0]
         writer.writerow([theta, report.negativity, report.log_negativity,
                          report.min_pt_eigenvalue,
                          *map(mandel_q, state.photon_distributions())])

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from bselab.gaussian import (
     VERDICT_TOL,
     GaussianState,
-    _ppt_verdicts,
     apply_passive,
     gaussian_from_spec,
     is_classical,
-    simon_separable,
+    ppt_verdicts,
     symplectic_form,
     symplectic_image,
 )
@@ -127,7 +126,7 @@ def test_is_classical_band_is_verdict_tol(r, label):
 def test_ppt_verdict_band_is_verdict_tol(r, label):
     # squeezing r through a 50:50 splitter gives the PPT margin about -r/2:
     # 5e-11 just inside the -VERDICT_TOL band, 3e-10 just outside it
-    verdicts = _ppt_verdicts(_squeezed_through_splitter(3, r), [(0,), (1,)])
+    verdicts = ppt_verdicts(_squeezed_through_splitter(3, r), [(0,), (1,)])
     for verdict in verdicts:
         assert verdict.margin == pytest.approx(-r / 2, rel=1e-6)
         assert VERDICT_TOL / 4 < abs(verdict.margin) < 4 * VERDICT_TOL
@@ -138,7 +137,7 @@ def test_simon_product_state_separable():
     g = gaussian_from_spec(
         [GaussianSpec("thermal", nbar=0.3), GaussianSpec("squeezed_vacuum", r=0.7)]
     )
-    verdict = simon_separable(g)
+    verdict = ppt_verdicts(g, [(0,)])[0]
     assert verdict.label == "separable"
     assert verdict.margin >= -1e-12
     assert simon_determinant_margin(g) >= -1e-12
@@ -152,7 +151,7 @@ def test_simon_two_mode_squeezed_entangled():
         ]
     )
     out = apply_passive(sq, beam_splitter_matrix(np.pi / 4))
-    verdict = simon_separable(out)
+    verdict = ppt_verdicts(out, [(0,)])[0]
     assert verdict.label == "entangled"
     assert verdict.margin < -1e-3
     assert simon_determinant_margin(out) < -1e-3
@@ -175,7 +174,7 @@ def test_simon_agrees_with_ppt_margin_sign():
         noisy = GaussianState(2, g.mean, g.cov + np.diag([1.0, 1.0, 0.0, 0.0]) * rng.uniform(0, 0.3))
         out = apply_passive(noisy, haar_unitary(2, rng))
         simon = simon_determinant_margin(out)
-        ppt = simon_separable(out).margin
+        ppt = ppt_verdicts(out, [(0,)])[0].margin
         if abs(simon) > 1e-9 and abs(ppt) > 1e-9:
             assert np.sign(simon) == np.sign(ppt)
             signs.add(np.sign(ppt))
@@ -193,10 +192,10 @@ def _squeezed_through_splitter(n_modes, r=0.5):
 
 def test_ppt_verdicts_of_every_three_mode_cut():
     g3 = _squeezed_through_splitter(3)
-    two_mode = simon_separable(_squeezed_through_splitter(2))
+    two_mode = ppt_verdicts(_squeezed_through_splitter(2), [(0,)])[0]
     assert two_mode.margin == pytest.approx(-0.1824, abs=1e-4)
     cuts = [(0,), (1,), (0, 1)]
-    verdicts = _ppt_verdicts(g3, cuts)
+    verdicts = ppt_verdicts(g3, cuts)
     assert [v.label for v in verdicts] == ["entangled", "entangled", "separable"]
     # the vacuum mode 2 only adds the eigenvalues 0 and 1 to a cut through
     # the entangled pair
@@ -204,10 +203,18 @@ def test_ppt_verdicts_of_every_three_mode_cut():
         assert v.margin == pytest.approx(two_mode.margin, abs=1e-12)
     assert abs(verdicts[2].margin) <= 1e-12
     # transposing side B instead gives the complex-conjugate matrix: same margin
-    complements = _ppt_verdicts(g3, [(1, 2), (0, 2), (2,)])
+    complements = ppt_verdicts(g3, [(1, 2), (0, 2), (2,)])
     for v, w in zip(verdicts, complements):
         assert v.label == w.label
         assert v.margin == pytest.approx(w.margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", [(), (0, 1), (2,), (-1,), (0.5,)])
+def test_ppt_verdicts_rejects_a_side_that_is_no_cut(side):
+    # an empty side, the whole mode set, a mode past the last, a negative
+    # index (numpy would read it from the end) and a fraction name no cut
+    with pytest.raises(ValueError, match="proper subset"):
+        ppt_verdicts(_squeezed_through_splitter(2), [(0,), side])
 
 
 def test_classical_states_stay_classical_and_separable():
@@ -220,7 +227,7 @@ def test_classical_states_stay_classical_and_separable():
         ]
         out = apply_passive(gaussian_from_spec(specs), haar_unitary(2, rng))
         assert is_classical(out).label == "classical"
-        assert simon_separable(out).label == "separable"
+        assert ppt_verdicts(out, [(0,)])[0].label == "separable"
 
 
 def test_apply_passive_preserves_uncertainty_relation():

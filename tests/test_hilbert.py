@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bselab.hilbert import FockArena, Mixture, TruncationError
-from bselab.states import CoherentEnsemble, coherent, fock, vacuum
+from bselab.states import CoherentEnsemble, coherent, fock
 from reference import (
     DensityOperator,
     annihilation_matrix,
@@ -50,6 +50,16 @@ def test_arena_rejects_bad_parameters():
         decode(arena, 9)
 
 
+def test_encode_rejects_non_integer_occupations():
+    # an occupation is never truncated to an integer ((0.2, 2.9) is not
+    # |0,2>), and a bool is no occupation; numpy integers are
+    arena = FockArena(2, 4)
+    for occ in [(0.2, 2.9), (1.0, 0), (True, 0), (0, np.True_), ("1", 0)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            fock(arena, occ)
+    assert arena.encode((np.int64(1), np.uint8(2))) == arena.encode((1, 2)) == 6
+
+
 def test_annihilation_single_mode_entries():
     arena = FockArena(1, 3)
     a = annihilation_matrix(arena, 0)
@@ -62,7 +72,7 @@ def test_annihilation_single_mode_entries():
 def test_annihilation_kills_vacuum():
     arena = FockArena(2, 5)
     for mode in range(2):
-        out = annihilation_matrix(arena, mode) @ vacuum(arena)
+        out = annihilation_matrix(arena, mode) @ fock(arena, (0,) * arena.n_modes)
         assert np.abs(out).max() == 0.0
 
 

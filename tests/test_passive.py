@@ -14,7 +14,7 @@ from bselab.passive import (
     transform_coherent_exact,
     transform_ensemble,
 )
-from bselab.states import CoherentEnsemble, _poisson_tail, coherent, fock, vacuum
+from bselab.states import CoherentEnsemble, _poisson_tail, coherent, fock
 from bselab.theoremlab import haar_unitary
 from reference import (
     annihilation_matrix,
@@ -25,6 +25,8 @@ from reference import (
 )
 
 RT2 = np.sqrt(2.0) / 2.0
+#: a top sector no walk in these tests reaches
+UNBOUNDED = 10**9
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
@@ -82,7 +84,7 @@ def test_lift_mode_count_mismatch():
 def test_vacuum_invariance_fifty_fifty():
     arena = FockArena(2, 8)
     u = lift_unitary(beam_splitter_matrix(np.pi / 4), arena)
-    dev = np.abs(u.apply_to_vector(vacuum(arena)) - vacuum(arena))
+    dev = np.abs(u.apply_to_vector(fock(arena, (0,) * arena.n_modes)) - fock(arena, (0,) * arena.n_modes))
     assert dev.max() <= 1e-10
 
 
@@ -120,7 +122,7 @@ def test_lifted_row_keeps_vacuum_and_loses_only_clipped_weight():
     # the clipped ones, so a row loses at most its weight in those sectors
     arena = FockArena(2, 8)
     u = lift_unitary(beam_splitter_matrix(0.7, 0.2, 0.9), arena)
-    vac = vacuum(arena)
+    vac = fock(arena, (0,) * arena.n_modes)
     assert np.abs(u.matrix @ vac - vac).max() <= 1e-10
 
     psi = coherent(arena, [0.6, -0.2 + 0.4j])
@@ -230,13 +232,14 @@ def test_lifts_are_vacuum_invariant_for_random_unitaries():
     arena = FockArena(2, 6)
     for _ in range(10):
         u = lift_unitary(haar_unitary(2, rng), arena)
-        dev = np.abs(u.apply_to_vector(vacuum(arena)) - vacuum(arena))
+        dev = np.abs(u.apply_to_vector(fock(arena, (0,) * arena.n_modes)) - fock(arena, (0,) * arena.n_modes))
         assert dev.max() <= 1e-10
 
 
 def test_sector_tail_bound_matches_pdtrc_reference():
     # the smallest n whose Poisson tail P(N >= n) = pdtrc(n - 1, mean) is
-    # within SECTOR_TAIL_EPS, found by a plain upward search
+    # within SECTOR_TAIL_EPS, found by a plain upward search, or the top
+    # sector when that comes first (0 and the 2- and 3-mode arena tops)
     def reference(mean):
         if mean <= 0.0:
             return 0
@@ -246,7 +249,9 @@ def test_sector_tail_bound_matches_pdtrc_reference():
         return n
 
     for mean in np.linspace(0.0, 30.0, 3001):
-        assert _sector_tail_bound(float(mean)) == reference(float(mean)), mean
+        bound = reference(float(mean))
+        for top in (0, 6, 21, 42, UNBOUNDED):
+            assert _sector_tail_bound(float(mean), top) == min(bound, top), (mean, top)
 
 
 def test_sector_tail_bound_matches_linear_search(monkeypatch):
@@ -266,9 +271,11 @@ def test_sector_tail_bound_matches_linear_search(monkeypatch):
 
     monkeypatch.setattr(passive, "_poisson_tail", counted)
     for mean in means:
-        tails.clear()
-        assert _sector_tail_bound(float(mean)) == linear_sector_tail_bound(float(mean)), mean
-        assert len(tails) <= 4, mean
+        for top in (21, 42, UNBOUNDED):
+            tails.clear()
+            bound = linear_sector_tail_bound(float(mean), top)
+            assert _sector_tail_bound(float(mean), top) == bound, (mean, top)
+            assert len(tails) <= 4, (mean, top)
 
 
 @pytest.mark.parametrize("mean, n", [(1e-25, 1), (0.5, 9), (3.0, 12), (21.0, 40), (150.0, 230)])
@@ -276,11 +283,33 @@ def test_sector_tail_bound_keeps_a_tail_equal_to_the_budget(monkeypatch, mean, n
     # the bound is the first n whose tail is at most the budget, equality
     # included: with the budget set to the tail at n, the bound is n
     monkeypatch.setattr(passive, "SECTOR_TAIL_EPS", _poisson_tail(n, mean))
-    assert _sector_tail_bound(mean) == n
+    assert _sector_tail_bound(mean, UNBOUNDED) == n
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.floats(0.0, 1000.0))
-@example(1e-9)
-def test_sector_tail_bound_bisection_matches_linear_search_on_any_mean(mean):
-    assert _sector_tail_bound(mean) == linear_sector_tail_bound(mean)
+@given(st.floats(0.0, 1000.0), st.integers(0, 2000))
+@example(1e-9, UNBOUNDED)
+def test_sector_tail_bound_bisection_matches_linear_search_on_any_mean(mean, top):
+    assert _sector_tail_bound(mean, top) == linear_sector_tail_bound(mean, top)
+
+
+def test_sector_tail_bound_stops_at_the_arena_top(monkeypatch):
+    # a mean far above the arena's top sector (2 modes, cutoff 4: sector 6)
+    # needs no walk: the tail of every sector the arena keeps is about 1.
+    # An unbounded walk goes to sector 9,027,802, with 1940 exact tails;
+    # the square of 1e200 overflows to an infinite mean
+    tails = []
+
+    def counted(n, mean):
+        tails.append(n)
+        return _poisson_tail(n, mean)
+
+    monkeypatch.setattr(passive, "_poisson_tail", counted)
+    arena = FockArena(2, 4)
+    assert _sector_tail_bound(3000.0, 6) == _sector_tail_bound(np.inf, 6) == 6
+    out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[3000.0, 0.0]], arena)
+    assert len(tails) <= 4
+    assert out.shape == (1, 1, arena.total_dim) and not out.any()
+    with np.errstate(over="ignore"):
+        out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[1e200, 0.0]], arena)
+    assert not out.any()

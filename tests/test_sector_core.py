@@ -25,7 +25,7 @@ from bselab.passive import (
     beam_splitter_matrix,
     transform_coherent_exact,
 )
-from bselab.states import coherent, vacuum
+from bselab.states import _coherent_rows, fock
 from bselab.theoremlab import haar_unitary
 from reference import (
     SUBSPACE_UNITARITY_TOL,
@@ -165,7 +165,7 @@ def test_lift_properties(case):
     arena = FockArena(n_modes, cutoff)
     u = lift_unitary(m, arena)
 
-    vac = vacuum(arena)
+    vac = fock(arena, (0,) * arena.n_modes)
     assert np.abs(u.apply_to_vector(vac) - vac).max() <= VACUUM_TOL
     for mode in range(n_modes):
         assert conjugation_residual(u, m, mode) <= SUBSPACE_UNITARITY_TOL
@@ -203,7 +203,7 @@ def test_lift_rows_is_the_dense_lift(case):
         assert _lift_rows(first, row[None], arena)[0, 0].tobytes() == (dense @ row).tobytes()
     zero = np.zeros((2, arena.total_dim), dtype=complex)
     assert not np.any(_lift_rows(first, zero, arena))
-    inputs = coherent(arena, rows, leak_tol=1.0)
+    inputs = _coherent_rows(np.array(rows, dtype=complex), arena.occupation_table())
     assert np.abs(_lift_rows(first, inputs, arena)[0] - inputs @ dense.T).max() <= 1e-15
     # a sequence of T unitaries is T single calls bit for bit, the arena
     # corner included: its block is one row against the sector's full columns
@@ -238,7 +238,7 @@ def test_exact_transform_properties(case):
         single = transform_coherent_exact([m], alpha[None], arena)[0, 0]
         assert amps.tobytes() == single.tobytes()
         # closed-form image, used here only as the reference
-        closed = coherent(arena, alpha @ np.conj(m.matrix), leak_tol=1.0)
+        closed = _coherent_rows((alpha @ np.conj(m.matrix))[None], arena.occupation_table())[0]
         assert np.abs(single - closed).max() <= 1e-10
 
 

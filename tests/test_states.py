@@ -7,11 +7,13 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bselab import states
 from bselab.hilbert import FockArena, TruncationError
 from bselab.passive import _sector_plan
 from bselab.states import (
     CoherentEnsemble,
     GaussianSpec,
+    _check_rows,
     _coherent_column,
     _coherent_rows,
     _poisson_tail,
@@ -20,7 +22,6 @@ from bselab.states import (
     fock,
     squeezed_vacuum,
     thermal,
-    vacuum,
 )
 from reference import (
     annihilation_matrix,
@@ -32,7 +33,7 @@ from reference import (
 
 def test_vacuum_is_unit_vector_at_index_zero():
     arena = FockArena(2, 4)
-    v = vacuum(arena)
+    v = fock(arena, (0,) * arena.n_modes)
     assert v[0] == 1.0
     assert np.abs(v[1:]).max() == 0.0
     assert np.linalg.norm(v) == 1.0
@@ -55,7 +56,7 @@ def test_fock_states_are_orthonormal_basis_vectors():
 
 def test_coherent_zero_is_vacuum():
     arena = FockArena(2, 5)
-    assert np.array_equal(coherent(arena, [0, 0]), vacuum(arena))
+    assert np.array_equal(coherent(arena, [0, 0]), fock(arena, (0,) * arena.n_modes))
 
 
 def test_coherent_vacuum_amplitude_closed_form():
@@ -94,10 +95,11 @@ def test_coherent_leak_budget_is_a_probability():
     # the lost probability 1 - ||psi||^2 lies between leak_tol and
     # 2 * leak_tol; the amplitude-norm deficit 1 - ||psi|| is below leak_tol
     leak = coherent_leakage(1.0, 8)
-    leak_tol = leak / 1.5
+    psi = _coherent_rows(np.array([[1.0 + 0j]]), FockArena(1, 8).occupation_table())
     with pytest.raises(TruncationError, match=f"{leak:.3e}"):
-        coherent(FockArena(1, 8), [1.0], leak_tol=leak_tol)
-    assert np.linalg.norm(coherent(FockArena(1, 8), [1.0], leak_tol=1.01 * leak)) < 1.0
+        _check_rows(psi, leak / 1.5)
+    _check_rows(psi, 1.01 * leak)
+    assert np.linalg.norm(psi) < 1.0
 
 
 def test_coherent_leakage_has_no_cancellation_floor():
@@ -181,7 +183,7 @@ def test_ensemble_density_is_linear_in_weights():
 
 def test_squeezed_vacuum_limits():
     arena = FockArena(1, 10)
-    assert np.array_equal(squeezed_vacuum(arena, 0.0), vacuum(arena))
+    assert np.array_equal(squeezed_vacuum(arena, 0.0), fock(arena, (0,) * arena.n_modes))
     psi = squeezed_vacuum(FockArena(1, 30), 0.5, 0.3)
     # support on even photon numbers only
     assert np.abs(psi[1::2]).max() == 0.0
@@ -255,14 +257,21 @@ def test_coherent_column_matches_scalar_formula_bit_for_bit(rows, cutoff):
 def test_coherent_stack_is_its_single_rows(case, leak_tol):
     # a (K, n_modes) stack is K single calls bit for bit, and raises at the
     # first row whose leak a single call rejects, with that row's message;
-    # each single row is np.kron of the scalar columns, mode 0 first
+    # each single row is np.kron of the scalar columns, mode 0 first.
+    # coherent checks at states.LEAK_TOL, set here to each budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "LEAK_TOL", leak_tol)
+        _check_stack_against_single_rows(case)
+
+
+def _check_stack_against_single_rows(case):
     (n_modes, cutoff), rows = case
     arena = FockArena(n_modes, cutoff)
     alphas = np.array(rows, dtype=complex)
     singles = []
     for alpha in alphas:
         try:
-            singles.append(coherent(arena, alpha, leak_tol=leak_tol))
+            singles.append(coherent(arena, alpha))
         except TruncationError as exc:
             singles.append(str(exc))
             continue
@@ -272,12 +281,12 @@ def test_coherent_stack_is_its_single_rows(case, leak_tol):
         assert singles[-1].tobytes() == kron.tobytes()
     first_error = next((s for s in singles if isinstance(s, str)), None)
     if first_error is None:
-        stack = coherent(arena, alphas, leak_tol=leak_tol)
+        stack = coherent(arena, alphas)
         assert stack.shape == (len(rows), arena.total_dim)
         assert stack.tobytes() == np.array(singles).tobytes()
     else:
         with pytest.raises(TruncationError) as info:
-            coherent(arena, alphas, leak_tol=leak_tol)
+            coherent(arena, alphas)
         assert str(info.value) == first_error
 
 

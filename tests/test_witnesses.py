@@ -11,11 +11,11 @@ from bselab.hilbert import FockArena, Mixture
 from bselab.passive import ModeUnitary, beam_splitter_matrix, transform_coherent_exact
 from bselab.states import (
     CoherentEnsemble,
+    _coherent_rows,
     coherent,
     fock,
     squeezed_vacuum,
     thermal,
-    vacuum,
 )
 from bselab.theoremlab import (
     CampaignConfig,
@@ -29,7 +29,7 @@ from bselab.witnesses import (
     PT_BOUND_SHARE,
     VACUUM_NBAR_EPS,
     mandel_q,
-    negativity_report,
+    negativity_reports,
 )
 from reference import (
     DensityOperator,
@@ -53,7 +53,7 @@ def _bell(arena):
 
 
 def test_negativity_of_bell_like_state():
-    report = negativity_report(_bell(FockArena(2, 2)), ((0,), (1,)))
+    report = negativity_reports([(_bell(FockArena(2, 2)), ((0,), (1,)))])[0]
     assert report.negativity == pytest.approx(0.5, abs=1e-12)
     assert report.log_negativity == pytest.approx(1.0, abs=1e-12)
     assert report.min_pt_eigenvalue == pytest.approx(-0.5, abs=1e-12)
@@ -67,7 +67,7 @@ def test_negativity_log_relation_and_product_states():
         a = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
         b = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
         rho = Mixture(arena, [1.0], [coherent(arena, [a, b])])
-        report = negativity_report(rho, ((0,), (1,)))
+        report = negativity_reports([(rho, ((0,), (1,)))])[0]
         assert report.negativity <= 1e-12
         assert report.verdict == "separable_by_ppt_nonviolation"
         assert report.log_negativity == pytest.approx(
@@ -78,11 +78,11 @@ def test_negativity_log_relation_and_product_states():
 def test_negativity_invariant_under_local_phase_rotations():
     arena = FockArena(2, 4)
     rho = _bell(arena)
-    base = negativity_report(rho, ((0,), (1,))).negativity
+    base = negativity_reports([(rho, ((0,), (1,)))])[0].negativity
     for phi in (0.3, 1.2, 2.9):
         local = ModeUnitary(np.diag([np.exp(1j * phi), 1.0]))
         rotated = Mixture(arena, rho.weights, rho.rows @ lift_unitary(local, arena).matrix.T)
-        rep = negativity_report(rotated, ((0,), (1,)))
+        rep = negativity_reports([(rotated, ((0,), (1,)))])[0]
         assert rep.negativity == pytest.approx(base, abs=1e-10)
 
 
@@ -98,7 +98,7 @@ def test_verdict_nets_the_pt_bound(monkeypatch, offset, verdict):
         return [(np.array([-PPT_TOL + offset * bound, 0.5]), False, bound) for _ in problems]
 
     monkeypatch.setattr(witnesses, "_pt_spectra", spectra)
-    report = negativity_report(_bell(FockArena(2, 2)), ((0,), (1,)))
+    report = negativity_reports([(_bell(FockArena(2, 2)), ((0,), (1,)))])[0]
     assert report.min_pt_eigenvalue == -PPT_TOL + offset * bound
     assert report.pt_bound == bound
     assert report.verdict == verdict
@@ -114,7 +114,7 @@ def test_states_below_the_budget_keep_one_basis_column(n_modes, cutoff, scale):
     bell = fock(arena, (1,) + (0,) * (n_modes - 1)) + fock(arena, (0, 1) + (0,) * (n_modes - 2))
     rows = scale / np.sqrt(2) * np.stack([bell, bell])
     state = Mixture(arena, [1.0, 0.5], rows, leak_tol=1.0)
-    report = negativity_report(state, ((0,), tuple(range(1, n_modes))))
+    report = negativity_reports([(state, ((0,), tuple(range(1, n_modes))))])[0]
     assert abs(report.min_pt_eigenvalue) <= scale ** 2
     assert report.verdict == "separable_by_ppt_nonviolation"
 
@@ -122,9 +122,9 @@ def test_states_below_the_budget_keep_one_basis_column(n_modes, cutoff, scale):
 def test_negativity_rejects_bad_bipartition():
     rho = _bell(FockArena(2, 2))
     with pytest.raises(ValueError):
-        negativity_report(rho, ((0,), (0, 1)))
+        negativity_reports([(rho, ((0,), (0, 1)))])[0]
     with pytest.raises(ValueError):
-        negativity_report(rho, ((), (0, 1)))
+        negativity_reports([(rho, ((), (0, 1)))])[0]
 
 
 def test_classical_ensemble_output_is_ppt_nonviolating():
@@ -135,7 +135,7 @@ def test_classical_ensemble_output_is_ppt_nonviolating():
     u = lift_unitary(beam_splitter_matrix(0.61, 0.2, 1.4), arena)
     rows = coherent(arena, ens.alphas) @ u.matrix.T
     rho = Mixture(arena, ens.weights, rows)
-    assert negativity_report(rho, ((0,), (1,))).min_pt_eigenvalue >= -1e-8
+    assert negativity_reports([(rho, ((0,), (1,)))])[0].min_pt_eigenvalue >= -1e-8
 
 
 def test_product_mixture_has_psd_partial_transpose():
@@ -149,7 +149,7 @@ def test_product_mixture_has_psd_partial_transpose():
     rows = np.einsum("ia,jb->ijab", local_rows, local_rows).reshape(9, 9)
     rho = Mixture(FockArena(2, 3), np.kron(local_w, local_w), rows)
     for bp in (((0,), (1,)), ((1,), (0,))):
-        report = negativity_report(rho, bp)
+        report = negativity_reports([(rho, bp)])[0]
         assert report.min_pt_eigenvalue >= -1e-12
         assert report.negativity == 0.0
 
@@ -207,7 +207,7 @@ def test_compressed_pt_matches_dense_reference(case):
     arena, k = state.arena, state.weights.size
     part_b = tuple(m for m in range(arena.n_modes) if m not in part_a)
     for a, b in ((part_a, part_b), (part_b, part_a)):
-        report = negativity_report(state, (a, b))
+        report = negativity_reports([(state, (a, b))])[0]
         bound = report.pt_bound
         assert 0.0 <= bound <= PT_BOUND_SHARE * PPT_TOL
         if kind == "random":
@@ -355,7 +355,7 @@ def test_certificate_not_sketch_carries_correctness(monkeypatch, sketch, make, a
     monkeypatch.setattr(witnesses, "_range_bases", recording)
     monkeypatch.setattr(witnesses, "_sketch", blind)
     cuts = bipartitions(arena.n_modes)
-    for bp, report in zip(cuts, witnesses._negativity_reports([(state, bp) for bp in cuts])):
+    for bp, report in zip(cuts, negativity_reports([(state, bp) for bp in cuts])):
         dense = dense_pt_eigenvalues(state.weights, state.rows, arena, bp[0])
         assert abs(report.min_pt_eigenvalue - dense[0]) <= report.pt_bound + 1e-13
         dense_verdict = "entangled" if dense[0] < -PPT_TOL else "separable_by_ppt_nonviolation"
@@ -431,7 +431,7 @@ Q_MARGIN = 1e-8
 def test_classical_output_is_ppt_and_poissonian(case):
     state, bound = case
     for bp in bipartitions(state.arena.n_modes):
-        assert negativity_report(state, bp).min_pt_eigenvalue >= -PPT_TOL
+        assert negativity_reports([(state, bp)])[0].min_pt_eigenvalue >= -PPT_TOL
     # Truncation alone pulls Mandel Q below 0: a truncated Poisson law has
     # variance < mean. A mixture's Q is at least its components' smallest
     # Q, and a truncated coherent state's Q falls with |alpha|, so the floor
@@ -455,12 +455,12 @@ def test_pup_lift_output_is_ppt_to_within_the_input_truncation(case):
     # lift reads down to about -2e-4, far past -PPT_TOL: route 2 therefore
     # transforms untruncated states.
     ens, m, arena, _ = case
-    inputs = coherent(arena, ens.alphas, leak_tol=1.0)
+    inputs = _coherent_rows(ens.alphas, arena.occupation_table())
     leaks = 1.0 - np.sum(np.abs(inputs) ** 2, axis=1)
     floor = 2.0 * float(ens.weights @ np.sqrt(np.maximum(leaks, 0.0)))
     state = Mixture(arena, ens.weights, inputs @ lift_unitary(m, arena).matrix.T, leak_tol=1.0)
     for bp in bipartitions(arena.n_modes):
-        report = negativity_report(state, bp)
+        report = negativity_reports([(state, bp)])[0]
         assert report.min_pt_eigenvalue - report.pt_bound >= -PPT_TOL - floor
 
 
@@ -475,7 +475,7 @@ def test_mandel_q_reference_states():
     hot = thermal(FockArena(1, 30), 1.0).photon_distributions()[0]
     assert mandel_q(hot) == pytest.approx(1.0, abs=1e-6)
     # vacuum convention: 0/0 defined as 0
-    assert mandel_q(_probs(vacuum(FockArena(1, 4)))) == 0.0
+    assert mandel_q(_probs(fock(FockArena(1, 4), (0,)))) == 0.0
 
 
 def test_mandel_q_on_multimode_reduction():
@@ -520,7 +520,7 @@ def test_closed_sum_moments_match_dense_ladder(rho):
 
 def test_quadrature_variance_reference_states():
     small, mid, big = FockArena(1, 6), FockArena(1, 25), FockArena(1, 30)
-    vac = to_density(small, vacuum(small))
+    vac = to_density(small, fock(small, (0,) * small.n_modes))
     for theta in (0.0, 0.7, 2.1):
         assert quadrature_variance(vac, 0, theta) == pytest.approx(0.5, abs=1e-12)
 
