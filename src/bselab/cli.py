@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from ._blas import openblas_threads, single_threaded_blas
-from .hilbert import FockArena, Mixture, TruncationError
+from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import _lift_rows, beam_splitter_matrix, transform_coherent_exact
-from .states import CoherentEnsemble, coherent, fock
+from .states import CoherentEnsemble, _check_rows, coherent, fock
 from .theoremlab import TRIAL_STAGES, CampaignConfig, run_campaign
 from .witnesses import mandel_q, negativity_reports
 
@@ -376,7 +376,10 @@ def cmd_sweep(args) -> int:
     table = []
     t0 = time.perf_counter()
     unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
-    states = [Mixture(arena, weights, out) for out in route(unitaries, inputs, arena)]
+    outs = route(unitaries, inputs, arena)
+    if args.input == "ensemble":  # each output row alone too, as a trial checks it
+        _check_rows(outs, LEAK_TOL)
+    states = [Mixture(arena, weights, out) for out in outs]
     reports = negativity_reports([(state, ((0,), (1,))) for state in states])
     for theta, state, report in zip(thetas, states, reports):
         p_a, p_b = state.photon_distributions()

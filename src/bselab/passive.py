@@ -100,53 +100,51 @@ class _SectorPlan(NamedTuple):
     sector: np.ndarray      # the sector of each column
     mode: np.ndarray        # the mode j each column lowers
     inv_sqrt_t: np.ndarray  # 1/sqrt(t_j) of each column
-    row_index: np.ndarray   # the arena index of every row, in sector order
-    inside: np.ndarray      # the columns whose tuples fit the arena
-    col_index: np.ndarray   # the arena index of each of those
+    row_index: np.ndarray   # the arena index of each row, in sector order
+    inside: np.ndarray      # the columns whose tuples fit the arena: the rows
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
-    """The plan of sectors 0..top.  Per sector, ``occ`` are the row tuples,
-    those of a FockArena with ``cutoff``, and ``columns`` the slice of its
-    columns, the whole sector; from sector 1, ``rows[k]`` is the position of
-    row s - e_k in the sector below (0 where s_k = 0), ``sqrt_s[k]`` the
-    complex sqrt(s_k) as ``(rows, 1, 1)`` (no step casts it), and ``parent``
-    the position of each column's t - e_j among the columns below.  Column t
-    lowers its most occupied mode j (first on ties), which keeps the blocks
-    unitary to roundoff (1e-14 at 2-mode sector 60, where lowering the first
-    occupied mode drifts to 3e-9).
+    """The plan of sectors 0..top.  Per sector, ``columns`` is the slice of
+    its columns, the whole sector, and ``occ`` the rows, the columns whose
+    tuples fit a FockArena with ``cutoff``; from sector 1, ``rows[k]`` is the
+    position of row s - e_k in the sector below (0 where s_k = 0),
+    ``sqrt_s[k]`` the complex sqrt(s_k) as ``(rows, 1, 1)`` (no step casts
+    it), and ``parent`` the position of each column's t - e_j among the
+    columns below.  Column t lowers its most occupied mode j (first on ties),
+    which keeps the blocks unitary to roundoff (1e-14 at 2-mode sector 60,
+    where lowering the first occupied mode drifts to 3e-9).
 
-    The recursion is closed on this shape: s - e_k of an arena row is an
-    arena row, and t - e_j of a column is a column.  A cutoff above ``top``
-    keeps every row, so the blocks are whole.
+    A tuple's key is its digits in base top + 1, mode 0 first, whose numeric
+    order is the lexicographic one of a FockArena: sector n is the keys of
+    sector n - 1 raised by each mode's stride, sorted, without repeats, and
+    ``np.searchsorted`` finds s - e_k and t - e_j in the sector below.
     """
-    def sectors(d):
-        table = FockArena(n_modes, d).occupation_table()
-        return [table[table.sum(axis=1) == n] for n in range(top + 1)]
-
-    col_sectors = sectors(top + 1)
-    row_sectors = col_sectors if cutoff > top else sectors(cutoff)
-    starts = np.cumsum([0] + [len(c) for c in col_sectors]).tolist()
-    cols = np.concatenate(col_sectors)
-    mode = cols.argmax(axis=1)
+    if (top + 1) ** min(n_modes, 64) > np.iinfo(np.intp).max:
+        raise ValueError(f"sector {top} on {n_modes} modes has tuples numpy cannot key")
+    stride = (top + 1) ** np.arange(n_modes - 1, -1, -1)
+    starts = np.cumsum([0] + [math.comb(n + n_modes - 1, n) for n in range(top + 1)]).tolist()
+    # one allocation for every key, so a plan numpy cannot hold fails at once
+    key = np.zeros(starts[-1], dtype=np.intp)
+    for n in range(1, top + 1):
+        raised = np.sort((key[starts[n - 1]:starts[n], None] + stride).ravel())
+        key[starts[n]:starts[n + 1]] = raised[np.diff(raised, prepend=-1) > 0]
+    cols = key[:, None] // stride % (top + 1)
+    mode, inside = cols.argmax(axis=1), cols.max(axis=1) < cutoff
     # the vacuum column lowers nothing; its coefficient is never read
     inv_sqrt_t = 1.0 / np.sqrt(np.maximum(cols[np.arange(len(cols)), mode], 1))
-    eye = np.eye(n_modes, dtype=int)
-    steps = [(row_sectors[0], None, None, None, slice(0, 1))]
+    steps = [(cols[:1], None, None, None, slice(0, 1))]
     for n in range(1, top + 1):
-        row_below = {tuple(s): i for i, s in enumerate(row_sectors[n - 1])}
-        col_below = {tuple(t): i for i, t in enumerate(col_sectors[n - 1])}
-        occ, columns = row_sectors[n], slice(starts[n], starts[n + 1])
-        rows = np.array([[row_below.get(tuple(s - e), 0) for s in occ] for e in eye])
-        parent = np.array([col_below[tuple(t - eye[j])]
-                           for t, j in zip(cols[columns], mode[columns])])
+        below, columns = slice(starts[n - 1], starts[n]), slice(starts[n], starts[n + 1])
+        occ = cols[columns][inside[columns]]
+        rows = np.where(occ.T > 0, np.searchsorted(
+            key[below][inside[below]], key[columns][inside[columns]] - stride[:, None]), 0)
+        parent = np.searchsorted(key[below], key[columns] - stride[mode[columns]])
         sqrt_s = np.sqrt(occ.T)[..., None, None].astype(complex)
         steps.append((occ, rows, sqrt_s, parent, columns))
-    shape, inside = (cutoff,) * n_modes, cols.max(axis=1) < cutoff
     plan = _SectorPlan(tuple(steps), cols, cols.sum(axis=1), mode, inv_sqrt_t,
-                       np.ravel_multi_index(np.concatenate(row_sectors).T, shape),
-                       inside, np.ravel_multi_index(cols[inside].T, shape))
+                       np.ravel_multi_index(cols[inside].T, (cutoff,) * n_modes), inside)
     for array in (*plan[1:], *(a for step in plan.sectors for a in step[:4] if a is not None)):
         array.setflags(write=False)
     return plan
@@ -215,7 +213,7 @@ def _lift_rows(unitaries, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     amps = np.zeros((len(rows), len(plan.cols)), dtype=complex)
-    amps[:, plan.inside] = rows[:, plan.col_index]
+    amps[:, plan.inside] = rows[:, plan.row_index]
     return _apply_sectors(unitaries, amps, top, arena)
 
 
@@ -268,7 +266,8 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape[1:] != (arena.n_modes,) or not np.isfinite(alphas).all():
         raise ValueError("need finite alphas of shape (K, n_modes)")
-    means = np.sum(np.abs(alphas) ** 2, axis=1)
+    with np.errstate(over="ignore"):  # a square past the float range: an infinite mean
+        means = np.sum(np.abs(alphas) ** 2, axis=1)
     last = arena.n_modes * (arena.cutoff - 1)  # the arena's top sector
     n_max = np.array([_sector_tail_bound(mean, last) for mean in means])
     top = int(n_max.max())

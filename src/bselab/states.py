@@ -83,7 +83,8 @@ def _coherent_column(alphas, cutoff: int) -> np.ndarray:
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
     r = np.hypot(alphas.real, alphas.imag)[..., None]
     zero = r == 0.0
-    log_mag = -np.float_power(r, 2) / 2.0 + n * np.log(np.where(zero, 1.0, r)) - log_fact / 2.0
+    with np.errstate(over="ignore"):  # a square past the float range: a zero column
+        log_mag = -np.float_power(r, 2) / 2.0 + n * np.log(np.where(zero, 1.0, r)) - log_fact / 2.0
     mag = np.where(zero, n == 0, np.exp(log_mag))
     return mag * np.exp(1j * n * np.angle(alphas)[..., None])
 

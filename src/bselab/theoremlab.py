@@ -335,10 +335,15 @@ def _grid_splitter(i: int, n: int) -> ModeUnitary:
     return beam_splitter_matrix(theta, phi0, phi1)
 
 
-def _run_one(cfg: CampaignConfig, index: int, child_seed) -> TrialRecord:
+def _attempt_cutoffs(cfg: CampaignConfig) -> list[int]:
+    """The cutoff of each attempt at a trial, CUTOFF_STEP apart from cfg.cutoff."""
+    return [cfg.cutoff + a * CUTOFF_STEP for a in range(RETRY_BUDGET + 1)]
+
+
+def _run_one(cfg: CampaignConfig, index: int, child_seed) -> TrialRecord | TruncationError:
     """Run trial `index` on one draw of its ensemble and unitary, retrying at
-    larger cutoffs on truncation overflow; the record carries the cutoff it
-    ran at and the retries it took."""
+    larger cutoffs on truncation overflow: the record, carrying the cutoff it
+    ran at and the retries it took, or the last attempt's TruncationError."""
     rng = np.random.default_rng(child_seed)
     ens = cfg.manual_ensemble
     if ens is None:
@@ -349,19 +354,17 @@ def _run_one(cfg: CampaignConfig, index: int, child_seed) -> TrialRecord:
         m = haar_unitary(cfg.n_modes, rng)
     else:
         m = _grid_splitter(index, max(cfg.n_trials, 1))
-    for attempt in range(RETRY_BUDGET + 1):
-        arena = FockArena(cfg.n_modes, cfg.cutoff + attempt * CUTOFF_STEP)
+    for attempt, cutoff in enumerate(_attempt_cutoffs(cfg)):
         try:
             record = run_theorem_trial(
-                ens, m, arena, seed=index,
+                ens, m, FockArena(cfg.n_modes, cutoff), seed=index,
                 unitary_source=cfg.unitary_source, ppt_tol=cfg.ppt_tol,
                 leak_tol=cfg.leak_tol,
             )
             return replace(record, attempts=attempt)
-        except TruncationError:
-            if attempt == RETRY_BUDGET:
-                raise
-    raise AssertionError("unreachable")
+        except TruncationError as exc:
+            overflow = exc
+    return overflow
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
@@ -373,24 +376,18 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     the pool is the campaign's only parallelism, and the bytes of the PT
     eigenvalues do not depend on the host's core count.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials)
-
-    def work(i: int):
-        try:
-            return _run_one(cfg, i, children[i])
-        except TruncationError as exc:
-            return exc
-
+    trials = ([cfg] * cfg.n_trials, range(cfg.n_trials),
+              np.random.SeedSequence(cfg.seed).spawn(cfg.n_trials))
     with single_threaded_blas():
         if cfg.threads == 1:
-            outcomes = [work(i) for i in range(cfg.n_trials)]
+            outcomes = list(map(_run_one, *trials))
         else:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                outcomes = list(pool.map(work, range(cfg.n_trials)))
+                outcomes = list(pool.map(_run_one, *trials))
 
     findings, overflow_failures, completed = [], [], []
-    cutoffs = ", ".join(str(cfg.cutoff + a * CUTOFF_STEP) for a in range(RETRY_BUDGET + 1))
+    cutoffs = ", ".join(map(str, _attempt_cutoffs(cfg)))
     for i, record in enumerate(outcomes):
         if isinstance(record, TruncationError):
             overflow_failures.append({"trial": i, "kind": "truncation_overflow",

@@ -121,6 +121,14 @@ MUTANTS = [
      "        if not set() < set(side) < set(range(g.n_modes)):\n"
      "            raise ValueError(\"each side A must be a non-empty proper subset of the modes\")\n",
      "", "ppt_verdicts takes any side"),
+    (31, "cli.py", "_check_rows(outs, LEAK_TOL)", "_check_rows(outs, LEAK_TOL * 1e3)",
+     "the ensemble sweep checks its output rows against a budget of 1e-3"),
+    (32, "theoremlab.py", "[cfg.cutoff + a * CUTOFF_STEP for",
+     "[cfg.cutoff + 0 * CUTOFF_STEP for", "every retry runs at the configured cutoff"),
+    (33, "passive.py", "key[columns] - stride[mode[columns]]", "key[columns] - stride[0]",
+     "each column's parent is looked up as if the column lowered mode 0"),
+    (34, "passive.py", "if (top + 1) ** min(n_modes, 64) > np.iinfo(np.intp).max:", "if False:",
+     "the sector plan keys tuples past intp"),
 ]
 
 

@@ -11,7 +11,9 @@ sector by sector and never forms.  The
 SVD rank cut that the package's randomized range bases replaced is kept
 here too (``svd_pt_spectrum``), and so is Simon's two-mode determinant
 formula, which the package's covariance PPT test replaced
-(``simon_determinant_margin``).
+(``simon_determinant_margin``), and the sector plan read off a hypercube
+table with per-sector dictionaries (``hypercube_sector_plan``), which the
+package's sector-by-sector raise of tuple keys replaced.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from bselab.hilbert import LEAK_TOL, FockArena, Mixture, _check_leak
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
+    _SectorPlan,
     _sector_blocks,
     _sector_plan,
     _sector_tail_bound,
@@ -359,6 +362,39 @@ def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarra
         index = np.ravel_multi_index(occ[kept].T, (arena.cutoff,) * arena.n_modes)
         out[:, index] = transformed[:, kept]
     return out
+
+
+def hypercube_sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
+    """``_sector_plan`` from the hypercube of FockArena(n_modes, top + 1):
+    each sector's columns are the table's tuples of that total and its rows
+    those of a FockArena with ``cutoff``, and each s - e_k and t - e_j is
+    looked up in a dictionary of the sector below.  The package raises each
+    sector from the one below instead and builds no table."""
+    def sectors(d):
+        table = FockArena(n_modes, d).occupation_table()
+        return [table[table.sum(axis=1) == n] for n in range(top + 1)]
+
+    col_sectors = sectors(top + 1)
+    row_sectors = col_sectors if cutoff > top else sectors(cutoff)
+    starts = np.cumsum([0] + [len(c) for c in col_sectors]).tolist()
+    cols = np.concatenate(col_sectors)
+    mode = cols.argmax(axis=1)
+    inv_sqrt_t = 1.0 / np.sqrt(np.maximum(cols[np.arange(len(cols)), mode], 1))
+    eye = np.eye(n_modes, dtype=int)
+    steps = [(row_sectors[0], None, None, None, slice(0, 1))]
+    for n in range(1, top + 1):
+        row_below = {tuple(s): i for i, s in enumerate(row_sectors[n - 1])}
+        col_below = {tuple(t): i for i, t in enumerate(col_sectors[n - 1])}
+        occ, columns = row_sectors[n], slice(starts[n], starts[n + 1])
+        rows = np.array([[row_below.get(tuple(s - e), 0) for s in occ] for e in eye])
+        parent = np.array([col_below[tuple(t - eye[j])]
+                           for t, j in zip(cols[columns], mode[columns])])
+        sqrt_s = np.sqrt(occ.T)[..., None, None].astype(complex)
+        steps.append((occ, rows, sqrt_s, parent, columns))
+    shape = (cutoff,) * n_modes
+    return _SectorPlan(tuple(steps), cols, cols.sum(axis=1), mode, inv_sqrt_t,
+                       np.ravel_multi_index(np.concatenate(row_sectors).T, shape),
+                       cols.max(axis=1) < cutoff)
 
 
 def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):

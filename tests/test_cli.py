@@ -540,6 +540,21 @@ def test_sweep_ensemble_checks_each_input_component(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_sweep_ensemble_checks_each_output_component(tmp_path, capsys):
+    # at 45 degrees the first component's output row loses 6.98e-4 past
+    # cutoff 14, though its input row loses only 8.4e-7; its weight of 1e-3
+    # keeps the mixture's leak under the budget
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": [
+        {"weight": 0.001, "alphas": [[1.5811388, 0.0], [1.5811388, 0.0]]},
+        {"weight": 0.999, "alphas": [[0.1, 0.0], [0.0, 0.1]]}]}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg), "--cutoff", "14",
+                     "--thetas", repr(np.pi / 4.0), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert "truncation leakage 6.980e-04" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_ensemble_empty_grid_writes_header_only(tmp_path):
     cfg = tmp_path / "ensemble.json"
     cfg.write_text(json.dumps({"version": 1, "ensemble": [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bselab import passive
-from bselab.hilbert import FockArena
+from bselab.hilbert import FockArena, TruncationError
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
@@ -296,8 +298,9 @@ def test_sector_tail_bound_bisection_matches_linear_search_on_any_mean(mean, top
 def test_sector_tail_bound_stops_at_the_arena_top(monkeypatch):
     # a mean far above the arena's top sector (2 modes, cutoff 4: sector 6)
     # needs no walk: the tail of every sector the arena keeps is about 1.
-    # An unbounded walk goes to sector 9,027,802, with 1940 exact tails;
-    # the square of 1e200 overflows to an infinite mean
+    # An unbounded walk goes to sector 9,027,802, with 1940 exact tails.
+    # The square of 1e200 overflows to an infinite mean, with no warning
+    # from either entry point
     tails = []
 
     def counted(n, mean):
@@ -310,6 +313,9 @@ def test_sector_tail_bound_stops_at_the_arena_top(monkeypatch):
     out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[3000.0, 0.0]], arena)
     assert len(tails) <= 4
     assert out.shape == (1, 1, arena.total_dim) and not out.any()
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[1e200, 0.0]], arena)
+        with pytest.raises(TruncationError, match=r"leakage 1\.000e\+00"):
+            coherent(arena, [[1e200, 0.0]])
     assert not out.any()

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bselab.hilbert import FockArena
+from bselab.hilbert import FockArena, _occupation_table
 from bselab.passive import (
     ModeUnitary,
+    _SectorPlan,
     _lift_rows,
     _sector_blocks,
     _sector_plan,
@@ -32,6 +33,7 @@ from reference import (
     VACUUM_TOL,
     conjugation_residual,
     full_sector_transform,
+    hypercube_sector_plan,
     lift_unitary,
     loop_sector_blocks,
     permanent_block,
@@ -155,6 +157,45 @@ def test_sector_plan_scatters_every_arena_row_once(n_modes, cutoff):
     for top in (cutoff - 3, cutoff - 2, cutoff - 1, cutoff, n_modes * (cutoff - 1)):
         plan = _sector_plan(n_modes, top, cutoff)
         assert np.array_equal(np.sort(plan.row_index), np.flatnonzero(totals <= top))
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and np.array_equal(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("n_modes, cutoffs", [(1, (1, 2, 9)), (2, (1, 2, 5, 8)),
+                                              (3, (1, 2, 4, 6)), (4, (1, 2, 3, 4))])
+def test_sector_plan_matches_the_hypercube_reference(n_modes, cutoffs):
+    # every field and every sector step, value, dtype and shape, for every
+    # top the arena can reach and for the whole-block shape cutoff = top + 1
+    shapes = [(top, cutoff) for cutoff in cutoffs for top in range(n_modes * (cutoff - 1) + 1)]
+    shapes += [(top, top + 1) for top in range(2 * max(cutoffs))]
+    for top, cutoff in shapes:
+        plan = _sector_plan(n_modes, top, cutoff)
+        ref = hypercube_sector_plan(n_modes, top, cutoff)
+        assert len(plan.sectors) == len(ref.sectors) == top + 1
+        for step, ref_step in zip(plan.sectors, ref.sectors):
+            assert all(_same(a, b) for a, b in zip(step, ref_step, strict=True)), (top, cutoff)
+        for name in _SectorPlan._fields[1:]:
+            assert _same(getattr(plan, name), getattr(ref, name)), (name, top, cutoff)
+
+
+def test_sector_plan_rejects_tuples_numpy_cannot_key():
+    # 40 modes, sector 3: 11,480 tuples, but 4 ** 40 keys pass intp, as the
+    # 4 ** 40 tuples of the hypercube do
+    with pytest.raises(ValueError, match="numpy"):
+        _sector_plan(40, 3, 2)
+
+
+def test_sector_plan_builds_no_occupation_table():
+    # no hypercube FockArena(n_modes, top + 1) table stays in the cache
+    _occupation_table.cache_clear()
+    _sector_plan.__wrapped__(3, 9, 4)
+    _sector_plan.__wrapped__(2, 30, 31)
+    assert _occupation_table.cache_info().currsize == 0
 
 
 @PROPERTY
