@@ -377,8 +377,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
     outs = route(unitaries, inputs, arena)
-    if args.input == "ensemble":  # each output row alone too, as a trial checks it
-        _check_rows(outs, LEAK_TOL)
+    _check_rows(outs, LEAK_TOL)  # each output row alone, as a trial checks it
     states = [Mixture(arena, weights, out) for out in outs]
     reports = negativity_reports([(state, ((0,), (1,))) for state in states])
     for theta, state, report in zip(thetas, states, reports):

@@ -53,6 +53,8 @@ class GaussianState:
             raise ValueError("mean vector has wrong length")
         if cov.shape != (d, d):
             raise ValueError("covariance matrix has wrong shape")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean vector and covariance matrix must be finite")
         if float(np.abs(cov - cov.T).max()) > SYM_TOL:
             raise ValueError("covariance matrix is not symmetric")
         cov = (cov + cov.T) / 2.0

@@ -50,6 +50,10 @@ class FockArena:
     cutoff: int
 
     def __post_init__(self) -> None:
+        for name in ("n_modes", "cutoff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n_modes < 1:
             raise ValueError("n_modes must be a positive integer")
         if self.cutoff < 1:

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .hilbert import FockArena
-from .states import CoherentEnsemble, _coherent_rows, _poisson_tail
+from .states import CoherentEnsemble, _coherent_rows
 
 UNITARITY_TOL = 1e-12
 #: Poisson tail probability past which the exact transform drops a sector
@@ -218,22 +218,18 @@ def _lift_rows(unitaries, rows: np.ndarray, arena: FockArena) -> np.ndarray:
 
 
 def _sector_tail_bound(mean: float, top: int) -> int:
-    """Smallest n <= ``top`` with Poisson(mean) tail P(N >= n) <=
-    SECTOR_TAIL_EPS, and ``top`` when there is none.
+    """The first n <= ``top`` where a bound on the Poisson(mean) tail
+    P(N >= n) is at most SECTOR_TAIL_EPS, and ``top`` when there is none.
 
     One upward walk from max(1, int(mean)), or from ``top`` when the mean
-    lies above it (a tail at or below the mean is at least about 1/2).  The
-    tail at n is at least pmf(n), and past the mean ``_poisson_tail`` starts
-    its sum from the same float pmf(n), so no n whose pmf is above
-    SECTOR_TAIL_EPS can fit: the walk steps over those on the pmf alone,
-    formed in logs, and then steps up while the exact tail is still above
-    SECTOR_TAIL_EPS, stopping at ``top`` either way."""
+    lies above it, so n + 1 > mean at every step, where the geometric series
+    of ratio mean/(n+1) dominates the tail past pmf(n), formed in logs:
+        P(N >= n) <= pmf(n) (n+1)/(n+1-mean)."""
     if mean <= 0.0 or top <= 0:
         return 0
     n, log_mean = max(1, int(min(mean, top))), math.log(mean)
-    while n < top and math.exp(-mean + n * log_mean - math.lgamma(n + 1)) > SECTOR_TAIL_EPS:
-        n += 1
-    while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:
+    while n < top and (n + 1) / (n + 1 - mean) * math.exp(
+            -mean + n * log_mean - math.lgamma(n + 1)) > SECTOR_TAIL_EPS:
         n += 1
     return n
 
@@ -255,8 +251,8 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
-    state (each state up to its own sector bound, where the Poissonian tail
-    drops below ``SECTOR_TAIL_EPS``, or to the arena's top sector
+    state (each state up to its own sector bound, where a bound on its
+    Poisson tail drops below ``SECTOR_TAIL_EPS``, or to the arena's top sector
     n_modes*(cutoff-1) when that comes first) and projecting afterwards gives
     P U|alpha>; the dense P U P on a truncated input would miss the
     amplitude that U carries into the arena from outside it.  Only the

@@ -219,6 +219,8 @@ class GaussianSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("coherent", "thermal", "squeezed_vacuum"):
             raise ValueError(f"unknown Gaussian kind {self.kind!r}")
+        if not np.isfinite([self.alpha, self.nbar, self.r, self.theta_s]).all():
+            raise ValueError("alpha, nbar, r and theta_s must be finite")
         if self.nbar < 0:
             raise ValueError("nbar must be >= 0")
         if self.r < 0:

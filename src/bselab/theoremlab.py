@@ -164,6 +164,8 @@ def run_theorem_trial(
 ) -> TrialRecord:
     """One full verification trial; raises TruncationError on overflow.
     The record keeps the wall time of each stage it ran, in order."""
+    if arena.n_modes < 2:
+        raise ValueError("need at least 2 modes for a bipartition")
     t0 = mark = time.perf_counter()
     stage_times = []
 

@@ -5,8 +5,11 @@ Each mutant replaces one exact snippet of one module under ``src/bselab``.
 The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory, applies the mutant there, runs ``pytest -x`` on the copy, and
 prints the first failing test, which is the test that kills the mutant.  A
-mutant that every test passes survives, and the runner exits 1.  The
-working tree is never modified.  ``test_api.py::test_every_mutant_applies_once``
+run that names no failing test (a collection error, a crash, a kill for
+memory) is reported by its exit code and last stderr line.  A mutant that
+every test passes survives, one whose run outlasts ``TIMEOUT_S`` is reported
+as a timeout, and either makes the runner exit 1.  The working tree is
+never modified.  ``test_api.py::test_every_mutant_applies_once``
 is left out of each run: it checks that each snippet occurs once in the
 unmutated tree, so it fails on every applied mutant and names no killer.
 
@@ -31,6 +34,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: seconds one mutated suite may run (the unmutated suite takes under a minute)
+TIMEOUT_S = 600
 
 # (id, module, snippet, replacement, fault); each snippet occurs exactly once
 MUTANTS = [
@@ -83,12 +88,10 @@ MUTANTS = [
      "the one scatter drops the last sector"),
     (20, "passive.py", "block = terms.sum(axis=0)", "block = terms[1:].sum(axis=0)",
      "each sector step drops mode 0's term"),
-    (21, "passive.py", "while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
-     "while False and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
-     "the sector bound stops at the pmf walk, with no exact tail"),
-    (22, "passive.py", "while n < top and _poisson_tail(n, mean) > SECTOR_TAIL_EPS:",
-     "while n < top and _poisson_tail(n, mean) >= SECTOR_TAIL_EPS:",
-     "the sector bound skips a tail equal to SECTOR_TAIL_EPS"),
+    (21, "passive.py", "(n + 1) / (n + 1 - mean) * math.exp(", "math.exp(",
+     "the sector bound drops the factor (n+1)/(n+1-mean) and stops where the pmf fits"),
+    (22, "passive.py", "lgamma(n + 1)) > SECTOR_TAIL_EPS:", "lgamma(n + 1)) >= SECTOR_TAIL_EPS:",
+     "the sector bound skips a tail bound equal to SECTOR_TAIL_EPS"),
     (23, "states.py",
      "    for row, column in zip(rows, columns):\n"
      "        for mode, occ in enumerate(occupations.T):\n"
@@ -122,7 +125,7 @@ MUTANTS = [
      "            raise ValueError(\"each side A must be a non-empty proper subset of the modes\")\n",
      "", "ppt_verdicts takes any side"),
     (31, "cli.py", "_check_rows(outs, LEAK_TOL)", "_check_rows(outs, LEAK_TOL * 1e3)",
-     "the ensemble sweep checks its output rows against a budget of 1e-3"),
+     "the sweep checks its output rows against a budget of 1e-3"),
     (32, "theoremlab.py", "[cfg.cutoff + a * CUTOFF_STEP for",
      "[cfg.cutoff + 0 * CUTOFF_STEP for", "every retry runs at the configured cutoff"),
     (33, "passive.py", "key[columns] - stride[mode[columns]]", "key[columns] - stride[0]",
@@ -148,16 +151,21 @@ def run(mutant) -> tuple[str, str]:
         path.write_text(text.replace(snippet, replacement))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env.pop("PYTHONPATH", None)  # pyproject.toml points pytest at the copy's src
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
-             "--deselect", "tests/test_api.py::test_every_mutant_applies_once"],
-            cwd=copy, env=env, capture_output=True, text=True)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
+                 "--deselect", "tests/test_api.py::test_every_mutant_applies_once"],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", f"no result in {TIMEOUT_S} s"
     if result.returncode == 0:
         return "survived", ""
     failed = re.search(r"^FAILED (\S+)", result.stdout, re.MULTILINE)
     if failed:
         return "killed", failed.group(1)
-    return "killed", result.stdout.strip().splitlines()[-1]
+    # no failing test named: a collection error, a crash or a kill for memory
+    lines = (result.stderr.strip() or result.stdout.strip() or "no output").splitlines()
+    return "killed", f"exit {result.returncode}: {lines[-1]}"
 
 
 def main(argv: list[str]) -> int:

@@ -418,8 +418,8 @@ def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
 def linear_sector_tail_bound(mean: float, top: int) -> int:
     """Smallest n <= ``top`` with P(N >= n) <= SECTOR_TAIL_EPS, and ``top``
     when there is none, by the plain upward search on exact tails from
-    max(1, int(mean)), where ``_sector_tail_bound`` starts its walk for a
-    mean below ``top``."""
+    max(1, int(mean)), where ``_sector_tail_bound`` starts its walk on a
+    closed-form bound of the tail for a mean below ``top``."""
     if mean <= 0.0:
         return 0
     n = max(1, int(mean))

@@ -396,6 +396,21 @@ def test_verify_rejects_unknown_field(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"ensemble": [{"weight": 1.0, "alphas": [[0.3, 0.0], [0.0, 0.2]], "phase": 0.0}]},
+     "unknown ensemble component fields: ['phase']"),
+    ({"ensemble": [{"weight": 0.5, "alphas": [[0.3, 0.0], [0.0, 0.2]]},
+                   {"weight": 0.5, "alphas": [[0.3, 0.0]]}]},
+     "all ensemble components must have the same mode count"),
+    ({"n_modes": 3, "ensemble": [{"weight": 1.0, "alphas": [[0.3, 0.0], [0.0, 0.2]]}]},
+     "manual ensemble mode count does not match config"),
+], ids=["unknown-component-field", "mixed-mode-counts", "ensemble-config-modes"])
+def test_verify_rejects_malformed_ensemble(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path, n_trials=1, cutoff=8, amplitude_bound=0.5, **overrides)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_verify_rejects_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

@@ -48,6 +48,31 @@ def test_uncertainty_relation_enforced():
         GaussianState(1, np.zeros(2), np.eye(2) / 4)  # below vacuum both quadratures
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: GaussianState(1, [0.0], np.eye(2) / 2), "mean vector has wrong length"),
+    (lambda: GaussianState(1, [0.0, 0.0], np.eye(3) / 2), "covariance matrix has wrong shape"),
+    (lambda: GaussianState(1, [0.0, 0.0], [[0.5, 0.1], [0.0, 0.5]]), "not symmetric"),
+    (lambda: gaussian_from_spec([]), "need at least one mode spec"),
+    (lambda: apply_passive(_vacuum(1), beam_splitter_matrix(0.3)), "mode count mismatch"),
+    # a NaN covariance would read as nonclassical with margin nan, a NaN
+    # mean as classical, and a NaN uncertainty check as a made-up eigenvalue
+    (lambda: gaussian_from_spec([GaussianSpec("thermal", nbar=np.nan)]), "must be finite"),
+    (lambda: gaussian_from_spec([GaussianSpec("coherent", alpha=complex(np.nan, 0.0))]),
+     "must be finite"),
+    (lambda: gaussian_from_spec([GaussianSpec("coherent", alpha=complex(0.0, np.inf))]),
+     "must be finite"),
+    (lambda: gaussian_from_spec([GaussianSpec("squeezed_vacuum", r=np.inf)]), "must be finite"),
+    (lambda: gaussian_from_spec([GaussianSpec("squeezed_vacuum", r=0.3, theta_s=np.nan)]),
+     "must be finite"),
+    (lambda: GaussianState(1, [0.0, 0.0], [[np.nan, 0.0], [0.0, np.nan]]), "must be finite"),
+    (lambda: GaussianState(1, [np.inf, 0.0], np.eye(2) / 2), "must be finite"),
+], ids=["mean-length", "cov-shape", "asymmetric-cov", "no-specs", "mode-mismatch", "nan-nbar",
+        "nan-alpha", "inf-alpha", "inf-r", "nan-theta-s", "nan-cov", "inf-mean"])
+def test_malformed_gaussian_input_is_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_symplectic_form_is_one_block_per_mode():
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for n in range(1, 5):

@@ -50,6 +50,17 @@ def test_arena_rejects_bad_parameters():
         decode(arena, 9)
 
 
+@pytest.mark.parametrize(
+    "n_modes, cutoff", [(2, 2.5), (2.0, 3), (True, 3), (2, np.True_), (2, "3")],
+    ids=["float-cutoff", "float-modes", "bool-modes", "numpy-bool-cutoff", "str-cutoff"])
+def test_arena_rejects_sizes_that_are_not_integers(n_modes, cutoff):
+    # as encode refuses such occupations: no float (2.5 would size the arena
+    # at 6.25 states) and no bool (True would be a one-mode arena)
+    with pytest.raises(ValueError, match="must be an integer"):
+        FockArena(n_modes, cutoff)
+    assert FockArena(np.int64(2), np.uint8(3)).total_dim == 9
+
+
 def test_encode_rejects_non_integer_occupations():
     # an occupation is never truncated to an integer ((0.2, 2.9) is not
     # |0,2>), and a bool is no occupation; numpy integers are

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from bselab.passive import (
     transform_coherent_exact,
     transform_ensemble,
 )
-from bselab.states import CoherentEnsemble, _poisson_tail, coherent, fock
+from bselab.states import CoherentEnsemble, coherent, fock
 from bselab.theoremlab import haar_unitary
 from reference import (
     annihilation_matrix,
@@ -81,6 +82,18 @@ def test_lift_identity_is_identity():
 def test_lift_mode_count_mismatch():
     with pytest.raises(ValueError):
         lift_unitary(ModeUnitary(np.eye(3)), FockArena(2, 4))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: ModeUnitary(np.ones((2, 3))), "mode matrix must be square"),
+    (lambda: transform_coherent_exact([beam_splitter_matrix(0.3)], [[0.1]], FockArena(1, 4)),
+     "mode count mismatch between unitary and arena"),
+    (lambda: transform_ensemble(CoherentEnsemble(1, [1.0], [[0.1]]), beam_splitter_matrix(0.3)),
+     "mode count mismatch between ensemble and unitary"),
+], ids=["non-square", "unitary-arena", "ensemble-unitary"])
+def test_malformed_passive_input_is_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_vacuum_invariance_fifty_fifty():
@@ -238,80 +251,71 @@ def test_lifts_are_vacuum_invariant_for_random_unitaries():
         assert dev.max() <= 1e-10
 
 
-def test_sector_tail_bound_matches_pdtrc_reference():
-    # the smallest n whose Poisson tail P(N >= n) = pdtrc(n - 1, mean) is
-    # within SECTOR_TAIL_EPS, found by a plain upward search, or the top
-    # sector when that comes first (0 and the 2- and 3-mode arena tops)
-    def reference(mean):
-        if mean <= 0.0:
-            return 0
-        n = 1
-        while scipy.special.pdtrc(n - 1, mean) > SECTOR_TAIL_EPS:
-            n += 1
-        return n
-
-    for mean in np.linspace(0.0, 30.0, 3001):
-        bound = reference(float(mean))
-        for top in (0, 6, 21, 42, UNBOUNDED):
-            assert _sector_tail_bound(float(mean), top) == min(bound, top), (mean, top)
+#: means 0-2 finely (where the walk must find the least n), 0-30 by 0.01 and
+#: 30-400 by 0.5, against no top sector, 0 and the tops of the 2- and 3-mode
+#: arenas campaigns and sweeps use (2 modes at cutoff 4: 6; 3 at cutoff 8:
+#: 21; 2 at cutoff 22: 42)
+TAIL_MEANS = np.unique(np.concatenate((np.linspace(0.0, 2.0, 4001), np.linspace(0.0, 30.0, 3001),
+                                       np.linspace(30.0, 400.0, 741))))
+TAIL_TOPS = (0, 6, 21, 42, UNBOUNDED)
 
 
-def test_sector_tail_bound_matches_linear_search(monkeypatch):
-    # 0, vanishing means down to the least subnormal, integer means (where
-    # the walk starts at the mean), means past the top sector of every arena
-    # the campaigns and sweeps use (3 modes at cutoff 8: 21; 2 at cutoff 22:
-    # 42) and means from 100 on.  Below a mean of about 450 the pmf walk
-    # leaves at most 4 exact tails to evaluate.
-    means = np.concatenate(([0.0, 5e-324, 1e-300, 1e-9, 1e-3], np.linspace(0.0, 64.0, 2561),
-                            np.arange(1.0, 65.0), [100.0, 200.0, 300.0, 400.0],
-                            np.linspace(100.0, 400.0, 61) + 0.3))
-    tails = []
+def _tail_bounds(bound):
+    return np.array([[bound(float(mean), top) for top in TAIL_TOPS] for mean in TAIL_MEANS])
 
-    def counted(n, mean):
-        tails.append(n)
-        return _poisson_tail(n, mean)
 
-    monkeypatch.setattr(passive, "_poisson_tail", counted)
-    for mean in means:
-        for top in (21, 42, UNBOUNDED):
-            tails.clear()
-            bound = linear_sector_tail_bound(float(mean), top)
-            assert _sector_tail_bound(float(mean), top) == bound, (mean, top)
-            assert len(tails) <= 4, (mean, top)
+def test_sector_tail_bound_is_sound_by_pdtrc():
+    # the exact tail P(N >= n) = pdtrc(n - 1, mean) of the returned n is
+    # within SECTOR_TAIL_EPS unless n is the top (or the mean is 0, with
+    # nothing past sector 0)
+    n = _tail_bounds(_sector_tail_bound)
+    tail = scipy.special.pdtrc(n - 1, TAIL_MEANS[:, None])
+    sound = (tail <= SECTOR_TAIL_EPS) | (n == np.array(TAIL_TOPS)) | (TAIL_MEANS[:, None] == 0.0)
+    assert sound.all(), list(zip(*np.nonzero(~sound)))[:5]
+
+
+def test_sector_tail_bound_is_at_most_one_past_the_linear_search():
+    # the closed-form bound of the tail can need one sector more than the
+    # exact tail (mean 27.4, no top: 90 against 89), never more, and on no
+    # mean up to 2
+    n, least = _tail_bounds(_sector_tail_bound), _tail_bounds(linear_sector_tail_bound)
+    assert ((least <= n) & (n <= least + 1)).all()
+    assert np.mean(n == least) >= 0.995
+    assert (n[TAIL_MEANS <= 2.0] == least[TAIL_MEANS <= 2.0]).all()
+    assert _sector_tail_bound(27.4, UNBOUNDED) == linear_sector_tail_bound(27.4, UNBOUNDED) + 1
 
 
 @pytest.mark.parametrize("mean, n", [(1e-25, 1), (0.5, 9), (3.0, 12), (21.0, 40), (150.0, 230)])
 def test_sector_tail_bound_keeps_a_tail_equal_to_the_budget(monkeypatch, mean, n):
-    # the bound is the first n whose tail is at most the budget, equality
-    # included: with the budget set to the tail at n, the bound is n
-    monkeypatch.setattr(passive, "SECTOR_TAIL_EPS", _poisson_tail(n, mean))
+    # the walk stops at the first n whose tail bound pmf(n) (n+1)/(n+1-mean)
+    # is at most the budget, equality included: with the budget set to the
+    # bound at n, formed as the walk forms it, the walk stops at n
+    bound = (n + 1) / (n + 1 - mean) * math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
+    monkeypatch.setattr(passive, "SECTOR_TAIL_EPS", bound)
     assert _sector_tail_bound(mean, UNBOUNDED) == n
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.floats(0.0, 1000.0), st.integers(0, 2000))
 @example(1e-9, UNBOUNDED)
-def test_sector_tail_bound_bisection_matches_linear_search_on_any_mean(mean, top):
-    assert _sector_tail_bound(mean, top) == linear_sector_tail_bound(mean, top)
+def test_sector_tail_bound_is_sound_and_near_the_linear_search_on_any_mean(mean, top):
+    n, least = _sector_tail_bound(mean, top), linear_sector_tail_bound(mean, top)
+    assert least <= n <= least + 1
+    assert n == top or mean == 0.0 or scipy.special.pdtrc(n - 1, mean) <= SECTOR_TAIL_EPS
 
 
-def test_sector_tail_bound_stops_at_the_arena_top(monkeypatch):
-    # a mean far above the arena's top sector (2 modes, cutoff 4: sector 6)
-    # needs no walk: the tail of every sector the arena keeps is about 1.
-    # An unbounded walk goes to sector 9,027,802, with 1940 exact tails.
-    # The square of 1e200 overflows to an infinite mean, with no warning
-    # from either entry point
-    tails = []
-
-    def counted(n, mean):
-        tails.append(n)
-        return _poisson_tail(n, mean)
-
-    monkeypatch.setattr(passive, "_poisson_tail", counted)
+def test_sector_tail_bound_stops_at_the_arena_top():
+    # a mean at or above the arena's top sector returns that top with no
+    # walk: the tail of every sector the arena keeps is at least about 1/2.
+    # An amplitude of 3000 on 2 modes at cutoff 4 (top sector 6) keeps no
+    # arena amplitude; an unbounded walk from its mean, 9e6, would go to
+    # sector 9,027,806.  The square of 1e200 overflows to an infinite mean,
+    # with no warning from either entry point
+    for top in (0, 1, 6, 21, 42):
+        for mean in (float(top), top + 0.5, 3000.0, np.inf):
+            assert _sector_tail_bound(mean, top) == top, (mean, top)
     arena = FockArena(2, 4)
-    assert _sector_tail_bound(3000.0, 6) == _sector_tail_bound(np.inf, 6) == 6
     out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[3000.0, 0.0]], arena)
-    assert len(tails) <= 4
     assert out.shape == (1, 1, arena.total_dim) and not out.any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

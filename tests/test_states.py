@@ -119,9 +119,9 @@ def test_coherent_leakage_has_no_cancellation_floor():
 @example(n=20, mean=49.5)
 @example(n=80, mean=0.0147)  # a tail near 1e-266
 def test_poisson_tail_matches_pdtrc(n, mean):
-    # pdtrc(k, m) is P(N <= k), so the tail P(N >= n) is pdtrc(n - 1, m)
-    # complemented; below the smallest normal float no relative precision
-    # is left to compare
+    # pdtrc(k, m) is P(N > k), the complement of pdtr, so the tail
+    # P(N >= n) is pdtrc(n - 1, m); below the smallest normal float no
+    # relative precision is left to compare
     expected = 1.0 if n == 0 else float(scipy.special.pdtrc(n - 1, mean))
     assert _poisson_tail(n, mean) == pytest.approx(expected, rel=1e-12,
                                                    abs=sys.float_info.min)
@@ -224,6 +224,19 @@ def test_gaussian_spec_validation_and_fock_form():
     arena = FockArena(1, 15)
     rho = spec_to_density(GaussianSpec("coherent", alpha=0.3 + 0.1j), arena)
     assert abs(rho.trace - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: squeezed_vacuum(FockArena(2, 4), 0.1), "single-mode"),
+    (lambda: thermal(FockArena(2, 4), 0.1), "single-mode"),
+    (lambda: CoherentEnsemble(1, [], np.zeros((0, 1))), "weights must be a non-empty"),
+    (lambda: CoherentEnsemble(2, [1.0], [[0.1]]), "alphas must have shape"),
+    (lambda: GaussianSpec("squeezed_vacuum", r=-0.1), "r must be >= 0"),
+], ids=["two-mode-squeezed", "two-mode-thermal", "empty-weights", "alphas-shape",
+        "negative-r"])
+def test_malformed_state_input_is_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 _parts = st.floats(-4.0, 4.0)

@@ -225,3 +225,15 @@ def test_config_validation():
     # numpy integers count as integers (the CLI rejects floats and bools)
     assert CampaignConfig(n_trials=np.int64(1), seed=np.uint32(3)).seed == 3
 
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: CampaignConfig(n_trials=1, n_modes=3, manual_ensemble=CoherentEnsemble(
+        2, [1.0], [[0.1, 0.0]])), "manual ensemble mode count does not match config"),
+    (lambda: run_theorem_trial(CoherentEnsemble(1, [1.0], [[0.1]]), ModeUnitary(np.eye(1)),
+                               FockArena(1, 6)), "need at least 2 modes for a bipartition"),
+], ids=["manual-ensemble-modes", "one-mode-trial"])
+def test_malformed_trial_input_is_rejected(make, match):
+    # a one-mode trial has no cut to test, and is refused before its routes run
+    with pytest.raises(ValueError, match=match):
+        make()
+
