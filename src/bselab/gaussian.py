@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .hilbert import _check_size
 from .passive import ModeUnitary
 from .states import GaussianSpec
 
@@ -46,6 +47,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_size("n_modes", self.n_modes, 1)
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         d = 2 * self.n_modes

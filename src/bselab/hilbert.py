@@ -12,6 +12,7 @@ enough; sparsity is deliberately out of scope.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +37,15 @@ def _check_leak(leak: float, leak_tol: float) -> None:
         )
 
 
+def _check_size(name: str, value, least: int) -> None:
+    """The one size check: ``ValueError`` unless ``value`` is an integer of
+    at least ``least``, a numpy integer included and a bool excluded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, not {value}")
+
+
 @dataclass(frozen=True)
 class FockArena:
     """An indexing scheme for ``n_modes`` truncated bosonic modes.
@@ -50,14 +60,8 @@ class FockArena:
     cutoff: int
 
     def __post_init__(self) -> None:
-        for name in ("n_modes", "cutoff"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be a positive integer")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be a positive integer")
+        _check_size("n_modes", self.n_modes, 1)
+        _check_size("cutoff", self.cutoff, 1)
         # 2 ** 64 exceeds any intp, so no more than 64 factors need multiplying
         if int(self.cutoff) ** min(int(self.n_modes), 64) > np.iinfo(np.intp).max:
             raise ValueError(

@@ -217,21 +217,36 @@ def _lift_rows(unitaries, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     return _apply_sectors(unitaries, amps, top, arena)
 
 
-def _sector_tail_bound(mean: float, top: int) -> int:
-    """The first n <= ``top`` where a bound on the Poisson(mean) tail
-    P(N >= n) is at most SECTOR_TAIL_EPS, and ``top`` when there is none.
+def _tail_bound(mean: float, n: int) -> float:
+    """pmf(n) (n+1)/(n+1-mean) of Poisson(mean), formed in logs: for
+    n + 1 > mean, where the geometric series of ratio mean/(n+1) dominates
+    the tail past pmf(n), a bound on P(N >= n)."""
+    return (n + 1) / (n + 1 - mean) * math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
 
-    One upward walk from max(1, int(mean)), or from ``top`` when the mean
-    lies above it, so n + 1 > mean at every step, where the geometric series
-    of ratio mean/(n+1) dominates the tail past pmf(n), formed in logs:
-        P(N >= n) <= pmf(n) (n+1)/(n+1-mean)."""
+
+def _sector_tail_bound(mean: float, top: int) -> int:
+    """The first n <= ``top`` where ``_tail_bound(mean, n)`` fits
+    SECTOR_TAIL_EPS, else ``top``: one walk up from max(1, int(mean)), or
+    from ``top`` when the mean lies above it, so n + 1 > mean at each step."""
     if mean <= 0.0 or top <= 0:
         return 0
-    n, log_mean = max(1, int(min(mean, top))), math.log(mean)
-    while n < top and (n + 1) / (n + 1 - mean) * math.exp(
-            -mean + n * log_mean - math.lgamma(n + 1)) > SECTOR_TAIL_EPS:
+    n = max(1, int(min(mean, top)))
+    while n < top and _tail_bound(mean, n) > SECTOR_TAIL_EPS:
         n += 1
     return n
+
+
+def _sector_bounds(alphas: np.ndarray, arena: FockArena) -> tuple[np.ndarray, np.ndarray]:
+    """Each coherent row's sector bound n_i, at most the arena's top sector,
+    and tail_i >= P(N_i > n_i), the probability dropped past it: 0 at a
+    zero mean or at the top, above which no arena tuple lies, and else
+    ``_tail_bound`` at n_i + 1, where n_i + 2 > mean_i."""
+    with np.errstate(over="ignore"):  # a square past the float range: an infinite mean
+        means = np.sum(np.abs(alphas) ** 2, axis=1)
+    last = arena.n_modes * (arena.cutoff - 1)  # the arena's top sector
+    n_max = [_sector_tail_bound(mean, last) for mean in means]
+    tails = [0.0 if n in (0, last) else _tail_bound(mean, n + 1) for mean, n in zip(means, n_max)]
+    return np.array(n_max, dtype=int), np.array(tails)
 
 
 def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
@@ -262,10 +277,7 @@ def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape[1:] != (arena.n_modes,) or not np.isfinite(alphas).all():
         raise ValueError("need finite alphas of shape (K, n_modes)")
-    with np.errstate(over="ignore"):  # a square past the float range: an infinite mean
-        means = np.sum(np.abs(alphas) ** 2, axis=1)
-    last = arena.n_modes * (arena.cutoff - 1)  # the arena's top sector
-    n_max = np.array([_sector_tail_bound(mean, last) for mean in means])
+    n_max = _sector_bounds(alphas, arena)[0]
     top = int(n_max.max())
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     amps = _coherent_rows(alphas, plan.cols)

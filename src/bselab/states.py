@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEAK_TOL, FockArena, Mixture, _check_leak
+from .hilbert import LEAK_TOL, FockArena, Mixture, _check_leak, _check_size
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -45,10 +45,11 @@ def _poisson_tail(n: int, mean: float) -> float:
 
 
 def coherent_leakage(abs_alpha: float, cutoff: int) -> float:
-    """Probability weight of a coherent state beyond photon number cutoff-1:
-    the Poisson(|alpha|^2) tail P(N >= cutoff)."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be a positive integer")
+    """Probability weight of a coherent state past photon number cutoff-1,
+    the Poisson(|alpha|^2) tail P(N >= cutoff), for a finite |alpha| >= 0."""
+    _check_size("cutoff", cutoff, 1)
+    if not 0 <= abs_alpha < math.inf:
+        raise ValueError(f"abs_alpha must be finite and >= 0, not {abs_alpha!r}")
     return _poisson_tail(cutoff, float(abs_alpha * abs_alpha))
 
 
@@ -171,6 +172,7 @@ class CoherentEnsemble:
     alphas: np.ndarray  # shape (n_components, n_modes), complex
 
     def __post_init__(self) -> None:
+        _check_size("n_modes", self.n_modes, 1)
         w = np.asarray(self.weights, dtype=float)
         a = np.asarray(self.alphas, dtype=complex)
         if w.ndim != 1 or w.size == 0:

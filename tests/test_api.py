@@ -110,7 +110,8 @@ def test_src_reads_every_private_name_and_constant():
 
 
 #: public functions that no src/ code calls yet: the single-mode probe
-#: states of the squeezed and thermal comparison planned in ROADMAP item 5
+#: states of the squeezed and thermal comparisons planned in ROADMAP items 7
+#: and 8
 NO_SRC_CALLER = ["squeezed_vacuum", "thermal"]
 
 
@@ -133,3 +134,18 @@ def test_every_mutant_applies_once():
     stale = [ident for ident, module, snippet, *_ in MUTANTS
              if (src / module).read_text().count(snippet) != 1]
     assert stale == []
+
+
+def test_every_mutant_names_an_existing_killer():
+    # the runner runs each mutant's recorded killer first: a killer id that
+    # names no test function of its file would send every run to the full
+    # suite and report the killer stale only after minutes
+    root = Path(__file__).resolve().parents[1]
+    missing = []
+    for ident, *_, killer in MUTANTS:
+        path, _, name = killer.partition("::")
+        tree = ast.parse((root / path).read_text()) if (root / path).is_file() else ast.Module([])
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if name.split("[")[0] not in defined:
+            missing.append(ident)
+    assert missing == []

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -269,28 +270,41 @@ def test_verify_reports_cross_pipeline_disagreement_alone(tmp_path, monkeypatch)
         (i, "cross_pipeline_disagreement") for i in range(3)]
 
 
-@pytest.mark.parametrize("shift, fires", [(0.5e-7, False), (2e-7, True)])
-def test_cross_pipeline_tolerance_is_its_edge(tmp_path, monkeypatch, shift, fires):
-    # the closed-form rows of the cross-check move by shift on the vacuum
-    # amplitude, and route 2 is left alone: against the documented
-    # tolerance of 1e-7, half of it is agreement and twice it is a finding
-    # on every trial
+def _trials(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("factor, fires", [(0.5, False), (2.0, True)])
+def test_cross_pipeline_tolerance_is_its_edge(tmp_path, monkeypatch, factor, fires):
+    # the closed-form rows of the cross-check move on the vacuum amplitude,
+    # which the dropped sectors leave alone, by factor times each trial's
+    # documented bound sqrt(sector_tail) + (top + 2 n_modes) eps, and route 2
+    # is left alone: half of it is agreement and twice it is a finding on
+    # every trial
+    cfg = _write_config(tmp_path, n_trials=3, seed=7, cutoff=14)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "clean")]) == 0
+    clean = _trials(tmp_path / "clean")
+    bounds = [math.sqrt(r["sector_tail"]) + (2 * (r["cutoff"] - 1) + 4) * np.finfo(float).eps
+              for r in clean]
+    assert all(0.0 < r["sector_tail"] <= 1e-20 for r in clean)
+    shifts = iter(factor * b for b in bounds)
     closed_form = theoremlab._coherent_rows
 
     def shifted(alphas, occupations):
         rows = closed_form(alphas, occupations)
-        rows[..., 0] += shift
+        rows[..., 0] += next(shifts)
         return rows
 
     monkeypatch.setattr(theoremlab, "_coherent_rows", shifted)
-    cfg = _write_config(tmp_path, n_trials=3, seed=7, cutoff=14)
     out = tmp_path / "shifted"
     code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == (cli.EXIT_FINDING if fires else cli.EXIT_OK)
     report = json.loads((out / "report.json").read_text())
     assert [(f["trial"], f["kind"]) for f in report["findings"]] == [
         (i, "cross_pipeline_disagreement") for i in range(3 if fires else 0)]
-    assert report["worst_cross_pipeline_dev"] == pytest.approx(shift, rel=1e-6)
+    devs = [r["cross_pipeline_max_dev"] for r in _trials(out)]
+    assert devs == pytest.approx([factor * b for b in bounds], rel=1e-6)
+    assert report["worst_sector_tail"] == max(r["sector_tail"] for r in clean)
 
 
 def test_conjugation_fault_is_invisible_for_a_real_splitter(tmp_path, monkeypatch):
@@ -740,7 +754,8 @@ def test_route_one_decides_no_retry(monkeypatch):
     assert moved.n_overflow_failures == plain.n_overflow_failures == 0
     assert [(r.attempts, r.cutoff) for r in moved.records] == \
         [(r.attempts, r.cutoff) for r in plain.records]
-    assert moved.worst_cross_pipeline_dev > theoremlab.CROSS_PIPELINE_TOL
+    assert [(f["trial"], f["kind"]) for f in moved.findings] == [
+        (i, "cross_pipeline_disagreement") for i in range(8)]
 
 
 @pytest.mark.parametrize("n_modes, cutoff, cat", [

@@ -66,8 +66,12 @@ def test_uncertainty_relation_enforced():
      "must be finite"),
     (lambda: GaussianState(1, [0.0, 0.0], [[np.nan, 0.0], [0.0, np.nan]]), "must be finite"),
     (lambda: GaussianState(1, [np.inf, 0.0], np.eye(2) / 2), "must be finite"),
+    # True would be a one-mode state, and 1.5 a numpy TypeError
+    (lambda: GaussianState(True, np.zeros(2), np.eye(2) / 2), "n_modes must be an integer"),
+    (lambda: GaussianState(1.5, np.zeros(3), np.eye(3) / 2), "n_modes must be an integer"),
 ], ids=["mean-length", "cov-shape", "asymmetric-cov", "no-specs", "mode-mismatch", "nan-nbar",
-        "nan-alpha", "inf-alpha", "inf-r", "nan-theta-s", "nan-cov", "inf-mean"])
+        "nan-alpha", "inf-alpha", "inf-r", "nan-theta-s", "nan-cov", "inf-mean", "bool-modes",
+        "float-modes"])
 def test_malformed_gaussian_input_is_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -12,12 +12,14 @@ from bselab.hilbert import FockArena, TruncationError
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
+    _sector_bounds,
     _sector_tail_bound,
+    _tail_bound,
     beam_splitter_matrix,
     transform_coherent_exact,
     transform_ensemble,
 )
-from bselab.states import CoherentEnsemble, coherent, fock
+from bselab.states import CoherentEnsemble, _coherent_rows, coherent, fock
 from bselab.theoremlab import haar_unitary
 from reference import (
     annihilation_matrix,
@@ -267,11 +269,35 @@ def _tail_bounds(bound):
 def test_sector_tail_bound_is_sound_by_pdtrc():
     # the exact tail P(N >= n) = pdtrc(n - 1, mean) of the returned n is
     # within SECTOR_TAIL_EPS unless n is the top (or the mean is 0, with
-    # nothing past sector 0)
+    # nothing past sector 0); below the top, the tail the cross-check reads,
+    # the bound at n + 1, is at least the exact P(N > n) = pdtrc(n, mean)
     n = _tail_bounds(_sector_tail_bound)
     tail = scipy.special.pdtrc(n - 1, TAIL_MEANS[:, None])
     sound = (tail <= SECTOR_TAIL_EPS) | (n == np.array(TAIL_TOPS)) | (TAIL_MEANS[:, None] == 0.0)
     assert sound.all(), list(zip(*np.nonzero(~sound)))[:5]
+    kept = [(mean, k) for mean, row in zip(TAIL_MEANS, n) for k, top in zip(row, TAIL_TOPS)
+            if mean > 0.0 and k < top]
+    dropped = np.array([_tail_bound(float(mean), int(k) + 1) for mean, k in kept])
+    exact = scipy.special.pdtrc(*np.array(kept)[:, ::-1].T)
+    assert len(kept) > 10000 and (exact <= dropped).all()
+
+
+def test_sector_bounds_drop_no_tail_at_a_zero_mean_or_the_top():
+    # an arena of 2 modes at cutoff 4 has top sector 6: a zero mean keeps
+    # sector 0 alone, and a mean whose walk reaches 6 (3.0), lies above it
+    # (7.0) or overflows (1e200 squared) keeps the whole arena, since no
+    # sector above 6 holds an arena tuple; that tail of 0 holds for route 2
+    arena = FockArena(2, 4)
+    alphas = np.array([[0.0, 0.0], [1.5, np.sqrt(0.75)], [2.0, np.sqrt(3.0)], [1e200, 0.0]])
+    n, tails = _sector_bounds(alphas, arena)
+    assert n.tolist() == [0, 6, 6, 6] and tails.tolist() == [0.0] * 4
+    # below the top, the tail is the bound at n + 1
+    (n,), (tail,) = _sector_bounds(np.array([[0.3, 0.4j]]), FockArena(2, 14))
+    assert n < 26 and tail == _tail_bound(0.25, n + 1) >= scipy.special.pdtrc(n, 0.25) > 0.0
+    m = haar_unitary(2, np.random.default_rng(4))
+    out = transform_coherent_exact([m], alphas[1:3], arena)[0]
+    closed = _coherent_rows(alphas[1:3] @ np.conj(m.matrix), arena.occupation_table())
+    assert np.abs(out - closed).max() <= 1e-14
 
 
 def test_sector_tail_bound_is_at_most_one_past_the_linear_search():

@@ -111,6 +111,19 @@ def test_coherent_leakage_has_no_cancellation_floor():
         coherent_leakage(0.5, 0)
 
 
+@pytest.mark.parametrize("abs_alpha, cutoff, match", [
+    (np.nan, 5, "abs_alpha must be finite"), (np.inf, 5, "abs_alpha must be finite"),
+    (-0.1, 5, "abs_alpha must be finite"), (0.5, 2.5, "cutoff must be an integer"),
+    (0.5, True, "cutoff must be an integer"), (0.5, 0, "cutoff must be >= 1")],
+    ids=["nan", "inf", "negative", "float-cutoff", "bool-cutoff", "zero-cutoff"])
+def test_coherent_leakage_rejects_what_is_no_amplitude_or_cutoff(abs_alpha, cutoff, match):
+    # a NaN leak would pass every `leak > leak_tol` check, and a cutoff of
+    # 2.5 would read a tail of 7.9e-3
+    with pytest.raises(ValueError, match=match):
+        coherent_leakage(abs_alpha, cutoff)
+    assert coherent_leakage(0.0, np.int64(1)) == 0.0
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(n=st.integers(0, 80), mean=st.floats(0.0, 50.0))
 @example(n=0, mean=0.0)
@@ -232,8 +245,12 @@ def test_gaussian_spec_validation_and_fock_form():
     (lambda: CoherentEnsemble(1, [], np.zeros((0, 1))), "weights must be a non-empty"),
     (lambda: CoherentEnsemble(2, [1.0], [[0.1]]), "alphas must have shape"),
     (lambda: GaussianSpec("squeezed_vacuum", r=-0.1), "r must be >= 0"),
+    # True would be a one-mode ensemble, as it was a one-mode FockArena
+    (lambda: CoherentEnsemble(True, [1.0], [[0.1]]), "n_modes must be an integer"),
+    (lambda: CoherentEnsemble(1.0, [1.0], [[0.1]]), "n_modes must be an integer"),
+    (lambda: CoherentEnsemble(0, [1.0], np.zeros((1, 0))), "n_modes must be >= 1"),
 ], ids=["two-mode-squeezed", "two-mode-thermal", "empty-weights", "alphas-shape",
-        "negative-r"])
+        "negative-r", "bool-modes", "float-modes", "no-modes"])
 def test_malformed_state_input_is_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -117,7 +117,7 @@ def test_trial_record_serialization_omits_wall_time():
     assert set(payload) == {
         "seed", "cutoff", "leak", "attempts", "input", "unitary", "ensemble_closure",
         "ppt_min_eigenvalue", "ppt_headroom", "bipartitions", "cross_pipeline_max_dev",
-        "gaussian",
+        "sector_tail", "gaussian",
     }
     assert payload["ensemble_closure"] == "pass"
     assert len(payload["bipartitions"]) == 1
