@@ -94,8 +94,8 @@ def parse_ensemble(entries) -> CoherentEnsemble:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_config_json(path: Path) -> dict:
-    """The JSON object in a config file, or ConfigError."""
+def _read_config_json(path: Path, allowed) -> dict:
+    """A config file's JSON object, keys in ``allowed`` and any "version" 1, or ConfigError."""
     try:
         raw = json.loads(path.read_text())
     except OSError as exc:
@@ -104,15 +104,17 @@ def _read_config_json(path: Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    if "version" in raw and not (_is_number(raw["version"]) and raw["version"] == 1):
+        raise ConfigError("config must declare \"version\": 1")
     return raw
 
 
 def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
-    raw = _read_config_json(path)
-    unknown = set(raw) - _CAMPAIGN_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if not (_is_number(raw.get("version")) and raw["version"] == 1):
+    raw = _read_config_json(path, _CAMPAIGN_FIELDS)
+    if "version" not in raw:
         raise ConfigError("config must declare \"version\": 1")
 
     ensemble = None
@@ -354,6 +356,8 @@ def cmd_sweep(args) -> int:
     # unitary, for the whole sweep at once; a Fock row goes through P U P, an
     # ensemble through the exact coherent transform a campaign trial uses
     if args.input == "fock":
+        if args.config is not None:
+            raise ConfigError("--config holds an ensemble and needs --input ensemble")
         try:
             occ = tuple(int(tok) for tok in args.occupations.split(","))
             psi = fock(arena, occ)
@@ -364,14 +368,18 @@ def cmd_sweep(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("--input ensemble requires --config with an ensemble")
-        ens = parse_ensemble(_read_config_json(Path(args.config)).get("ensemble"))
+        # the flags carry the sweep's settings; its config holds the ensemble alone
+        raw = _read_config_json(Path(args.config), {"version", "ensemble"})
+        ens = parse_ensemble(raw.get("ensemble"))
         if ens.n_modes != arena.n_modes:
             raise ConfigError("sweep needs a two-mode ensemble")
         # a component that overflows alone is an error, even where a small
         # weight hides it in the mixture
         coherent(arena, ens.alphas)
         input_echo = {"kind": "ensemble", "components": ens.n_components}
-        weights, route, inputs = ens.weights, transform_coherent_exact, ens.alphas
+        weights, inputs = ens.weights, ens.alphas
+        def route(unitaries, alphas, arena):  # the rows; the tails go unread
+            return transform_coherent_exact(unitaries, alphas, arena)[0]
 
     table = []
     t0 = time.perf_counter()

@@ -19,7 +19,8 @@ one form, a sequence of T ModeUnitary and K rows in, ``(T, K, total_dim)``
 out; one unitary is ``[m]``, and each row is its one-row call bit for bit.
 ``transform_coherent_exact`` feeds the applier K coherent states, built by
 ``states._coherent_rows`` on the plan's columns, which gives the projection
-of the exact transform; it transforms its input once and builds every block
+of the exact transform, and also returns the Poisson tail each state drops
+past its last sector; it transforms its input once and builds every block
 for the whole sequence (a sweep's angles).  ``_lift_rows`` feeds it K arena
 amplitude rows, which gives P U P, the exact lift projected onto the arena;
 no code here forms that dim x dim matrix.
@@ -207,8 +208,9 @@ def _lift_rows(unitaries, rows: np.ndarray, arena: FockArena) -> np.ndarray:
     sectors up to the rows' top occupied one are built.  An arena row is 0
     on every tuple outside the arena, so P U P psi = P U psi: the rows are
     read on the sectors' full columns, with 0 on the columns outside the
-    arena.  Each row is its one-row call, and from two modes up each
-    unitary its one-unitary call, bit for bit."""
+    arena, so no sector tail is dropped: the one loss of P U P is the leak
+    past the arena, which the row check sees.  Each row is its one-row call,
+    and from two modes up each unitary its one-unitary call, bit for bit."""
     occupied = np.any(rows != 0, axis=0)
     top = int(arena.occupation_table().sum(axis=1)[occupied].max(initial=0))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
@@ -236,53 +238,47 @@ def _sector_tail_bound(mean: float, top: int) -> int:
     return n
 
 
-def _sector_bounds(alphas: np.ndarray, arena: FockArena) -> tuple[np.ndarray, np.ndarray]:
-    """Each coherent row's sector bound n_i, at most the arena's top sector,
-    and tail_i >= P(N_i > n_i), the probability dropped past it: 0 at a
-    zero mean or at the top, above which no arena tuple lies, and else
-    ``_tail_bound`` at n_i + 1, where n_i + 2 > mean_i."""
-    with np.errstate(over="ignore"):  # a square past the float range: an infinite mean
-        means = np.sum(np.abs(alphas) ** 2, axis=1)
-    last = arena.n_modes * (arena.cutoff - 1)  # the arena's top sector
-    n_max = [_sector_tail_bound(mean, last) for mean in means]
-    tails = [0.0 if n in (0, last) else _tail_bound(mean, n + 1) for mean, n in zip(means, n_max)]
-    return np.array(n_max, dtype=int), np.array(tails)
-
-
-def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> np.ndarray:
+def transform_coherent_exact(unitaries, alphas, arena: FockArena) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes of each lifted unitary applied to each |alpha>, projected
-    to the arena truncation *after* the transform.
+    to the arena *after* the transform, and the tail each component drops.
 
     ``unitaries`` is a sequence of T ModeUnitary and ``alphas`` has shape
-    ``(K, n_modes)``; the result has shape ``(T, K, total_dim)``.  The work
-    on the input (sector bounds, coherent columns) is done once for the
-    whole sequence, and each sector block is built for all T at once.  Each
-    of the K rows is its one-component call bit for bit (sectors above its
-    own bound meet zero amplitudes), and from two modes up each of the T
-    is its one-matrix call; one mode's blocks are 1 x 1, and numpy rounds
-    the lone complex product of a stack of one without a fused
-    multiply-add, so there the last bit can differ.  A non-finite
-    amplitude raises ``ValueError``.
+    ``(K, n_modes)``, K = 0 included, for rows ``(T, K, total_dim)`` and
+    tails ``(K,)``.  The work on the input (sector bounds, tails, coherent
+    columns) is done once for the whole sequence, and each sector block is
+    built for all T at once.  Each of the K rows is its one-component call
+    bit for bit (sectors above its own bound meet zero amplitudes), and from
+    two modes up each of the T is its one-matrix call; one mode's blocks are
+    1 x 1, and numpy rounds the lone complex product of a stack of one
+    without a fused multiply-add, so there the last bit can differ.  A
+    non-finite amplitude raises ``ValueError``.
 
     The lift conserves total photon number, so it is exact on every full
     sector.  Evaluating it sector by sector on the untruncated coherent
-    state (each state up to its own sector bound, where a bound on its
-    Poisson tail drops below ``SECTOR_TAIL_EPS``, or to the arena's top sector
-    n_modes*(cutoff-1) when that comes first) and projecting afterwards gives
-    P U|alpha>; the dense P U P on a truncated input would miss the
-    amplitude that U carries into the arena from outside it.  Only the
-    arena's rows of each block are built (from every column of the sector),
-    and no sector above n_modes*(cutoff-1), which holds no arena tuple.
+    state and projecting afterwards gives P U|alpha>; the dense P U P on a
+    truncated input would miss the amplitude that U carries into the arena
+    from outside it.  Component i is kept up to its sector bound n_i, where
+    a bound on its Poisson tail drops below ``SECTOR_TAIL_EPS``, or to the
+    arena's top sector n_modes*(cutoff-1), above which no arena tuple lies,
+    when that comes first.  Its tail is tail_i >= P(N_i > n_i), what it
+    drops past n_i: 0 at a zero mean or at the top, else ``_tail_bound`` at
+    n_i + 1, where n_i + 2 > mean_i.  Only the arena's rows of each block
+    are built (from every column of the sector).
     """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape[1:] != (arena.n_modes,) or not np.isfinite(alphas).all():
         raise ValueError("need finite alphas of shape (K, n_modes)")
-    n_max = _sector_bounds(alphas, arena)[0]
-    top = int(n_max.max())
+    with np.errstate(over="ignore"):  # a square past the float range: an infinite mean
+        means = np.sum(np.abs(alphas) ** 2, axis=1)
+    last = arena.n_modes * (arena.cutoff - 1)  # the arena's top sector
+    n_max = np.array([_sector_tail_bound(mean, last) for mean in means], dtype=int)
+    tails = np.array([0.0 if n in (0, last) else _tail_bound(mean, n + 1)
+                      for mean, n in zip(means, n_max)])
+    top = int(n_max.max(initial=0))
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
     amps = _coherent_rows(alphas, plan.cols)
     amps[plan.sector > n_max[:, None]] = 0.0
-    return _apply_sectors(unitaries, amps, top, arena)
+    return _apply_sectors(unitaries, amps, top, arena), tails
 
 
 def transform_ensemble(ens: CoherentEnsemble, m: ModeUnitary) -> CoherentEnsemble:

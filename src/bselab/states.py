@@ -183,9 +183,10 @@ class CoherentEnsemble:
             raise ValueError("ensemble weights must be non-negative")
         if a.shape != (w.size, self.n_modes):
             raise ValueError("alphas must have shape (n_components, n_modes)")
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("total weight must be positive")
+        with np.errstate(over="ignore"):  # a sum past the float range: rejected below
+            total = w.sum()
+        if not 0 < total < np.inf:
+            raise ValueError(f"total weight must be positive and finite, not {total}")
         if abs(total - 1.0) > 1e-12:
             w = w / total
         else:

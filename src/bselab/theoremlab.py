@@ -29,8 +29,8 @@ import numpy as np
 from ._blas import single_threaded_blas
 from .gaussian import apply_passive, gaussian_from_spec, is_classical, ppt_verdicts
 from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError, _check_size
-from .passive import (ModeUnitary, _sector_bounds, beam_splitter_matrix,
-                      transform_coherent_exact, transform_ensemble)
+from .passive import (ModeUnitary, beam_splitter_matrix, transform_coherent_exact,
+                      transform_ensemble)
 from .states import (CoherentEnsemble, GaussianSpec, _check_rows, _coherent_rows,
                      coherent_leakage)
 from .witnesses import PPT_TOL, EntanglementReport, negativity_reports
@@ -183,7 +183,7 @@ def run_theorem_trial(
     # sector-exactly and projected to the cutoff afterwards, so PPT
     # diagnostics measure the output state rather than lift boundary-clipping
     # noise.  Each output row's leak check sends a trial to a larger cutoff.
-    amps = transform_coherent_exact([m], ens.alphas, arena)[0]
+    (amps,), tails = transform_coherent_exact([m], ens.alphas, arena)
     _check_rows(amps, leak_tol)
     rho_out = Mixture(arena, ens.weights, amps, leak_tol=leak_tol)
     lap("route2_transform")
@@ -196,7 +196,7 @@ def run_theorem_trial(
     # agreement per component at amplitude level; route 1's rows check no leak
     closed = _coherent_rows(out_ens.alphas, arena.occupation_table())
     cross_dev = float(np.abs(amps - closed).max())
-    sector_tail = float(_sector_bounds(ens.alphas, arena)[1].max())
+    sector_tail = float(tails.max())
     lap("cross_check")
 
     # route 3: Gaussian oracle, when the input is a single coherent component

@@ -181,6 +181,9 @@ MUTANTS = [
      " * np.exp(1e-9j * (occ.sum(axis=1)[0] >= 4) * np.arange(terms.shape[-1]))",
      "each block from sector 4 up is off by the phase e^{i 1e-9 j} on its column j",
      "tests/test_acceptance.py::test_acceptance_4_two_mode_theorem_campaign"),
+    (37, "theoremlab.py", "sector_tail = float(tails.max())", "sector_tail = float(tails.min())",
+     "the trial records the smallest tail route 2 drops, not the largest",
+     "tests/test_theoremlab.py::test_trial_sector_tail_is_the_largest_tail_route_two_drops"),
 ]
 
 

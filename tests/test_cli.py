@@ -370,6 +370,12 @@ def test_verify_rejects_non_finite_config(tmp_path, capsys, overrides):
     assert "finite" in capsys.readouterr().err
 
 
+#: one two-mode component, and two whose weights sum past the float range
+ONE_COMPONENT = [{"weight": 1.0, "alphas": [[0.1, 0.0], [0.0, 0.1]]}]
+OVERFLOWING_WEIGHTS = [{"weight": 1e308, "alphas": [[0.1, 0.0], [0.0, 0.1]]},
+                       {"weight": 1e308, "alphas": [[0.2, 0.0], [0.0, 0.1]]}]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -389,11 +395,13 @@ def test_verify_rejects_non_finite_config(tmp_path, capsys, overrides):
         {"version": True},
         {"ensemble": [{"weight": True, "alphas": [[0.3, 0.0], [0.0, 0.2]]}]},
         {"ensemble": [{"weight": 1.0, "alphas": [[True, 0.0], [0.0, 0.2]]}], "cutoff": 14},
+        {"ensemble": OVERFLOWING_WEIGHTS},
     ],
     ids=["zero-amplitude-bound", "zero-components", "fractional-n-trials",
          "bool-n-trials", "negative-seed", "float-n-modes", "fractional-threads",
          "negative-ppt-tol", "zero-leak-tol", "zero-cutoff", "bool-amplitude-bound",
-         "bool-ppt-tol", "bool-leak-tol", "bool-version", "bool-weight", "bool-alpha"],
+         "bool-ppt-tol", "bool-leak-tol", "bool-version", "bool-weight", "bool-alpha",
+         "overflowing-weights"],
 )
 def test_verify_rejects_out_of_range_config(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, n_trials=1, cutoff=8, amplitude_bound=0.5)
@@ -408,6 +416,26 @@ def test_verify_rejects_unknown_field(tmp_path, capsys):
     cfg = _write_config(tmp_path, frobnicate=True)
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, payload, message", [
+    ("ensemble", {"version": 7, "cutoff": 20, "leak_tol": 1e-3, "bogus_key": 5,
+                  "ensemble": ONE_COMPONENT},
+     "unknown config fields: ['bogus_key', 'cutoff', 'leak_tol']"),
+    ("ensemble", {"version": 7, "ensemble": ONE_COMPONENT}, 'config must declare "version": 1'),
+    ("ensemble", {"ensemble": OVERFLOWING_WEIGHTS},
+     "total weight must be positive and finite, not inf"),
+    ("fock", {"ensemble": ONE_COMPONENT}, "--config holds an ensemble and needs --input ensemble"),
+], ids=["campaign-fields", "version-7", "overflowing-weights", "fock-input"])
+def test_sweep_rejects_a_config_it_cannot_use(tmp_path, capsys, source, payload, message):
+    # a sweep's settings are its flags: its config holds an ensemble and at
+    # most the format version, and a Fock sweep takes none
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps(payload))
+    assert cli.main(["sweep", "--input", source, "--config", str(cfg), "--thetas", "0.3",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -642,7 +670,9 @@ def test_sweep_bad_input_is_config_error(tmp_path, capsys, argv, config_text):
     cfg = tmp_path / "config.json"
     if config_text is not None:
         cfg.write_text(config_text)
-    assert cli.main(["sweep", "--thetas", "0.5", *argv, "--config", str(cfg),
+    # only an ensemble sweep takes a config, which a Fock sweep rejects first
+    config = ["--config", str(cfg)] if "ensemble" in argv else []
+    assert cli.main(["sweep", "--thetas", "0.5", *argv, *config,
                      "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
     assert "config error" in capsys.readouterr().err
 
@@ -686,7 +716,7 @@ def test_verify_trials_record_their_cutoff_and_retries(tmp_path):
         weights = np.array(r["input"]["weights"])
         alphas = np.array(r["input"]["alphas"]) @ [1.0, 1.0j]
         m = ModeUnitary(np.array(r["unitary"]["matrix"]) @ [1.0, 1.0j])
-        rows = transform_coherent_exact([m], alphas, FockArena(3, r["cutoff"]))[0]
+        rows = transform_coherent_exact([m], alphas, FockArena(3, r["cutoff"]))[0][0]
         assert r["leak"] == 1.0 - float(weights @ np.sum(np.abs(rows) ** 2, axis=1))
         assert r["leak"] <= LEAK_TOL
     timings = json.loads((outs[0] / "manifest.json").read_text())["timings_seconds"]

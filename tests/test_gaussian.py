@@ -291,7 +291,7 @@ def _coherent_through_haar(draw):
 def test_gaussian_and_fock_routes_agree_on_coherent_marginals(case):
     arena, bound, alpha, m = case
     assert coherent_leakage(bound * np.sqrt(arena.n_modes), arena.cutoff) <= 1e-12
-    rows = transform_coherent_exact([m], alpha[None, :], arena)[0]
+    rows = transform_coherent_exact([m], alpha[None, :], arena)[0][0]
     reduced = marginals(Mixture(arena, [1.0], rows))
     g_out = apply_passive(
         gaussian_from_spec([GaussianSpec("coherent", alpha=complex(a)) for a in alpha]), m
@@ -310,6 +310,6 @@ def test_exact_transform_conserves_photon_number(case):
     # a passive map conserves N: the output row's <N> is the input's
     # sum |alpha|^2, up to the Poisson tail past the cutoff
     arena, _, alpha, m = case
-    row = transform_coherent_exact([m], alpha[None, :], arena)[0, 0]
+    row = transform_coherent_exact([m], alpha[None, :], arena)[0][0, 0]
     photons = np.indices((arena.cutoff,) * arena.n_modes).sum(axis=0).ravel()
     assert abs(photons @ np.abs(row) ** 2 - np.sum(np.abs(alpha) ** 2)) <= 1e-10

@@ -12,7 +12,7 @@ from bselab.hilbert import FockArena, TruncationError
 from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
-    _sector_bounds,
+    _lift_rows,
     _sector_tail_bound,
     _tail_bound,
     beam_splitter_matrix,
@@ -238,7 +238,7 @@ def test_sector_exact_transform_matches_dense_lift():
     m = haar_unitary(2, rng)
     alpha = np.array([0.8 + 0.2j, -0.3 + 0.6j])
     dense = lift_unitary(m, arena).apply_to_vector(coherent(arena, alpha))
-    exact = transform_coherent_exact([m], alpha[None], arena)[0, 0]
+    exact = transform_coherent_exact([m], alpha[None], arena)[0][0, 0]
     assert np.abs(dense - exact).max() <= 1e-7
     closed = coherent(arena, alpha @ np.conj(m.matrix))
     assert np.abs(exact - closed).max() <= 1e-10
@@ -289,15 +289,28 @@ def test_sector_bounds_drop_no_tail_at_a_zero_mean_or_the_top():
     # sector above 6 holds an arena tuple; that tail of 0 holds for route 2
     arena = FockArena(2, 4)
     alphas = np.array([[0.0, 0.0], [1.5, np.sqrt(0.75)], [2.0, np.sqrt(3.0)], [1e200, 0.0]])
-    n, tails = _sector_bounds(alphas, arena)
-    assert n.tolist() == [0, 6, 6, 6] and tails.tolist() == [0.0] * 4
-    # below the top, the tail is the bound at n + 1
-    (n,), (tail,) = _sector_bounds(np.array([[0.3, 0.4j]]), FockArena(2, 14))
-    assert n < 26 and tail == _tail_bound(0.25, n + 1) >= scipy.special.pdtrc(n, 0.25) > 0.0
+    with np.errstate(over="ignore"):
+        means = np.sum(np.abs(alphas) ** 2, axis=1)
+    assert [_sector_tail_bound(mean, 6) for mean in means] == [0, 6, 6, 6]
     m = haar_unitary(2, np.random.default_rng(4))
-    out = transform_coherent_exact([m], alphas[1:3], arena)[0]
+    out, tails = transform_coherent_exact([m], alphas, arena)
+    assert tails.tolist() == [0.0] * 4
+    # below the top, the tail is the bound at n + 1
+    n = _sector_tail_bound(0.25, 26)
+    (tail,) = transform_coherent_exact([m], np.array([[0.3, 0.4j]]), FockArena(2, 14))[1]
+    assert n < 26 and tail == _tail_bound(0.25, n + 1) >= scipy.special.pdtrc(n, 0.25) > 0.0
     closed = _coherent_rows(alphas[1:3] @ np.conj(m.matrix), arena.occupation_table())
-    assert np.abs(out - closed).max() <= 1e-14
+    assert np.abs(out[0, 1:3] - closed).max() <= 1e-14
+
+
+def test_exact_transform_of_no_component_is_no_row():
+    # K = 0: every unitary gives no row and there is no tail, as _lift_rows
+    # gives no row for no row
+    arena = FockArena(2, 4)
+    ms = [beam_splitter_matrix(0.3), beam_splitter_matrix(0.7)]
+    rows, tails = transform_coherent_exact(ms, np.zeros((0, 2)), arena)
+    assert rows.shape == (2, 0, arena.total_dim) and tails.shape == (0,)
+    assert _lift_rows(ms, np.zeros((0, arena.total_dim)), arena).shape == rows.shape
 
 
 def test_sector_tail_bound_is_at_most_one_past_the_linear_search():
@@ -341,11 +354,11 @@ def test_sector_tail_bound_stops_at_the_arena_top():
         for mean in (float(top), top + 0.5, 3000.0, np.inf):
             assert _sector_tail_bound(mean, top) == top, (mean, top)
     arena = FockArena(2, 4)
-    out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[3000.0, 0.0]], arena)
+    out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[3000.0, 0.0]], arena)[0]
     assert out.shape == (1, 1, arena.total_dim) and not out.any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[1e200, 0.0]], arena)
+        out = transform_coherent_exact([beam_splitter_matrix(0.3)], [[1e200, 0.0]], arena)[0]
         with pytest.raises(TruncationError, match=r"leakage 1\.000e\+00"):
             coherent(arena, [[1e200, 0.0]])
     assert not out.any()

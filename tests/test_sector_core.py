@@ -273,10 +273,10 @@ def test_exact_transform_properties(case):
     (n_modes, cutoff), m, rows = case
     arena = FockArena(n_modes, cutoff)
     alphas = np.array(rows, dtype=complex)
-    batch = transform_coherent_exact([m], alphas, arena)[0]
+    batch = transform_coherent_exact([m], alphas, arena)[0][0]
     assert batch.shape == (len(rows), arena.total_dim)
     for alpha, amps in zip(alphas, batch):
-        single = transform_coherent_exact([m], alpha[None], arena)[0, 0]
+        single = transform_coherent_exact([m], alpha[None], arena)[0][0, 0]
         assert amps.tobytes() == single.tobytes()
         # closed-form image, used here only as the reference
         closed = _coherent_rows((alpha @ np.conj(m.matrix))[None], arena.occupation_table())[0]
@@ -300,7 +300,7 @@ def test_arena_row_transform_matches_full_sectors(case):
     arena = FockArena(n_modes, cutoff)
     alphas = scale * np.array(rows, dtype=complex)
     reference = full_sector_transform(m, alphas, arena)
-    assert np.abs(transform_coherent_exact([m], alphas, arena)[0] - reference).max() <= 1e-15
+    assert np.abs(transform_coherent_exact([m], alphas, arena)[0][0] - reference).max() <= 1e-15
 
 
 @PROPERTY
@@ -319,8 +319,8 @@ def test_exact_transform_of_a_stack_is_single_calls_bit_for_bit(case):
     arena = FockArena(n_modes, cutoff)
     ms = ms + [ModeUnitary(np.diag(np.exp(1j * np.pi * (-1.0) ** np.arange(n_modes))))]
     alphas = scale * np.array(rows + [[0j] + rows[0][1:]], dtype=complex)
-    batch = transform_coherent_exact(ms, alphas, arena)
+    batch = transform_coherent_exact(ms, alphas, arena)[0]
     assert batch.shape == (len(ms), len(alphas), arena.total_dim)
     for m, amps in zip(ms, batch):
-        assert amps.tobytes() == transform_coherent_exact([m], alphas, arena)[0].tobytes()
-    assert transform_coherent_exact(ms[:1], alphas, arena)[0].tobytes() == batch[0].tobytes()
+        assert amps.tobytes() == transform_coherent_exact([m], alphas, arena)[0][0].tobytes()
+    assert transform_coherent_exact(ms[:1], alphas, arena)[0][0].tobytes() == batch[0].tobytes()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bselab import _blas, theoremlab, witnesses
+from bselab import _blas, passive, theoremlab, witnesses
 from bselab.hilbert import FockArena
-from bselab.passive import ModeUnitary, beam_splitter_matrix
+from bselab.passive import ModeUnitary, beam_splitter_matrix, transform_coherent_exact
 from bselab.states import CoherentEnsemble
 from bselab.theoremlab import (
     CampaignConfig,
@@ -107,6 +107,34 @@ def test_trial_single_component_checks_every_cut_in_route_three():
         (list(a), list(b)) for a, b in bipartitions(3)]
     assert all(c["verdict"] == "separable" for c in cuts)
     assert [name for name, _ in record.stage_times][-1] == "route3_gaussian"
+
+
+#: four components of distinct means on 3 modes at cutoff 8, whose sector
+#: bounds all lie below the arena's top sector 21
+FOUR_COMPONENTS = CoherentEnsemble(3, np.full(4, 0.25), np.array(
+    [[0.1, 0.2j, 0.3], [0.4, 0.0, 0.1j], [0.2, -0.2, 0.2j], [0.0, 0.5, 0.0]], complex))
+
+
+def test_trial_walks_each_sector_bound_once(monkeypatch):
+    # route 2 returns the tail each row drops and the cross-check reads it
+    # there, so an attempt walks each component's sector bound once
+    means, walk = [], passive._sector_tail_bound
+
+    def counting(mean, top):
+        means.append(mean)
+        return walk(mean, top)
+
+    monkeypatch.setattr(passive, "_sector_tail_bound", counting)
+    run_theorem_trial(FOUR_COMPONENTS, haar_unitary(3, np.random.default_rng(5)), FockArena(3, 8))
+    assert len(means) == FOUR_COMPONENTS.n_components
+
+
+def test_trial_sector_tail_is_the_largest_tail_route_two_drops():
+    arena, m = FockArena(3, 8), haar_unitary(3, np.random.default_rng(5))
+    record = run_theorem_trial(FOUR_COMPONENTS, m, arena)
+    tails = transform_coherent_exact([m], FOUR_COMPONENTS.alphas, arena)[1]
+    assert len(set(tails.tolist())) == 4 and tails.min() > 0.0
+    assert record.sector_tail == tails.max()
 
 
 def test_trial_record_serialization_omits_wall_time():

@@ -180,7 +180,7 @@ def _row_mixtures(draw):
         ])
     else:
         alphas = 0.4 * np.exp(2j * np.pi * rng.uniform(size=(k, n_modes)))
-        rows = transform_coherent_exact([haar_unitary(n_modes, rng)], alphas, arena)[0]
+        rows = transform_coherent_exact([haar_unitary(n_modes, rng)], alphas, arena)[0][0]
         if kind == "near-product":
             # an entangled residue of amplitude 1e-11, below the budget:
             # the cut drops it and moves the least eigenvalue by ~1e-11
@@ -254,7 +254,7 @@ def _classical_inputs(draw):
 def _classical_outputs(draw):
     """A classical input through its unitary by the exact transform."""
     ens, m, arena, bound = draw(_classical_inputs())
-    rows = transform_coherent_exact([m], ens.alphas, arena)[0]
+    rows = transform_coherent_exact([m], ens.alphas, arena)[0][0]
     return Mixture(arena, ens.weights, rows), bound
 
 
@@ -319,7 +319,7 @@ def _fock_33(arena):
 def _classical_k4(arena):
     rng = np.random.default_rng(4)
     alphas = 0.5 * np.exp(2j * np.pi * rng.uniform(size=(4, arena.n_modes)))
-    rows = transform_coherent_exact([haar_unitary(arena.n_modes, rng)], alphas, arena)[0]
+    rows = transform_coherent_exact([haar_unitary(arena.n_modes, rng)], alphas, arena)[0][0]
     return Mixture(arena, rng.dirichlet(np.ones(4)), rows)
 
 
