@@ -359,7 +359,7 @@ def cmd_sweep(args) -> int:
         if args.config is not None:
             raise ConfigError("--config holds an ensemble and needs --input ensemble")
         try:
-            occ = tuple(int(tok) for tok in args.occupations.split(","))
+            occ = tuple(int(tok) for tok in (args.occupations or "1,0").split(","))
             psi = fock(arena, occ)
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
@@ -368,6 +368,8 @@ def cmd_sweep(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("--input ensemble requires --config with an ensemble")
+        if args.occupations is not None:
+            raise ConfigError("--occupations is a Fock input and needs --input fock")
         # the flags carry the sweep's settings; its config holds the ensemble alone
         raw = _read_config_json(Path(args.config), {"version", "ensemble"})
         ens = parse_ensemble(raw.get("ensemble"))
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep the splitter angle, emit CSV")
     sweep.add_argument("--thetas", default="", help="comma-separated angles (radians)")
     sweep.add_argument("--input", choices=["fock", "ensemble"], default="fock")
-    sweep.add_argument("--occupations", default="1,0")
+    sweep.add_argument("--occupations", help="Fock input occupations (default 1,0)")
     sweep.add_argument("--config", help="config JSON holding an ensemble")
     sweep.add_argument("--phi0", type=_finite_float, default=0.0)
     sweep.add_argument("--phi1", type=_finite_float, default=0.0)

@@ -126,7 +126,6 @@ def test_verify_clean_run(tmp_path, capsys):
     assert report["n_completed"] == 4
     records = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
     assert len(records) == 4
-    assert all(record["ensemble_closure"] == "pass" for record in records)
     # the headroom nets each cut's rank-cut bound: min over cuts of
     # min_pt_eigenvalue - pt_bound, plus ppt_tol
     for record in records:
@@ -184,16 +183,10 @@ def test_verify_manual_ensemble(tmp_path):
     assert report["config"]["ensemble"]["weights"] == [0.5, 0.5]
 
 
-def test_verify_reports_closure_breach_as_finding(tmp_path, monkeypatch):
-    exact = theoremlab.transform_ensemble
-
-    def breaking(ens, m):
-        out = exact(ens, m)
-        weights = out.weights.copy()
-        weights[0] += 0.1
-        return CoherentEnsemble(out.n_modes, weights, out.alphas)
-
-    monkeypatch.setattr(theoremlab, "transform_ensemble", breaking)
+def test_verify_reads_no_route_one_weight(tmp_path, monkeypatch):
+    # route 2, the PT stage and route 3 read the input's weights and the
+    # cross-check compares rows, so a route 1 that changes its weights
+    # leaves every output byte as it was
     cfg = _write_config(
         tmp_path,
         n_trials=1,
@@ -202,12 +195,22 @@ def test_verify_reports_closure_breach_as_finding(tmp_path, monkeypatch):
             {"weight": 0.5, "alphas": [[-0.3, 0.1], [0.1, 0.0]]},
         ],
     )
-    out = tmp_path / "breach"
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FINDING
-    report = json.loads((out / "report.json").read_text())
-    assert [f["kind"] for f in report["findings"]] == ["closure_breach_critical"]
-    record = json.loads((out / "trials.jsonl").read_text())
-    assert record["ensemble_closure"] == "fail"
+    exact = theoremlab.transform_ensemble
+
+    def reweighting(ens, m):
+        out = exact(ens, m)
+        weights = out.weights.copy()
+        weights[0] += 0.1
+        return CoherentEnsemble(out.n_modes, weights, out.alphas)
+
+    def run(tag):
+        out = tmp_path / tag
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        return [(out / name).read_bytes() for name in ("trials.jsonl", "report.json")]
+
+    exact_outputs = run("exact")
+    monkeypatch.setattr(theoremlab, "transform_ensemble", reweighting)
+    assert run("reweighted") == exact_outputs
 
 
 @pytest.mark.parametrize("n_modes, mixed", [(2, True), (3, True), (3, False)],
@@ -473,6 +476,16 @@ def test_verify_rejects_truncation_unsafe_config(tmp_path, capsys):
     assert "truncation-unsafe" in capsys.readouterr().err
 
 
+def test_verify_manual_ensemble_ignores_amplitude_bound(tmp_path, capsys):
+    # a manual campaign draws no amplitude, so the default amplitude_bound
+    # of 1 does not gate a cutoff its own |alpha| = 0.1 fits
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"version": 1, "n_trials": 3, "n_modes": 2, "cutoff": 5,
+                               "ensemble": [{"weight": 1.0, "alphas": [[0.1, 0], [0, 0]]}]}))
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "3/3 trials clean" in capsys.readouterr().out
+
+
 def test_sweep_fock_values(tmp_path):
     out = tmp_path / "sweep"
     code = cli.main(
@@ -487,6 +500,24 @@ def test_sweep_fock_values(tmp_path):
     assert float(flat[4]) == pytest.approx(-1.0)  # single photon in mode a
     split = lines[2].split(",")
     assert float(split[2]) == pytest.approx(1.0, abs=1e-9)  # log-negativity at pi/4
+
+
+def test_sweep_occupations_belong_to_fock_input(tmp_path, capsys):
+    # an ensemble sweep reads no occupations, so it refuses them; a Fock
+    # sweep without them starts from |1,0>
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": ONE_COMPONENT}))
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg),
+                     "--occupations", "5,5,5", "--thetas", "0.3",
+                     "--out", str(tmp_path / "ensemble")]) == cli.EXIT_USAGE
+    assert "config error: --occupations" in capsys.readouterr().err
+    assert not (tmp_path / "ensemble" / "sweep.csv").exists()
+    rows = []
+    for tag, occupations in (("default", []), ("explicit", ["--occupations", "1,0"])):
+        out = tmp_path / tag
+        assert cli.main(["sweep", "--thetas", "0,0.3", *occupations, "--out", str(out)]) == 0
+        rows.append((out / "sweep.csv").read_bytes())
+    assert rows[0] == rows[1]
 
 
 def test_sweep_empty_grid_writes_header_only(tmp_path):

@@ -53,7 +53,6 @@ def test_trial_identity_unitary_keeps_diagnostics():
     arena = FockArena(2, 12)
     ens = random_classical_ensemble(1, 2, 3, 0.6)
     record = run_theorem_trial(ens, ModeUnitary(np.eye(2)), arena)
-    assert record.ensemble_closure == "pass"
     assert record.ppt_min_eigenvalue >= -1e-10
     assert record.cross_pipeline_max_dev <= 1e-10
 
@@ -143,11 +142,10 @@ def test_trial_record_serialization_omits_wall_time():
     record = run_theorem_trial(ens, haar_unitary(2, np.random.default_rng(0)), arena)
     payload = record.to_json_dict()
     assert set(payload) == {
-        "seed", "cutoff", "leak", "attempts", "input", "unitary", "ensemble_closure",
+        "seed", "cutoff", "leak", "attempts", "input", "unitary",
         "ppt_min_eigenvalue", "ppt_headroom", "bipartitions", "cross_pipeline_max_dev",
         "sector_tail", "gaussian",
     }
-    assert payload["ensemble_closure"] == "pass"
     assert len(payload["bipartitions"]) == 1
     assert set(payload["bipartitions"][0]) == {
         "modes_a", "modes_b", "min_pt_eigenvalue", "negativity", "log_negativity",
@@ -250,6 +248,11 @@ def test_config_validation():
     # truncation-unsafe combination is rejected up front
     with pytest.raises(ValueError):
         CampaignConfig(n_trials=1, seed=0, amplitude_bound=2.0, cutoff=6)
+    # a manual ensemble is checked at its own largest |alpha|, the only
+    # amplitude its trials see, however small amplitude_bound is
+    with pytest.raises(ValueError, match="truncation-unsafe for"):
+        CampaignConfig(n_trials=1, cutoff=8, amplitude_bound=0.1,
+                       manual_ensemble=CoherentEnsemble(2, [1.0], [[2.5, 0.0]]))
     # numpy integers count as integers (the CLI rejects floats and bools)
     assert CampaignConfig(n_trials=np.int64(1), seed=np.uint32(3)).seed == 3
 
