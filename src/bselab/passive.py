@@ -17,6 +17,11 @@ forms that stack and applies the blocks to each amplitude row on the plan's
 columns on its own, with one scatter to the arena.  Both entry points take
 one form, a sequence of T ModeUnitary and K rows in, ``(T, K, total_dim)``
 out; one unitary is ``[m]``, and each row is its one-row call bit for bit.
+The builder runs in scratch arrays kept per thread, grown to the largest
+sector the thread has built and never shrunk, so a sector step allocates
+nothing; each block it yields is a view of that scratch, valid until the
+generator advances.
+
 ``transform_coherent_exact`` feeds the applier K coherent states, built by
 ``states._coherent_rows`` on the plan's columns, which gives the projection
 of the exact transform, and also returns the Poisson tail each state drops
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -151,6 +157,46 @@ def _sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
     return plan
 
 
+class _Scratch:
+    """One running recursion's scratch: a flat gather, terms and block array,
+    and their views on each sector for the (n_modes, cutoff, T) of ``key``.
+    A sector's shapes do not depend on the plan's top, so the views of one
+    key serve every top up to the deepest one built."""
+
+    def __init__(self) -> None:
+        self.flat = [np.empty(0, dtype=complex) for _ in range(3)]
+        self.key, self.views = None, []
+
+    def sector_views(self, plan: _SectorPlan, cutoff: int, t: int) -> list:
+        """Per sector of ``plan``, its (gather, terms, block) views for a
+        stack of ``t``; on a new key or a deeper plan, each flat array first
+        grows to the largest of its shapes where it is smaller."""
+        key = (plan.cols.shape[1], cutoff, t)
+        if key != self.key or len(self.views) < len(plan.sectors):
+            shapes = [((0,), (0,), (1, t, 1))]  # sector 0 gathers nothing
+            shapes += [((len(below), t, len(parent)), rows.shape + (t, len(parent)),
+                        (len(occ), t, len(parent)))
+                       for (below, *_), (occ, rows, _, parent, _)
+                       in zip(plan.sectors, plan.sectors[1:])]
+            sizes = [max(map(math.prod, slot)) for slot in zip(*shapes)]
+            self.flat = [a if a.size >= n else np.empty(n, dtype=complex)
+                         for a, n in zip(self.flat, sizes)]
+            self.views = [[a[:math.prod(shape)].reshape(shape) for a, shape in zip(self.flat, step)]
+                          for step in shapes]
+            self.key = key
+        return self.views
+
+
+class _ScratchPool(threading.local):
+    """Per thread, the scratch no running ``_sector_blocks`` holds."""
+
+    def __init__(self) -> None:
+        self.idle: list[_Scratch] = []
+
+
+_scratch_pool = _ScratchPool()
+
+
 def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
     """Sectors 0..top of the Fock-space lift of each mode matrix of a stack
     ``(T, n, n)``, in order and one at a time (each is built from the one
@@ -168,18 +214,39 @@ def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
     each matrix runs the same elementwise operations in the same order as a
     stack of one, and each block is C-contiguous, so every matrix reaches
     BLAS with unit column stride.
+
+    A sector step allocates nothing: it gathers, scales and sums in a
+    ``_Scratch`` of three flat arrays (gather, terms, block), taken from the
+    thread's idle ones on entry and returned on close, so two live
+    generators, or two threads, never share one.  Each array grows to the
+    largest sector it has served and is never shrunk: a thread keeps about
+    the working set of its largest call, once per generator it runs at a
+    time.  A yielded block is a view of that scratch, valid until the
+    generator advances; a caller that keeps it copies it.
     """
     plan = _sector_plan(stack.shape[-1], top, cutoff)
     # coef[k, T, t] = conj(M_jk) / sqrt(t_j), j the mode column t lowers
     coef = np.conj(stack).transpose(2, 0, 1)[..., plan.mode] * plan.inv_sqrt_t
-    block = np.ones((1, len(stack), 1), dtype=complex)
-    yield plan.sectors[0][0], plan.cols[:1], block.transpose(1, 0, 2)
-    for occ, rows, sqrt_s, parent, columns in plan.sectors[1:]:
-        # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>
-        terms = np.multiply(sqrt_s, np.take(block, parent, axis=-1)[rows])
-        terms *= coef[:, None, :, columns]
-        block = terms.sum(axis=0)
-        yield occ, plan.cols[columns], block.transpose(1, 0, 2)
+    idle = _scratch_pool.idle
+    scratch = idle.pop() if idle else _Scratch()
+    try:
+        views = scratch.sector_views(plan, cutoff, len(stack))
+        block = views[0][2]
+        block.fill(1.0)
+        yield plan.sectors[0][0], plan.cols[:1], block.transpose(1, 0, 2)
+        for (occ, rows, sqrt_s, parent, columns), (parents, terms, next_block) in zip(
+                plan.sectors[1:], views[1:]):
+            # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>;
+            # the indices are in range by construction, and mode="clip" lets
+            # np.take write to out unbuffered
+            np.take(block, parent, axis=-1, out=parents, mode="clip")
+            np.take(parents, rows, axis=0, out=terms, mode="clip")
+            np.multiply(sqrt_s, terms, out=terms)
+            np.multiply(terms, coef[:, None, :, columns], out=terms)
+            block = terms.sum(axis=0, out=next_block)
+            yield occ, plan.cols[columns], block.transpose(1, 0, 2)
+    finally:
+        _scratch_pool.idle.append(scratch)
 
 
 def _apply_sectors(unitaries, amps: np.ndarray, top: int, arena: FockArena) -> np.ndarray:
@@ -187,17 +254,22 @@ def _apply_sectors(unitaries, amps: np.ndarray, top: int, arena: FockArena) -> n
     plan's columns of sectors 0..top, for each of a sequence of T
     ModeUnitary, whose matrices it stacks ``(T, n, n)`` for the blocks; the
     result ``(T, K, total_dim)`` is on the arena.  Each sector's blocks act
-    on its columns as one ``(1, cols)`` product per row and matrix, and
-    every sector's rows reach the arena in one scatter."""
+    on its columns as one ``(1, cols)`` product per row and matrix, written
+    to that sector's slice of one ``(T, K, 1, rows)`` array, and every
+    sector's rows reach the arena in one scatter."""
     if any(u.n_modes != arena.n_modes for u in unitaries):
         raise ValueError("mode count mismatch between unitary and arena")
     stack = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
     plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    parts = [amps[:, None, columns] @ np.swapaxes(block, -1, -2)[:, None]
-             for (*_, columns), (_, _, block)
-             in zip(plan.sectors, _sector_blocks(stack, top, arena.cutoff))]
+    prods = np.empty((len(stack), len(amps), 1, len(plan.row_index)), dtype=complex)
+    start = 0
+    for (occ, _, block), (*_, columns) in zip(_sector_blocks(stack, top, arena.cutoff),
+                                              plan.sectors):
+        np.matmul(amps[:, None, columns], np.swapaxes(block, -1, -2)[:, None],
+                  out=prods[..., start:start + len(occ)])
+        start += len(occ)
     out = np.zeros((len(stack), len(amps), arena.total_dim), dtype=complex)
-    out[..., plan.row_index] = np.concatenate(parts, axis=-1)[..., 0, :]
+    out[..., plan.row_index] = prods[..., 0, :]
     return out
 
 

@@ -105,12 +105,13 @@ MUTANTS = [
      "coef[:, None, :, columns.start - 1:columns.stop - 1]",
      "each sector reads the coefficients one column to the left",
      "tests/test_acceptance.py::test_acceptance_2_conjugation_law"),
-    (19, "passive.py", "out[..., plan.row_index] = np.concatenate(parts, axis=-1)[..., 0, :]",
+    (19, "passive.py", "out[..., plan.row_index] = prods[..., 0, :]",
      "out[..., plan.row_index[:-len(plan.sectors[-1][0])]]"
-     " = np.concatenate(parts[:-1], axis=-1)[..., 0, :]",
+     " = prods[..., 0, :-len(plan.sectors[-1][0])]",
      "the one scatter drops the last sector",
      "tests/test_acceptance.py::test_acceptance_6_entanglement_generation_benchmark"),
-    (20, "passive.py", "block = terms.sum(axis=0)", "block = terms[1:].sum(axis=0)",
+    (20, "passive.py", "block = terms.sum(axis=0, out=next_block)",
+     "block = terms[1:].sum(axis=0, out=next_block)",
      "each sector step drops mode 0's term",
      "tests/test_acceptance.py::test_acceptance_2_conjugation_law"),
     (21, "passive.py", "(n + 1) / (n + 1 - mean) * math.exp(", "math.exp(",
@@ -127,8 +128,11 @@ MUTANTS = [
      "    rows = columns[:, np.arange(columns.shape[1]), occupations].prod(axis=-1)\n",
      "the coherent-row builder takes one reduce product over the whole stack",
      "tests/test_sector_core.py::test_exact_transform_properties"),
-    (24, "passive.py", "amps[:, None, columns] @ np.swapaxes(block, -1, -2)[:, None]",
-     "(amps[:, columns] @ np.swapaxes(block, -1, -2))[:, :, None]",
+    (24, "passive.py",
+     "np.matmul(amps[:, None, columns], np.swapaxes(block, -1, -2)[:, None],\n"
+     "                  out=prods[..., start:start + len(occ)])",
+     "np.matmul(amps[:, columns], np.swapaxes(block, -1, -2),\n"
+     "                  out=prods[..., 0, start:start + len(occ)])",
      "the applier takes one matmul over all K rows",
      "tests/test_sector_core.py::test_lift_rows_is_the_dense_lift"),
     (25, "theoremlab.py", "    _check_rows(amps, leak_tol)\n", "    _check_rows(amps, 1.0)\n",
@@ -176,14 +180,22 @@ MUTANTS = [
      "amps[plan.sector >= n_max[:, None]] = 0.0",
      "the exact transform zeroes each component's last kept sector",
      "tests/test_acceptance.py::test_acceptance_4_two_mode_theorem_campaign"),
-    (36, "passive.py", "block = terms.sum(axis=0)",
-     "block = terms.sum(axis=0)"
+    (36, "passive.py", "block = terms.sum(axis=0, out=next_block)",
+     "block = terms.sum(axis=0, out=next_block)"
      " * np.exp(1e-9j * (occ.sum(axis=1)[0] >= 4) * np.arange(terms.shape[-1]))",
      "each block from sector 4 up is off by the phase e^{i 1e-9 j} on its column j",
      "tests/test_acceptance.py::test_acceptance_4_two_mode_theorem_campaign"),
     (37, "theoremlab.py", "sector_tail = float(tails.max())", "sector_tail = float(tails.min())",
      "the trial records the smallest tail route 2 drops, not the largest",
      "tests/test_theoremlab.py::test_trial_sector_tail_is_the_largest_tail_route_two_drops"),
+    (38, "passive.py", "scratch = idle.pop() if idle else _Scratch()",
+     "scratch = idle[-1] if idle else _Scratch()",
+     "two live sector recursions in one thread share its last idle scratch",
+     "tests/test_sector_core.py::test_zipped_sector_recursions_keep_their_own_blocks"),
+    (39, "passive.py", "if key != self.key or len(self.views) < len(plan.sectors):",
+     "if len(self.views) < len(plan.sectors):",
+     "the scratch keeps its views for another (n_modes, cutoff, T)",
+     "tests/test_sector_core.py::test_interleaved_shapes_give_their_bytes_alone"),
 ]
 
 

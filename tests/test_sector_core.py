@@ -7,9 +7,14 @@ byte to a loop over the modes (`loop_sector_blocks`).
 
 Unitaries are Haar draws and degenerate cases: +-I, mode permutations and
 eigenphases at +-pi, each also in a rotated eigenbasis.
+
+The builder runs in scratch reused per thread; interleaved shapes, zipped
+builders and concurrent threads each give the bytes of a call made alone.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -324,3 +329,76 @@ def test_exact_transform_of_a_stack_is_single_calls_bit_for_bit(case):
     for m, amps in zip(ms, batch):
         assert amps.tobytes() == transform_coherent_exact([m], alphas, arena)[0][0].tobytes()
     assert transform_coherent_exact(ms[:1], alphas, arena)[0][0].tobytes() == batch[0].tobytes()
+
+
+def _route_two_calls() -> list:
+    """Route 2 on the shapes that meet in one process, each a call that
+    returns its rows' bytes: a 3-mode trial at cutoff 8 (T = 1), the 2-mode
+    sweep at cutoff 22 (T = 5), the 3-mode retry cutoff 12, and an empty
+    T = 0 stack."""
+    rng = np.random.default_rng(35)
+
+    def call(n_modes, cutoff, n_stack, modulus):
+        ms = [haar_unitary(n_modes, rng) for _ in range(n_stack)]
+        alphas = modulus * np.exp(2j * np.pi * rng.random((3, n_modes)))
+        arena = FockArena(n_modes, cutoff)
+        return lambda: transform_coherent_exact(ms, alphas, arena)[0].tobytes()
+
+    return [call(3, 8, 1, 0.5), call(2, 22, 5, 1.5), call(3, 12, 1, 0.5), call(3, 8, 0, 0.5)]
+
+
+def _in_fresh_thread(call):
+    """``call()`` on a thread of its own, whose scratch no earlier call used."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_interleaved_shapes_give_their_bytes_alone():
+    # one thread's scratch serves each shape in turn: deeper sectors, more
+    # modes, another cutoff, another T and no matrix at all
+    calls = _route_two_calls()
+    alone = [_in_fresh_thread(call) for call in calls]
+    for i in (0, 1, 2, 3, 2, 0, 3, 1, 0):
+        assert calls[i]() == alone[i], i
+
+
+def test_threads_give_the_bytes_of_serial_calls():
+    calls = _route_two_calls()[:2]
+    serial = [call() for call in calls]
+    results = [[], []]
+
+    def work(i):
+        for _ in range(20):
+            results[i].append(calls[i]())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[serial[0]] * 20, [serial[1]] * 20]
+
+
+def test_zipped_sector_recursions_keep_their_own_blocks():
+    # a yielded block is a view that stays valid until its generator
+    # advances, whatever another live generator of the thread does meanwhile
+    rng = np.random.default_rng(7)
+    shapes = [(np.array([haar_unitary(3, rng).matrix]), 12, 8),
+              (np.array([haar_unitary(3, rng).matrix]), 12, 8),
+              (np.array([haar_unitary(2, rng).matrix for _ in range(5)]), 20, 22)]
+    alone = [[block.copy() for *_, block in _sector_blocks(*shape)] for shape in shapes]
+    for a, b in ((0, 1), (0, 2), (2, 0)):
+        pairs = zip(_sector_blocks(*shapes[a]), _sector_blocks(*shapes[b]))
+        for n, ((*_, block_a), (*_, block_b)) in enumerate(pairs):
+            assert block_a.tobytes() == alone[a][n].tobytes(), (a, n)
+            assert block_b.tobytes() == alone[b][n].tobytes(), (b, n)
