@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
   0  all assertions pass / zero findings
   2  usage or config error
-  3  finding (theorem-surrogate tolerance breach or demo assertion failure)
+  3  finding (theorem-surrogate tolerance breach, such as a PPT violation at
+     an angle of an ensemble sweep, or demo assertion failure)
   4  numeric/truncation failure beyond the retry budget
 
 Outputs are machine-readable JSON (reports, trial streams) plus a run
@@ -405,7 +406,16 @@ def cmd_sweep(args) -> int:
                              "cutoff": args.cutoff},
                    {"total": elapsed}, [str(sweep_path)])
     print(f"sweep: wrote {len(table)} rows to {sweep_path}")
-    return EXIT_OK
+    # a passive map keeps a classical input separable: on an ensemble, an
+    # entangled verdict is a finding; a Fock input makes no classical claim
+    violations = []
+    if args.input == "ensemble":
+        violations = [(theta, report.min_pt_eigenvalue) for theta, report in zip(thetas, reports)
+                      if report.verdict == "entangled"]
+    for theta, min_eig in violations:
+        print(f"finding: ppt_violation at theta {theta}: min_pt_eigenvalue {min_eig}",
+              file=sys.stderr)
+    return EXIT_FINDING if violations else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,22 @@ operator U conserves total photon number; its block on sector n is the
 symmetric power Sym^n of the mode map, <s|U|t> = Per(conj(M)[t, s]) /
 sqrt(t! s!) (Scheel, quant-ph/0406127; Aaronson-Arkhipov, STOC 2011).
 
-One builder, ``_sector_blocks``, forms those blocks column by column from
+One kernel, ``_apply_sectors``, forms those blocks column by column from
 U c_j^dag U^{-1} = sum_k conj(M_jk) c_k^dag: no matrix logarithm (no branch
 to choose at eigenphases +-pi), no exponential; each sector is one array
-pass that gathers, scales and sums the terms of every mode k.  It reads one
-cached plan, ``_sector_plan``, and builds one shape, the rows whose tuples
-fit a cutoff against every column of the sector, for a stack of mode
-matrices (one matrix is a stack of one).  One applier, ``_apply_sectors``,
-forms that stack and applies the blocks to each amplitude row on the plan's
-columns on its own, with one scatter to the arena.  Both entry points take
-one form, a sequence of T ModeUnitary and K rows in, ``(T, K, total_dim)``
-out; one unitary is ``[m]``, and each row is its one-row call bit for bit.
-The builder runs in scratch arrays kept per thread, grown to the largest
+pass that gathers, scales and sums the terms of every mode k, and the block
+it gives is applied to each amplitude row on the sector's columns in the
+same loop, with one scatter to the arena at the end.  It reads one cached
+plan, ``_sector_plan``, and builds one shape, the rows whose tuples fit a
+cutoff against every column of the sector, for a stack of mode matrices
+(one matrix is a stack of one).  Both entry points take one form, a
+sequence of T ModeUnitary and K rows in, ``(T, K, total_dim)`` out; one
+unitary is ``[m]``, and each row is its one-row call bit for bit.  The
+recursion runs in scratch arrays kept per thread, grown to the largest
 sector the thread has built and never shrunk, so a sector step allocates
-nothing; each block it yields is a view of that scratch, valid until the
-generator advances.
+nothing.
 
-``transform_coherent_exact`` feeds the applier K coherent states, built by
+``transform_coherent_exact`` feeds the kernel K coherent states, built by
 ``states._coherent_rows`` on the plan's columns, which gives the projection
 of the exact transform, and also returns the Poisson tail each state drops
 past its last sector; it transforms its input once and builds every block
@@ -42,7 +41,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +99,7 @@ def beam_splitter_matrix(theta: float, phi0: float = 0.0, phi1: float = 0.0) -> 
 
 
 class _SectorPlan(NamedTuple):
-    """What the recursion, the applier and both entry points read."""
+    """What the sector kernel and both entry points read."""
 
     sectors: tuple          # per sector: (occ, rows, sqrt_s, parent, columns)
     cols: np.ndarray        # every column tuple, in sector order
@@ -157,11 +156,11 @@ def _sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
     return plan
 
 
-class _Scratch:
-    """One running recursion's scratch: a flat gather, terms and block array,
-    and their views on each sector for the (n_modes, cutoff, T) of ``key``.
-    A sector's shapes do not depend on the plan's top, so the views of one
-    key serve every top up to the deepest one built."""
+class _Scratch(threading.local):
+    """A thread's scratch for the sector recursion: a flat gather, terms and
+    block array, and their views on each sector for the (n_modes, cutoff, T)
+    of ``key``.  A sector's shapes do not depend on the plan's top, so the
+    views of one key serve every top up to the deepest one built."""
 
     def __init__(self) -> None:
         self.flat = [np.empty(0, dtype=complex) for _ in range(3)]
@@ -187,55 +186,48 @@ class _Scratch:
         return self.views
 
 
-class _ScratchPool(threading.local):
-    """Per thread, the scratch no running ``_sector_blocks`` holds."""
-
-    def __init__(self) -> None:
-        self.idle: list[_Scratch] = []
+_scratch = _Scratch()
 
 
-_scratch_pool = _ScratchPool()
-
-
-def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
-    """Sectors 0..top of the Fock-space lift of each mode matrix of a stack
-    ``(T, n, n)``, in order and one at a time (each is built from the one
-    below), each as its row and column occupation tuples (lexicographic, as
-    a FockArena lists them) and its blocks ``(T, rows, cols)``, <s|U|t>,
-    built from U|0> = |0> by
-        U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>.
-    The rows are the tuples of a FockArena with ``cutoff`` and the columns
-    the whole sector: the arena rows of the full blocks, and the full blocks
-    themselves for a cutoff above ``top``.
+def _apply_sectors(unitaries, amps: np.ndarray, top: int, arena: FockArena) -> np.ndarray:
+    """The one sector kernel: P U on amplitudes ``(K, n_columns)`` on the
+    plan's columns of sectors 0..top, for each of a sequence of T
+    ModeUnitary, whose matrices it stacks ``(T, n, n)``; the result
+    ``(T, K, total_dim)`` is on the arena.  Sector n's blocks <s|U|t>, the
+    arena's rows s against every column t of the sector, are built from
+    sector n - 1's, starting from U|0> = |0>, by
+        U|t> = t_j^{-1/2} (sum_k conj(M_jk) c_k^dag) U|t - e_j>,
+    and applied to the rows on that sector's columns in the same loop.
 
     Each sector is one array pass: the terms of every mode k form one
     ``(k, rows, T, cols)`` array, summed over k in mode order from 0 as a
     loop over the modes sums them.  With the stack between rows and columns,
     each matrix runs the same elementwise operations in the same order as a
     stack of one, and each block is C-contiguous, so every matrix reaches
-    BLAS with unit column stride.
+    BLAS with unit column stride.  The blocks act as one ``(1, cols)``
+    product per row and matrix, written to that sector's slice of one
+    ``(T, K, 1, rows)`` array, and every sector's rows reach the arena in
+    one scatter.
 
-    A sector step allocates nothing: it gathers, scales and sums in a
-    ``_Scratch`` of three flat arrays (gather, terms, block), taken from the
-    thread's idle ones on entry and returned on close, so two live
-    generators, or two threads, never share one.  Each array grows to the
-    largest sector it has served and is never shrunk: a thread keeps about
-    the working set of its largest call, once per generator it runs at a
-    time.  A yielded block is a view of that scratch, valid until the
-    generator advances; a caller that keeps it copies it.
-    """
-    plan = _sector_plan(stack.shape[-1], top, cutoff)
+    A sector step allocates nothing: it gathers, scales and sums in the
+    thread's ``_Scratch`` of three flat arrays (gather, terms, block), so
+    threads never share one.  **Memory:** each array grows to the largest
+    sector the thread has built and is never shrunk, so a thread keeps the
+    working set of its largest call until it exits."""
+    if any(u.n_modes != arena.n_modes for u in unitaries):
+        raise ValueError("mode count mismatch between unitary and arena")
+    stack = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
+    plan = _sector_plan(arena.n_modes, top, arena.cutoff)
+    prods = np.empty((len(stack), len(amps), 1, len(plan.row_index)), dtype=complex)
     # coef[k, T, t] = conj(M_jk) / sqrt(t_j), j the mode column t lowers
     coef = np.conj(stack).transpose(2, 0, 1)[..., plan.mode] * plan.inv_sqrt_t
-    idle = _scratch_pool.idle
-    scratch = idle.pop() if idle else _Scratch()
-    try:
-        views = scratch.sector_views(plan, cutoff, len(stack))
-        block = views[0][2]
-        block.fill(1.0)
-        yield plan.sectors[0][0], plan.cols[:1], block.transpose(1, 0, 2)
-        for (occ, rows, sqrt_s, parent, columns), (parents, terms, next_block) in zip(
-                plan.sectors[1:], views[1:]):
+    views = _scratch.sector_views(plan, arena.cutoff, len(stack))
+    block = views[0][2]
+    block.fill(1.0)
+    start = 0
+    for (occ, rows, sqrt_s, parent, columns), (parents, terms, next_block) in zip(
+            plan.sectors, views):
+        if parent is not None:
             # <s|c_k^dag|phi> = sqrt(s_k) <s - e_k|phi>, with phi = U|t - e_j>;
             # the indices are in range by construction, and mode="clip" lets
             # np.take write to out unbuffered
@@ -244,28 +236,7 @@ def _sector_blocks(stack: np.ndarray, top: int, cutoff: int) -> Iterator[tuple]:
             np.multiply(sqrt_s, terms, out=terms)
             np.multiply(terms, coef[:, None, :, columns], out=terms)
             block = terms.sum(axis=0, out=next_block)
-            yield occ, plan.cols[columns], block.transpose(1, 0, 2)
-    finally:
-        _scratch_pool.idle.append(scratch)
-
-
-def _apply_sectors(unitaries, amps: np.ndarray, top: int, arena: FockArena) -> np.ndarray:
-    """The one sector applier: P U on amplitudes ``(K, n_columns)`` on the
-    plan's columns of sectors 0..top, for each of a sequence of T
-    ModeUnitary, whose matrices it stacks ``(T, n, n)`` for the blocks; the
-    result ``(T, K, total_dim)`` is on the arena.  Each sector's blocks act
-    on its columns as one ``(1, cols)`` product per row and matrix, written
-    to that sector's slice of one ``(T, K, 1, rows)`` array, and every
-    sector's rows reach the arena in one scatter."""
-    if any(u.n_modes != arena.n_modes for u in unitaries):
-        raise ValueError("mode count mismatch between unitary and arena")
-    stack = np.reshape([u.matrix for u in unitaries], (-1,) + (arena.n_modes,) * 2)
-    plan = _sector_plan(arena.n_modes, top, arena.cutoff)
-    prods = np.empty((len(stack), len(amps), 1, len(plan.row_index)), dtype=complex)
-    start = 0
-    for (occ, _, block), (*_, columns) in zip(_sector_blocks(stack, top, arena.cutoff),
-                                              plan.sectors):
-        np.matmul(amps[:, None, columns], np.swapaxes(block, -1, -2)[:, None],
+        np.matmul(amps[:, None, columns], block.transpose(1, 2, 0)[:, None],
                   out=prods[..., start:start + len(occ)])
         start += len(occ)
     out = np.zeros((len(stack), len(amps), arena.total_dim), dtype=complex)

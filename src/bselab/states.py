@@ -92,15 +92,15 @@ def _coherent_column(alphas, cutoff: int) -> np.ndarray:
 
 def _coherent_rows(alphas: np.ndarray, occupations: np.ndarray) -> np.ndarray:
     """The one coherent-product builder: the rows ``(K, N)`` of ``alphas``
-    ``(K, n_modes)`` on the tuples ``occupations`` ``(N, n_modes)``.  Each
-    row is built on its own, from ones, multiplied by each mode's gathered
-    column in mode order: the arithmetic of ``np.kron`` of the columns,
-    whatever the memory order of ``occupations``."""
+    ``(K, n_modes)`` on the tuples ``occupations`` ``(N, n_modes)``.  The
+    whole stack starts from ones and is multiplied by each mode's gathered
+    columns in mode order, one pass per mode: each row gets the arithmetic
+    of ``np.kron`` of its columns, whatever the memory order of
+    ``occupations``."""
     columns = _coherent_column(alphas, occupations.max() + 1)
     rows = np.ones((len(alphas), len(occupations)), dtype=complex)
-    for row, column in zip(rows, columns):
-        for mode, occ in enumerate(occupations.T):
-            row *= column[mode, occ]
+    for mode, occ in enumerate(occupations.T):
+        rows *= columns[:, mode, occ]
     return rows
 
 

@@ -87,7 +87,7 @@ MUTANTS = [
      "    return amps.reshape(",
      "coherent checks no row's leak",
      "tests/test_cli.py::test_sweep_ensemble_checks_each_input_component"),
-    (14, "states.py", "row *= column[mode, occ]", "row *= column[-1 - mode, occ]",
+    (14, "states.py", "rows *= columns[:, mode, occ]", "rows *= columns[:, -1 - mode, occ]",
      "the coherent-row builder reads the modes in reverse",
      "tests/test_acceptance.py::test_acceptance_3_coherent_covariance"),
     (15, "cli.py", "_, _, report, _ = _splitter_and_back(args, arena)",
@@ -104,7 +104,7 @@ MUTANTS = [
     (18, "passive.py", "coef[:, None, :, columns]",
      "coef[:, None, :, columns.start - 1:columns.stop - 1]",
      "each sector reads the coefficients one column to the left",
-     "tests/test_acceptance.py::test_acceptance_2_conjugation_law"),
+     "tests/test_acceptance.py::test_acceptance_4_two_mode_theorem_campaign"),
     (19, "passive.py", "out[..., plan.row_index] = prods[..., 0, :]",
      "out[..., plan.row_index[:-len(plan.sectors[-1][0])]]"
      " = prods[..., 0, :-len(plan.sectors[-1][0])]",
@@ -113,7 +113,7 @@ MUTANTS = [
     (20, "passive.py", "block = terms.sum(axis=0, out=next_block)",
      "block = terms[1:].sum(axis=0, out=next_block)",
      "each sector step drops mode 0's term",
-     "tests/test_acceptance.py::test_acceptance_2_conjugation_law"),
+     "tests/test_acceptance.py::test_acceptance_4_two_mode_theorem_campaign"),
     (21, "passive.py", "(n + 1) / (n + 1 - mean) * math.exp(", "math.exp(",
      "the sector bound drops the factor (n+1)/(n+1-mean) and stops where the pmf fits",
      "tests/test_passive.py::test_sector_tail_bound_is_sound_by_pdtrc"),
@@ -122,18 +122,17 @@ MUTANTS = [
      "the sector bound skips a tail bound equal to SECTOR_TAIL_EPS",
      "tests/test_passive.py::test_sector_tail_bound_keeps_a_tail_equal_to_the_budget[1e-25-1]"),
     (23, "states.py",
-     "    for row, column in zip(rows, columns):\n"
-     "        for mode, occ in enumerate(occupations.T):\n"
-     "            row *= column[mode, occ]\n",
+     "    for mode, occ in enumerate(occupations.T):\n"
+     "        rows *= columns[:, mode, occ]\n",
      "    rows = columns[:, np.arange(columns.shape[1]), occupations].prod(axis=-1)\n",
      "the coherent-row builder takes one reduce product over the whole stack",
      "tests/test_sector_core.py::test_exact_transform_properties"),
     (24, "passive.py",
-     "np.matmul(amps[:, None, columns], np.swapaxes(block, -1, -2)[:, None],\n"
+     "np.matmul(amps[:, None, columns], block.transpose(1, 2, 0)[:, None],\n"
      "                  out=prods[..., start:start + len(occ)])",
-     "np.matmul(amps[:, columns], np.swapaxes(block, -1, -2),\n"
+     "np.matmul(amps[:, columns], block.transpose(1, 2, 0),\n"
      "                  out=prods[..., 0, start:start + len(occ)])",
-     "the applier takes one matmul over all K rows",
+     "the sector kernel applies each block in one matmul over all K rows",
      "tests/test_sector_core.py::test_lift_rows_is_the_dense_lift"),
     (25, "theoremlab.py", "    _check_rows(amps, leak_tol)\n", "    _check_rows(amps, 1.0)\n",
      "route 2's rows are checked against no leak budget",
@@ -145,11 +144,9 @@ MUTANTS = [
      "route 1's rows are checked against the leak budget and decide retries again",
      "tests/test_cli.py::test_route_one_decides_no_retry"),
     (27, "states.py",
-     "    for row, column in zip(rows, columns):\n"
-     "        for mode, occ in enumerate(occupations.T):\n",
-     "    for row, column in zip(rows, columns):\n"
-     "        row[:] = column[0, occupations[:, 0]]\n"
-     "        for mode, occ in enumerate(occupations.T[1:], 1):\n",
+     "    for mode, occ in enumerate(occupations.T):\n",
+     "    rows[:] = columns[:, 0, occupations[:, 0]]\n"
+     "    for mode, occ in enumerate(occupations.T[1:], 1):\n",
      "the coherent-row builder starts from mode 0's column, not from ones",
      "tests/test_states.py::test_coherent_stack_is_its_single_rows"),
     (28, "passive.py", "max(1, int(min(mean, top)))", "max(1, int(mean))",
@@ -188,14 +185,21 @@ MUTANTS = [
     (37, "theoremlab.py", "sector_tail = float(tails.max())", "sector_tail = float(tails.min())",
      "the trial records the smallest tail route 2 drops, not the largest",
      "tests/test_theoremlab.py::test_trial_sector_tail_is_the_largest_tail_route_two_drops"),
-    (38, "passive.py", "scratch = idle.pop() if idle else _Scratch()",
-     "scratch = idle[-1] if idle else _Scratch()",
-     "two live sector recursions in one thread share its last idle scratch",
-     "tests/test_sector_core.py::test_zipped_sector_recursions_keep_their_own_blocks"),
     (39, "passive.py", "if key != self.key or len(self.views) < len(plan.sectors):",
      "if len(self.views) < len(plan.sectors):",
      "the scratch keeps its views for another (n_modes, cutoff, T)",
      "tests/test_sector_core.py::test_interleaved_shapes_give_their_bytes_alone"),
+    (40, "passive.py", "views = _scratch.sector_views(", "views = _Scratch().sector_views(",
+     "the sector kernel builds a fresh scratch on every call",
+     "tests/test_sector_core.py::test_a_thread_reuses_its_scratch"),
+    (41, "passive.py", "block = terms.sum(axis=0, out=next_block)",
+     "block = terms.sum(axis=0, out=next_block)"
+     " * np.exp(1e-4j * (occ.sum(axis=1)[0] >= 2) * np.arange(terms.shape[-1]))",
+     "each block from sector 2 up is off by the phase e^{i 1e-4 j} on its column j",
+     "tests/test_cli.py::test_sweep_ppt_violation_of_a_classical_ensemble_is_a_finding"),
+    (42, "passive.py", "mode, inside = cols.argmax(axis=1),", "mode, inside = (cols > 0).argmax(axis=1),",
+     "each column lowers its first occupied mode, not its most occupied one",
+     "tests/test_sector_core.py::test_sector_blocks_stay_unitary_on_big_sectors"),
 ]
 
 

@@ -31,7 +31,7 @@ from bselab.passive import (
     SECTOR_TAIL_EPS,
     ModeUnitary,
     _SectorPlan,
-    _sector_blocks,
+    _apply_sectors,
     _sector_plan,
     _sector_tail_bound,
 )
@@ -222,16 +222,17 @@ class LiftedUnitary:
 
 def lift_unitary(m: ModeUnitary, arena: FockArena) -> LiftedUnitary:
     """P U P as a dim x dim matrix: the arena-row sector blocks up to
-    n_modes*(cutoff-1), on the columns whose tuples fit the arena.  Sectors
-    below the cutoff fit whole and stay unitary; the clipped ones above it
-    are contractions, so a row loses at most its own weight there."""
+    n_modes*(cutoff-1), on the columns whose tuples fit the arena, taken from
+    ``loop_sector_blocks`` so that it does not run on the kernel it checks.
+    Sectors below the cutoff fit whole and stay unitary; the clipped ones
+    above it are contractions, so a row loses at most its own weight there."""
     if m.n_modes != arena.n_modes:
         raise ValueError("mode count mismatch between unitary and arena")
     dim = arena.total_dim
     shape = (arena.cutoff,) * arena.n_modes
     matrix = np.zeros((dim, dim), dtype=complex)
-    for occ, cols, (block,) in _sector_blocks(m.matrix[None], arena.n_modes * (arena.cutoff - 1),
-                                              arena.cutoff):
+    top = arena.n_modes * (arena.cutoff - 1)
+    for occ, cols, (block,) in loop_sector_blocks(m.matrix[None], top, arena.cutoff):
         kept = cols.max(axis=1) < arena.cutoff
         rows = np.ravel_multi_index(occ.T, shape)
         matrix[np.ix_(rows, np.ravel_multi_index(cols[kept].T, shape))] = block[:, kept]
@@ -345,16 +346,17 @@ def svd_pt_spectrum(weights, rows, cutoff: int, part_a, part_b, budget: float):
 
 
 def full_sector_transform(m: ModeUnitary, alphas, arena: FockArena) -> np.ndarray:
-    """P U|alpha> for each row of ``alphas`` from whole sector blocks up to
-    the Poisson tail bound, keeping the arena's tuples afterwards.  No bound
-    passes the arena's top sector, above which no tuple is kept."""
+    """P U|alpha> for each row of ``alphas`` from whole sector blocks
+    (``loop_sector_blocks``) up to the Poisson tail bound, keeping the
+    arena's tuples afterwards.  No bound passes the arena's top sector,
+    above which no tuple is kept."""
     rows = np.atleast_2d(np.asarray(alphas, dtype=complex))
     last = arena.n_modes * (arena.cutoff - 1)
     n_max = np.array([_sector_tail_bound(float(np.sum(np.abs(r) ** 2)), last) for r in rows])
     top = int(n_max.max())
     columns = np.array([[_coherent_column(a, top + 1) for a in row] for row in rows])
     out = np.zeros((rows.shape[0], arena.total_dim), dtype=complex)
-    for n, (occ, _, (block,)) in enumerate(_sector_blocks(m.matrix[None], top, top + 1)):
+    for n, (occ, _, (block,)) in enumerate(loop_sector_blocks(m.matrix[None], top, top + 1)):
         amps = columns[:, np.arange(arena.n_modes), occ].prod(axis=-1)
         amps[n_max < n] = 0.0
         transformed = amps @ block.T
@@ -398,9 +400,11 @@ def hypercube_sector_plan(n_modes: int, top: int, cutoff: int) -> _SectorPlan:
 
 
 def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
-    """``_sector_blocks`` as a loop over the modes k of each sector step:
-    from a zero block, add sqrt(s_k) * parents[rows_k] * coef_k one mode at
-    a time.  The package takes the same sum in one array pass."""
+    """Sectors 0..top of the lift of each mode matrix of a stack ``(T, n, n)``
+    as ``_apply_sectors`` builds them, each as its row and column tuples and
+    its blocks ``(T, rows, cols)``, but with a loop over the modes k of each
+    sector step: from a zero block, add sqrt(s_k) * parents[rows_k] * coef_k
+    one mode at a time.  The package takes the same sum in one array pass."""
     plan = _sector_plan(stack.shape[-1], top, cutoff)
     coef = np.conj(stack).transpose(2, 0, 1)[..., plan.mode] * plan.inv_sqrt_t
     block = np.ones((1, len(stack), 1), dtype=complex)
@@ -413,6 +417,26 @@ def loop_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
             term *= c
             block += term
         yield occ, plan.cols[columns], block.transpose(1, 0, 2)
+
+
+def kernel_sector_blocks(stack: np.ndarray, top: int, cutoff: int):
+    """The blocks of sectors 0..top that ``_apply_sectors`` applies, as
+    ``loop_sector_blocks`` yields them, read off the kernel itself: sector n's
+    blocks are its output at top n on the unit rows of the sector's columns,
+    taken a few rows per call so that no call's output passes 2**21 entries."""
+    n_modes = stack.shape[-1]
+    arena, plan = FockArena(n_modes, cutoff), _sector_plan(n_modes, top, cutoff)
+    unitaries = [ModeUnitary(m) for m in stack]
+    step = max(1, 2**21 // (len(stack) * arena.total_dim))
+    start = 0
+    for n, (occ, *_, columns) in enumerate(plan.sectors):
+        rows, blocks = plan.row_index[start:start + len(occ)], []
+        for first in range(columns.start, columns.stop, step):
+            unit = np.zeros((min(step, columns.stop - first), columns.stop), dtype=complex)
+            unit[np.arange(len(unit)), first + np.arange(len(unit))] = 1.0
+            blocks.append(_apply_sectors(unitaries, unit, n, arena)[..., rows])
+        yield occ, plan.cols[columns], np.concatenate(blocks, axis=1).swapaxes(1, 2)
+        start += len(occ)
 
 
 def linear_sector_tail_bound(mean: float, top: int) -> int:

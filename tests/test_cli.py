@@ -559,6 +559,43 @@ def test_sweep_classical_ensemble_stays_ppt(tmp_path):
     assert all(float(row["min_pt_eigenvalue"]) >= -PPT_TOL for row in rows)
 
 
+def test_sweep_ppt_violation_of_a_classical_ensemble_is_a_finding(tmp_path, capsys, monkeypatch):
+    # a passive map keeps a classical ensemble separable, so an entangled
+    # angle is a finding: the sweep still writes its CSV and manifest, names
+    # each such angle and its least PT eigenvalue on stderr, and exits 3.
+    # The clean sweep exits 0; a Fock input, which makes no classical claim,
+    # exits 0 on an entangled angle too (test_sweep_fock_values)
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": [
+        {"weight": 0.6, "alphas": [[0.9, 0.3], [-0.5, 0.7]]},
+        {"weight": 0.4, "alphas": [[-0.2, -0.8], [1.0, 0.2]]}]}))
+    args = ["sweep", "--input", "ensemble", "--config", str(cfg), "--cutoff", "12",
+            "--thetas", "0.3,0.7853981633974483"]
+    assert cli.main([*args, "--out", str(tmp_path / "clean")]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    transform = cli.transform_coherent_exact
+
+    def cross_kerr(unitaries, alphas, arena):
+        # e^{0.1 i n_a n_b} on every output row: a phase, so no row leaks
+        # more, that entangles the two modes
+        rows, tails = transform(unitaries, alphas, arena)
+        n_a, n_b = arena.occupation_table().T
+        return rows * np.exp(0.1j * n_a * n_b), tails
+
+    monkeypatch.setattr(cli, "transform_coherent_exact", cross_kerr)
+    out = tmp_path / "faulty"
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_FINDING
+    err = capsys.readouterr().err
+    assert (out / "manifest.json").is_file()
+    with (out / "sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and len(err.splitlines()) == 2
+    for row in rows:
+        assert float(row["min_pt_eigenvalue"]) < -PPT_TOL
+        assert (f"ppt_violation at theta {row['theta']}: "
+                f"min_pt_eigenvalue {row['min_pt_eigenvalue']}") in err
+
+
 def test_pt_spectra_take_no_svd(tmp_path, monkeypatch):
     # one way to take a partial-transpose basis: neither a campaign of the
     # acceptance-5 shape nor an ensemble sweep calls a full SVD

@@ -1,15 +1,18 @@
-"""Property tests for the photon-number-sector builder (`_sector_blocks`,
-arena rows against full columns) and its one applier, through both callers:
-P U P on amplitude rows (`_lift_rows`) and the exact coherent transform
-(`transform_coherent_exact`).  The dense lift they are checked against
-(`lift_unitary`) is the tests' reference, and the builder is pinned byte for
-byte to a loop over the modes (`loop_sector_blocks`).
+"""Property tests for the photon-number-sector kernel (`_apply_sectors`,
+arena rows against full columns), on its own blocks and through both
+callers: P U P on amplitude rows (`_lift_rows`) and the exact coherent
+transform (`transform_coherent_exact`).  The kernel's blocks are read off
+its output on unit rows (`kernel_sector_blocks`).  The dense lift the callers
+are checked against (`lift_unitary`) is the tests' reference, built on a
+loop over the modes (`loop_sector_blocks`) that pins the kernel's blocks
+byte for byte.
 
 Unitaries are Haar draws and degenerate cases: +-I, mode permutations and
 eigenphases at +-pi, each also in a rotated eigenbasis.
 
-The builder runs in scratch reused per thread; interleaved shapes, zipped
-builders and concurrent threads each give the bytes of a call made alone.
+The kernel runs in scratch kept per thread; a thread's second call reuses
+it, and interleaved shapes and concurrent threads each give the bytes of a
+call made alone.
 """
 
 import itertools
@@ -21,12 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bselab import passive
 from bselab.hilbert import FockArena, _occupation_table
 from bselab.passive import (
     ModeUnitary,
     _SectorPlan,
     _lift_rows,
-    _sector_blocks,
     _sector_plan,
     beam_splitter_matrix,
     transform_coherent_exact,
@@ -39,6 +42,7 @@ from reference import (
     conjugation_residual,
     full_sector_transform,
     hypercube_sector_plan,
+    kernel_sector_blocks,
     lift_unitary,
     loop_sector_blocks,
     permanent_block,
@@ -86,7 +90,7 @@ def _unitarity_dev(block: np.ndarray) -> float:
 @given(st.sampled_from([2, 3]).flatmap(unitaries))
 def test_sector_blocks_match_permanent_reference(m):
     table = FockArena(m.n_modes, 6).occupation_table()
-    for n, (occ, cols, (block,)) in enumerate(_sector_blocks(m.matrix[None], 5, 6)):
+    for n, (occ, cols, (block,)) in enumerate(kernel_sector_blocks(m.matrix[None], 5, 6)):
         assert np.array_equal(occ, table[table.sum(axis=1) == n])
         assert np.array_equal(cols, occ)
         assert np.abs(block - permanent_block(m.matrix, occ)).max() <= 1e-12
@@ -99,7 +103,7 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
     # the column recursion lowers the most occupied mode; lowering the first
     # occupied one instead drifts past 1e-12 on sectors this big
     top, m = case
-    for _, _, (block,) in _sector_blocks(m.matrix[None], top, top + 1):
+    for _, _, (block,) in kernel_sector_blocks(m.matrix[None], top, top + 1):
         assert _unitarity_dev(block) <= 1e-12
 
 
@@ -109,12 +113,15 @@ def test_sector_blocks_stay_unitary_on_big_sectors(case):
 def test_arena_sector_blocks_are_full_sub_blocks(case):
     # the recursion closed on arena rows gives the arena rows of the full
     # blocks: bit for bit on the sectors the arena holds whole, and within
-    # the roundoff of a wider elementwise loop on the clipped ones above
+    # the roundoff of a wider elementwise loop on the clipped ones above.
+    # The full blocks are the reference loop's: read off the kernel, they
+    # would take unit rows on a (top + 1) ** n_modes arena, 0.8 GB of output
+    # at 4 modes
     (n_modes, cutoff), m = case
     top = n_modes * (cutoff - 1)
     for n, ((occ, cols, (rows,)), (full_occ, full_cols, (full,))) in enumerate(zip(
-            _sector_blocks(m.matrix[None], top, cutoff),
-            _sector_blocks(m.matrix[None], top, top + 1))):
+            kernel_sector_blocks(m.matrix[None], top, cutoff),
+            loop_sector_blocks(m.matrix[None], top, top + 1))):
         kept = full_occ.max(axis=1) < cutoff
         assert np.array_equal(full_cols, full_occ) and np.array_equal(cols, full_cols)
         assert np.array_equal(occ, full_occ[kept])
@@ -140,14 +147,14 @@ def _byte_pin_matrices(n: int) -> list[np.ndarray]:
 def test_sector_blocks_are_the_per_mode_loop_byte_for_byte(n_modes, cutoff):
     # one array pass over the modes sums their terms in mode order from 0,
     # as the loop does: no byte moves, signed zeros included
-    matrices = _byte_pin_matrices(n_modes)
+    matrices = [ModeUnitary(m).matrix for m in _byte_pin_matrices(n_modes)]
     stacks = [m[None] for m in matrices]
     stacks += [np.array(matrices[i:i + size]) for size in (2, 3, 4)
                for i in range(0, len(matrices) - size + 1, size)]
     for stack in stacks:
         for top in range(n_modes * (cutoff - 1) + 1):
             for (occ, cols, blocks), (ref_occ, ref_cols, ref_blocks) in zip(
-                    _sector_blocks(stack, top, cutoff), loop_sector_blocks(stack, top, cutoff),
+                    kernel_sector_blocks(stack, top, cutoff), loop_sector_blocks(stack, top, cutoff),
                     strict=True):
                 assert np.array_equal(occ, ref_occ) and np.array_equal(cols, ref_cols)
                 assert blocks.shape == ref_blocks.shape
@@ -231,7 +238,7 @@ def test_lift_properties(case):
 
 
 @PROPERTY
-@given(st.sampled_from([(2, 6), (3, 4), (4, 3)]).flatmap(
+@given(st.sampled_from([(2, 6), (2, 10), (3, 4), (3, 8), (4, 3)]).flatmap(
     lambda shape: st.tuples(
         st.just(shape),
         st.lists(unitaries(shape[0]), min_size=1, max_size=5),
@@ -366,6 +373,22 @@ def test_interleaved_shapes_give_their_bytes_alone():
         assert calls[i]() == alone[i], i
 
 
+def test_a_thread_reuses_its_scratch():
+    # a second call of one shape in a thread runs in the arrays and views the
+    # first grew there: the same objects, so nothing grew or was rebuilt
+    call = _route_two_calls()[1]
+
+    def twice():
+        call()
+        first = (*passive._scratch.flat, passive._scratch.views)
+        call()
+        return first, (*passive._scratch.flat, passive._scratch.views)
+
+    first, second = _in_fresh_thread(twice)
+    assert all(len(a) for a in first)
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
 def test_threads_give_the_bytes_of_serial_calls():
     calls = _route_two_calls()[:2]
     serial = [call() for call in calls]
@@ -387,18 +410,3 @@ def test_threads_give_the_bytes_of_serial_calls():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[serial[0]] * 20, [serial[1]] * 20]
-
-
-def test_zipped_sector_recursions_keep_their_own_blocks():
-    # a yielded block is a view that stays valid until its generator
-    # advances, whatever another live generator of the thread does meanwhile
-    rng = np.random.default_rng(7)
-    shapes = [(np.array([haar_unitary(3, rng).matrix]), 12, 8),
-              (np.array([haar_unitary(3, rng).matrix]), 12, 8),
-              (np.array([haar_unitary(2, rng).matrix for _ in range(5)]), 20, 22)]
-    alone = [[block.copy() for *_, block in _sector_blocks(*shape)] for shape in shapes]
-    for a, b in ((0, 1), (0, 2), (2, 0)):
-        pairs = zip(_sector_blocks(*shapes[a]), _sector_blocks(*shapes[b]))
-        for n, ((*_, block_a), (*_, block_b)) in enumerate(pairs):
-            assert block_a.tobytes() == alone[a][n].tobytes(), (a, n)
-            assert block_b.tobytes() == alone[b][n].tobytes(), (b, n)
