@@ -32,7 +32,7 @@ from ._blas import openblas_threads, single_threaded_blas
 from .hilbert import LEAK_TOL, FockArena, Mixture, TruncationError
 from .passive import _lift_rows, beam_splitter_matrix, transform_coherent_exact
 from .states import CoherentEnsemble, _check_rows, coherent, fock
-from .theoremlab import TRIAL_STAGES, CampaignConfig, run_campaign
+from .theoremlab import TRIAL_STAGES, CampaignConfig, describe_ensemble, run_campaign
 from .witnesses import mandel_q, negativity_reports
 
 EXIT_OK = 0
@@ -48,11 +48,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
-# a config file holds the format "version" and CampaignConfig's fields,
-# with the manual ensemble under "ensemble"
-_CAMPAIGN_FIELDS = (
-    {f.name for f in fields(CampaignConfig)} - {"manual_ensemble"}
-) | {"version", "ensemble"}
+# a config file holds the format "version" and CampaignConfig's fields
+_CAMPAIGN_FIELDS = {f.name for f in fields(CampaignConfig)} | {"version"}
 
 
 def _is_number(value) -> bool:
@@ -61,7 +58,8 @@ def _is_number(value) -> bool:
 
 
 def parse_ensemble(entries) -> CoherentEnsemble:
-    """Parse a manual ensemble: a list of {weight, alphas: [[re, im], ...]}."""
+    """Parse a config's ensemble: a list of {weight, alphas: [[re, im], ...]}.
+    Only the JSON shape is checked here; CoherentEnsemble judges the weights."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError("ensemble must be a non-empty list of components")
     weights, alphas = [], []
@@ -74,11 +72,6 @@ def parse_ensemble(entries) -> CoherentEnsemble:
         w = comp.get("weight")
         if not _is_number(w):
             raise ConfigError("each ensemble component needs a numeric weight")
-        if w < 0:
-            raise ConfigError(
-                f"ensemble weight {w} is negative: a classical P-function "
-                "requires all weights to be non-negative"
-            )
         rows = comp.get("alphas")
         if not isinstance(rows, list) or not all(
             isinstance(p, list) and len(p) == 2
@@ -117,16 +110,13 @@ def load_campaign_config(path: Path, overrides: dict) -> CampaignConfig:
     raw = _read_config_json(path, _CAMPAIGN_FIELDS)
     if "version" not in raw:
         raise ConfigError("config must declare \"version\": 1")
-
-    ensemble = None
-    if "ensemble" in raw:
-        ensemble = parse_ensemble(raw["ensemble"])
-    kwargs = {k: raw[k] for k in raw if k not in ("version", "ensemble")}
+    kwargs = {k: v for k, v in raw.items() if k != "version"}
+    if "ensemble" in kwargs:
+        kwargs["ensemble"] = parse_ensemble(kwargs["ensemble"])
+        kwargs.setdefault("n_modes", kwargs["ensemble"].n_modes)
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    if ensemble is not None:
-        kwargs.setdefault("n_modes", ensemble.n_modes)
     try:
-        return CampaignConfig(manual_ensemble=ensemble, **kwargs)
+        return CampaignConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -353,9 +343,11 @@ def cmd_sweep(args) -> int:
     thetas = _parse_thetas(args.thetas)
     arena = _two_mode_arena(args.cutoff)
 
-    # route(unitaries, inputs, arena): the output amplitude rows after each
-    # unitary, for the whole sweep at once; a Fock row goes through P U P, an
-    # ensemble through the exact coherent transform a campaign trial uses
+    # the output amplitude rows after each angle's splitter, for the whole
+    # sweep at once: a Fock row goes through P U P, an ensemble through the
+    # exact coherent transform a campaign trial uses (its tails go unread)
+    t0 = time.perf_counter()
+    unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
     if args.input == "fock":
         if args.config is not None:
             raise ConfigError("--config holds an ensemble and needs --input ensemble")
@@ -365,7 +357,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --occupations value: {exc}") from exc
         input_echo = {"kind": "fock", "occupations": list(occ)}
-        weights, route, inputs = [1.0], _lift_rows, psi[None]
+        weights, outs = [1.0], _lift_rows(unitaries, psi[None], arena)
     else:
         if args.config is None:
             raise ConfigError("--input ensemble requires --config with an ensemble")
@@ -379,18 +371,13 @@ def cmd_sweep(args) -> int:
         # a component that overflows alone is an error, even where a small
         # weight hides it in the mixture
         coherent(arena, ens.alphas)
-        input_echo = {"kind": "ensemble", "components": ens.n_components}
-        weights, inputs = ens.weights, ens.alphas
-        def route(unitaries, alphas, arena):  # the rows; the tails go unread
-            return transform_coherent_exact(unitaries, alphas, arena)[0]
+        input_echo = describe_ensemble(ens)
+        weights, (outs, _) = ens.weights, transform_coherent_exact(unitaries, ens.alphas, arena)
 
-    table = []
-    t0 = time.perf_counter()
-    unitaries = [beam_splitter_matrix(theta, args.phi0, args.phi1) for theta in thetas]
-    outs = route(unitaries, inputs, arena)
     _check_rows(outs, LEAK_TOL)  # each output row alone, as a trial checks it
     states = [Mixture(arena, weights, out) for out in outs]
     reports = negativity_reports([(state, ((0,), (1,))) for state in states])
+    table = []
     for theta, state, report in zip(thetas, states, reports):
         p_a, p_b = state.photon_distributions()
         table.append([theta, report.negativity, report.log_negativity,
@@ -402,8 +389,8 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         writer.writerows(table)
-    write_manifest(out_dir, {"sweep_input": input_echo, "thetas": thetas,
-                             "cutoff": args.cutoff},
+    write_manifest(out_dir, {"sweep_input": input_echo, "thetas": thetas, "cutoff": args.cutoff,
+                             "phi0": args.phi0, "phi1": args.phi1},
                    {"total": elapsed}, [str(sweep_path)])
     print(f"sweep: wrote {len(table)} rows to {sweep_path}")
     # a passive map keeps a classical input separable: on an ensemble, an

@@ -240,7 +240,7 @@ class CampaignConfig:
     threads: int = 1
     ppt_tol: float = PPT_TOL
     leak_tol: float = LEAK_TOL
-    manual_ensemble: Optional[CoherentEnsemble] = None
+    ensemble: Optional[CoherentEnsemble] = None  # every trial's input, in place of a draw
 
     def __post_init__(self) -> None:
         for name, least in (("n_trials", 0), ("seed", 0), ("n_modes", 1),
@@ -259,15 +259,15 @@ class CampaignConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not 0 < value < np.inf):
                 raise ValueError(f"{name} must be a finite positive number, not {value!r}")
-        if self.manual_ensemble is not None and self.manual_ensemble.n_modes != self.n_modes:
+        if self.ensemble is not None and self.ensemble.n_modes != self.n_modes:
             raise ValueError("manual ensemble mode count does not match config")
         FockArena(self.n_modes, self.cutoff)  # an arena numpy can index
         # truncation safety: the coherent tail at the largest amplitude a
-        # trial can see (the drawn bound, or a manual ensemble's own largest
+        # trial can see (the drawn bound, or a given ensemble's own largest
         # |alpha|) must fit the leak budget at the configured cutoff
         bound = self.amplitude_bound
-        if self.manual_ensemble is not None:
-            bound = self.manual_ensemble.max_abs_alpha()
+        if self.ensemble is not None:
+            bound = self.ensemble.max_abs_alpha()
         leak = coherent_leakage(bound, self.cutoff)
         if leak > self.leak_tol:
             raise ValueError(
@@ -308,10 +308,9 @@ class CampaignSummary:
 
 
 def _config_echo(cfg: CampaignConfig) -> dict:
-    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-            if f.name != "manual_ensemble"}
-    if cfg.manual_ensemble is not None:
-        echo["ensemble"] = describe_ensemble(cfg.manual_ensemble)
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "ensemble"}
+    if cfg.ensemble is not None:
+        echo["ensemble"] = describe_ensemble(cfg.ensemble)
     return echo
 
 
@@ -332,7 +331,7 @@ def _run_one(cfg: CampaignConfig, index: int, child_seed) -> TrialRecord | Trunc
     larger cutoffs on truncation overflow: the record, carrying the cutoff it
     ran at and the retries it took, or the last attempt's TruncationError."""
     rng = np.random.default_rng(child_seed)
-    ens = cfg.manual_ensemble
+    ens = cfg.ensemble
     if ens is None:
         ens = random_classical_ensemble(
             rng, cfg.n_modes, cfg.max_ensemble_components, cfg.amplitude_bound

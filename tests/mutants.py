@@ -200,6 +200,9 @@ MUTANTS = [
     (42, "passive.py", "mode, inside = cols.argmax(axis=1),", "mode, inside = (cols > 0).argmax(axis=1),",
      "each column lowers its first occupied mode, not its most occupied one",
      "tests/test_sector_core.py::test_sector_blocks_stay_unitary_on_big_sectors"),
+    (43, "states.py", "if np.any(w < 0):", "if np.any(w < -1e-3):",
+     "an ensemble forgives weights down to -1e-3",
+     "tests/test_cli.py::test_verify_rejects_negative_weight"),
 ]
 
 

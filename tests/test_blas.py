@@ -1,9 +1,10 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from bselab import _blas
+from bselab import _blas, cli
 
 
 def test_overlapping_pins_restore_once_at_the_last_exit():
@@ -68,3 +69,34 @@ def test_pins_under_thread_contention():
             lib.set_num_threads(n)
     assert seen == {1}
     assert after == [3] * len(libs)
+
+
+def test_without_openblas_a_pin_does_nothing(tmp_path, monkeypatch):
+    # where numpy's linalg library cannot be opened, no OpenBLAS is found: a
+    # pin changes no thread count, and a verify runs and lists no OpenBLAS
+    def unopenable(*args, **kwargs):
+        raise OSError("cannot open the library")
+
+    libs = _blas._openblas()
+    original = [lib.get_num_threads() for lib in libs]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"version": 1, "n_trials": 1, "cutoff": 8,
+                               "amplitude_bound": 0.5}))
+    try:
+        for lib in libs:
+            lib.set_num_threads(3)
+        with monkeypatch.context() as patch:
+            patch.setattr(_blas.ctypes, "CDLL", unopenable)
+            _blas._openblas.cache_clear()
+            with _blas.single_threaded_blas():
+                inside = [lib.get_num_threads() for lib in libs]
+            assert _blas.openblas_threads() == []
+            code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        _blas._openblas.cache_clear()
+        for lib, n in zip(libs, original):
+            lib.set_num_threads(n)
+    assert inside == [3] * len(libs) and _blas._pins == []
+    assert code == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["parallelism"]["openblas"] == []

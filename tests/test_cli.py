@@ -344,12 +344,14 @@ def test_verify_reports_truncation_overflow_by_name(tmp_path, monkeypatch):
 
 
 def test_verify_rejects_negative_weight(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path, ensemble=[{"weight": -0.5, "alphas": [[0.3, 0.0], [0.0, 0.2]]}]
-    )
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "negative" in err and "non-negative" in err
+    # a negative weight is the classicality boundary itself, with no epsilon
+    # forgiveness: -1e-15 beside a positive weight is refused as a lone -0.5 is
+    for weights in ([-0.5], [1.0, -1e-15]):
+        cfg = _write_config(tmp_path, ensemble=[
+            {"weight": w, "alphas": [[0.3, 0.0], [0.0, 0.2]]} for w in weights])
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "negative" in err and "non-negative" in err
 
 
 @pytest.mark.parametrize(
@@ -428,8 +430,10 @@ def test_verify_rejects_unknown_field(tmp_path, capsys):
     ("ensemble", {"version": 7, "ensemble": ONE_COMPONENT}, 'config must declare "version": 1'),
     ("ensemble", {"ensemble": OVERFLOWING_WEIGHTS},
      "total weight must be positive and finite, not inf"),
+    ("ensemble", {"ensemble": [{**ONE_COMPONENT[0], "weight": -0.5}]},
+     "ensemble weights must be non-negative"),
     ("fock", {"ensemble": ONE_COMPONENT}, "--config holds an ensemble and needs --input ensemble"),
-], ids=["campaign-fields", "version-7", "overflowing-weights", "fock-input"])
+], ids=["campaign-fields", "version-7", "overflowing-weights", "negative-weight", "fock-input"])
 def test_sweep_rejects_a_config_it_cannot_use(tmp_path, capsys, source, payload, message):
     # a sweep's settings are its flags: its config holds an ensemble and at
     # most the format version, and a Fock sweep takes none
@@ -688,6 +692,44 @@ def test_sweep_ensemble_empty_grid_writes_header_only(tmp_path):
     assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg),
                      "--thetas", "", "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_text().splitlines() == [",".join(cli.SWEEP_COLUMNS)]
+
+
+def test_sweep_manifest_echoes_phases_and_input(tmp_path):
+    # the manifest names what the sweep ran: its phases, and its input as
+    # campaigns describe theirs; sweep.csv holds the rows of one transform
+    # of every angle at those phases, byte for byte
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"version": 1, "ensemble": [
+        {"weight": 0.6, "alphas": [[0.9, 0.3], [-0.5, 0.7]]},
+        {"weight": 0.4, "alphas": [[-0.2, -0.8], [1.0, 0.2]]}]}))
+    ens = cli.parse_ensemble(json.loads(cfg.read_text())["ensemble"])
+    thetas = [0.3, 0.9]
+    phases = ["--phi0", "0.3", "--phi1", "1.1", "--thetas", "0.3,0.9", "--cutoff", "12"]
+    out = tmp_path / "ensemble"
+    assert cli.main(["sweep", "--input", "ensemble", "--config", str(cfg), *phases,
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"sweep_input": theoremlab.describe_ensemble(ens),
+                                  "thetas": thetas, "cutoff": 12, "phi0": 0.3, "phi1": 1.1}
+    arena = FockArena(2, 12)
+    unitaries = [beam_splitter_matrix(theta, 0.3, 1.1) for theta in thetas]
+    states = [Mixture(arena, ens.weights, rows)
+              for rows in transform_coherent_exact(unitaries, ens.alphas, arena)[0]]
+    reports = negativity_reports([(state, ((0,), (1,))) for state in states])
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(cli.SWEEP_COLUMNS)
+    for theta, state, report in zip(thetas, states, reports):
+        writer.writerow([theta, report.negativity, report.log_negativity,
+                         report.min_pt_eigenvalue,
+                         *map(mandel_q, state.photon_distributions())])
+    with (out / "sweep.csv").open(newline="") as fh:
+        assert fh.read() == expected.getvalue()
+    out = tmp_path / "fock"
+    assert cli.main(["sweep", *phases, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == {
+        "sweep_input": {"kind": "fock", "occupations": [1, 0]},
+        "thetas": thetas, "cutoff": 12, "phi0": 0.3, "phi1": 1.1}
 
 
 def test_sweep_fock_rows_are_each_angles_lift(tmp_path):

@@ -252,13 +252,13 @@ def test_config_validation():
     # amplitude its trials see, however small amplitude_bound is
     with pytest.raises(ValueError, match="truncation-unsafe for"):
         CampaignConfig(n_trials=1, cutoff=8, amplitude_bound=0.1,
-                       manual_ensemble=CoherentEnsemble(2, [1.0], [[2.5, 0.0]]))
+                       ensemble=CoherentEnsemble(2, [1.0], [[2.5, 0.0]]))
     # numpy integers count as integers (the CLI rejects floats and bools)
     assert CampaignConfig(n_trials=np.int64(1), seed=np.uint32(3)).seed == 3
 
 
 @pytest.mark.parametrize("make, match", [
-    (lambda: CampaignConfig(n_trials=1, n_modes=3, manual_ensemble=CoherentEnsemble(
+    (lambda: CampaignConfig(n_trials=1, n_modes=3, ensemble=CoherentEnsemble(
         2, [1.0], [[0.1, 0.0]])), "manual ensemble mode count does not match config"),
     (lambda: run_theorem_trial(CoherentEnsemble(1, [1.0], [[0.1]]), ModeUnitary(np.eye(1)),
                                FockArena(1, 6)), "need at least 2 modes for a bipartition"),
